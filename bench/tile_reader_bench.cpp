@@ -699,9 +699,8 @@ ConvoyRun run_overload_convoy(obs::Observability& obs,
   cfg.num_servers = 1;
   cfg.num_clients = kClients;
   cfg.server.request_overhead = 2 * kMillisecond;  // decode-bound server
-  // Reliable RPC path armed (typed client-side queue/backoff spans) but
-  // the timeout is ~50x any convoy queue wait, so no attempt ever
-  // retries. Kept small because each pending recv_for timer extends the
+  // A per-attempt deadline ~50x any convoy queue wait, so no attempt ever
+  // retries. Kept small because each pending receive timer extends the
   // post-run event drain (and thus the sampled window) by one timeout.
   cfg.client.rpc_timeout = kSecond;
   cfg.client.rpc_max_attempts = 1;

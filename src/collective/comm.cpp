@@ -24,7 +24,7 @@ sim::Task<std::vector<std::int64_t>> Communicator::allgather64(
     co_await network_->send(
         me, node_of(0), sim::Message(me, block, wire, std::move(values)));
     sim::Message msg =
-        co_await network_->mailbox(me).recv(node_of(0), block + 1);
+        *co_await network_->mailbox(me).recv(node_of(0), block + 1);
     co_return msg.take<std::vector<std::int64_t>>();
   }
 
@@ -32,7 +32,7 @@ sim::Task<std::vector<std::int64_t>> Communicator::allgather64(
   std::copy(values.begin(), values.end(), all.begin());
   for (int src = 1; src < nranks_; ++src) {
     sim::Message msg =
-        co_await network_->mailbox(me).recv(node_of(src), block);
+        *co_await network_->mailbox(me).recv(node_of(src), block);
     auto theirs = msg.take<std::vector<std::int64_t>>();
     std::copy(theirs.begin(), theirs.end(),
               all.begin() + static_cast<std::ptrdiff_t>(
@@ -78,8 +78,8 @@ sim::Task<void> Communicator::send_exchange(int src_rank, int dst_rank,
 sim::Task<ExchangePayload> Communicator::recv_exchange(int my_rank,
                                                        int src_rank,
                                                        std::uint64_t tag) {
-  sim::Message msg = co_await network_->mailbox(node_of(my_rank))
-                         .recv(node_of(src_rank), tag);
+  sim::Message msg = *co_await network_->mailbox(node_of(my_rank))
+                          .recv(node_of(src_rank), tag);
   co_return msg.take<ExchangePayload>();
 }
 

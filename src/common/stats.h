@@ -18,7 +18,6 @@ struct IoStats {
   std::uint64_t resent_bytes = 0;     ///< bytes exchanged client<->client (two-phase redistribution)
   std::uint64_t request_bytes = 0;    ///< request-descriptor payload (list-I/O region lists, dataloops)
   std::uint64_t regions_client = 0;   ///< offset-length regions produced on the client
-  std::uint64_t regions_server = 0;   ///< offset-length regions produced on servers for this client
   std::uint64_t requests_sent = 0;    ///< network requests to I/O servers
 
   IoStats& operator+=(const IoStats& other) noexcept {
@@ -28,7 +27,6 @@ struct IoStats {
     resent_bytes += other.resent_bytes;
     request_bytes += other.request_bytes;
     regions_client += other.regions_client;
-    regions_server += other.regions_server;
     requests_sent += other.requests_sent;
     return *this;
   }

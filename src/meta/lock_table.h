@@ -1,13 +1,14 @@
-// Striped byte-range lock table: per-(handle, stripe) mutual exclusion
-// with FIFO fairness, held by each metadata shard for the stripes it
-// serves. Pure synchronous structure — the server parks waiters here and
-// grants them on release; clients never see the table directly.
+// File lock table: per-(handle, stripe) mutual exclusion with FIFO
+// fairness, held by each metadata shard for the locks it serves. A
+// striped byte-range lock is one stripe; a whole-file lock is stripe -1,
+// the one stripe that covers the file. Pure synchronous structure — the
+// server parks waiters here and grants them on release; clients never see
+// the table directly.
 //
-// Unlike the legacy whole-file lock table (which models durable state and
-// survives a crash), striped lock state is process state: invalidate()
-// drops every holder and surrenders the parked waiters so a restarting
-// shard can re-grant them in deterministic FIFO order. Holders from before
-// the crash simply find their later unlock a no-op.
+// Lock state is process state: invalidate() drops every holder and
+// surrenders the parked waiters so a restarting shard can re-grant them in
+// deterministic FIFO order. Holders from before the crash simply find
+// their later unlock a no-op.
 #pragma once
 
 #include <cstdint>

@@ -232,28 +232,31 @@ struct ClientConfig {
   /// surface at the flush that carries them.
   std::int64_t write_behind_bytes = 0;
 
-  /// Per-request reply deadline in simulated time. 0 (the default)
-  /// disables the reliability layer entirely: requests wait forever,
-  /// exactly the pre-fault-injection behaviour (and the behaviour PVFS
-  /// offers — a lost reply hangs the client). Set nonzero to arm
-  /// timeout + retry; it must comfortably exceed the worst-case service
-  /// time or false timeouts will inflate traffic (retries stay correct
-  /// either way, via fresh reply tags and the server replay window).
+  /// Per-attempt reply deadline in simulated time. 0 (the default) means
+  /// no deadline: an attempt waits for its reply however long it takes,
+  /// the behaviour PVFS offers — a lost reply hangs the client. Set
+  /// nonzero to time out and retry lost attempts; it must comfortably
+  /// exceed the worst-case service time or false timeouts will inflate
+  /// traffic (retries stay correct either way, via fresh reply tags and
+  /// the server replay window). Replication needs a deadline (failover
+  /// must detect a dead primary); lock/unlock never use one.
   dtio::SimTime rpc_timeout = 0;
 
-  /// Total attempts per request (1 = no retries) when rpc_timeout > 0.
+  /// Total attempts per request (1 = no retries). Error replies
+  /// (kDataLoss, kOverloaded, read-reply CRC mismatches) retry at any
+  /// rpc_timeout; timeouts only happen when rpc_timeout > 0.
   int rpc_max_attempts = 5;
 
-  /// Backoff before attempt n+1: base * multiplier^(n-1), plus a
-  /// deterministic jitter drawn from the client's seeded RNG, uniform in
+  /// Backoff before retry k (attempt k+1): base * multiplier^(k-1), plus
+  /// a deterministic jitter drawn from the client's seeded RNG, uniform in
   /// [0, jitter * backoff).
   dtio::SimTime rpc_backoff_base = 2 * dtio::kMillisecond;
   double rpc_backoff_multiplier = 2.0;
   double rpc_backoff_jitter = 0.25;
 
   // ---- Overload protection (all default-off; see docs/fault-model.md).
-  // The three mechanisms below act per server ("lane") inside the
-  // reliable RPC path (rpc_timeout > 0) and are individually gated.
+  // The three mechanisms below act per server ("lane") inside the one RPC
+  // path (Client::rpc_attempts), each gated only by its own knob.
 
   /// AIMD outstanding-request window cap per server. 0 = no flow control.
   /// When set, at most floor(window) RPCs to one server are in flight per
@@ -279,8 +282,8 @@ struct ClientConfig {
   /// distribution after which a read-class RPC issues one hedge to the
   /// same server on a fresh reply tag (first reply wins; the loser parks
   /// unclaimed, exactly like a stale retry reply). 0 = hedging off.
-  /// Requires rpc_timeout > 0; the hedge extends the attempt's wait by a
-  /// fresh rpc_timeout, so a slow-but-alive primary still counts — the
+  /// The hedge extends the attempt's wait by a fresh rpc_timeout (no
+  /// deadline at 0), so a slow-but-alive primary still counts — the
   /// mechanism that beats timeout-and-discard under a degraded server.
   double hedge_quantile = 0;
   /// Successful samples required on a lane before hedging arms (a
@@ -328,7 +331,8 @@ struct ClusterConfig {
   /// over to the next replica on kUnavailable/timeout/breaker-open; a
   /// restarting server resyncs diverged strips from its peers (kResyncPull)
   /// before serving data again. Requires client.rpc_timeout > 0 on the
-  /// client side (the legacy no-timeout path never replicates).
+  /// client side: failover must detect a dead primary, which takes a
+  /// deadline, so with no deadline the client never replicates.
   int replication = 1;
 
   /// Metadata shard count. 1 (default) = the legacy single metadata
@@ -341,13 +345,13 @@ struct ClusterConfig {
   /// replay, breakers) applies per shard.
   int meta_shards = 1;
 
-  /// Byte-range lock stripe width. 0 (default) = whole-file locks (the
-  /// legacy FIFO lock on the handle's owning shard). > 0 partitions each
+  /// Byte-range lock stripe width. 0 (default) = whole-file locks (a FIFO
+  /// lock on stripe -1 at the handle's owning shard). > 0 partitions each
   /// file's byte space into stripes of this many bytes; lock_range()
   /// acquires the stripes covering [offset, offset+length) in ascending
   /// stripe order (deadlock-free) with per-stripe FIFO fairness, and each
-  /// stripe is served by shard (stripe_index % meta_shards). Striped lock
-  /// state is process state: a shard crash safely invalidates it.
+  /// stripe is served by shard (stripe_index % meta_shards). Lock state of
+  /// either kind is process state: a shard crash safely invalidates it.
   std::int64_t lock_stripe_bytes = 0;
 
   /// Per-file dynamic layouts. false (default) = every file uses the

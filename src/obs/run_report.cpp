@@ -18,7 +18,6 @@ void write_io_stats(JsonWriter& w, const IoStats& s) {
   w.kv("resent_bytes", s.resent_bytes);
   w.kv("request_bytes", s.request_bytes);
   w.kv("regions_client", s.regions_client);
-  w.kv("regions_server", s.regions_server);
   w.kv("requests_sent", s.requests_sent);
   w.end_object();
 }

@@ -275,10 +275,6 @@ sim::Task<MetaResult> Client::meta_op(OpKind op, Box<std::string> path,
   co_return result;
 }
 
-sim::Fire Client::send_fire(int dst, Box<sim::Message> message) {
-  co_await network_->send(node_, dst, message.take());
-}
-
 // ---- Per-server lanes: flow control, health, circuit breaker ----------------
 
 Client::Lane& Client::lane(int server) {
@@ -409,15 +405,35 @@ void Client::breaker_on_failure(Lane& l, int server) {
 
 // ---- RPC reliability core ---------------------------------------------------
 
+namespace {
+
+bool is_data_read(OpKind op) {
+  return op == OpKind::kContigRead || op == OpKind::kListRead ||
+         op == OpKind::kDatatypeRead;
+}
+
+}  // namespace
+
+SimTime Client::retry_backoff(int retry) const {
+  const net::ClientConfig& cc = config_->client;
+  SimTime backoff = cc.rpc_backoff_base;
+  for (int i = 1; i < retry; ++i) {
+    backoff = static_cast<SimTime>(static_cast<double>(backoff) *
+                                   cc.rpc_backoff_multiplier);
+  }
+  return backoff;
+}
+
 sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
-  const bool reliable = cc.rpc_timeout > 0;
-  const int max_attempts =
-      !reliable ? 1
-                : (slot->max_attempts_override > 0
-                       ? slot->max_attempts_override
-                       : std::max(1, cc.rpc_max_attempts));
-  Status last = internal_error("rpc: no attempt ran");
+  // rpc_timeout bounds each attempt's wait; 0 means wait for the reply
+  // with no deadline (a lost reply then hangs the op, as in PVFS).
+  const SimTime deadline = cc.rpc_timeout > 0 ? cc.rpc_timeout
+                                              : sim::kNoDeadline;
+  const int max_attempts = slot->max_attempts_override > 0
+                               ? slot->max_attempts_override
+                               : std::max(1, cc.rpc_max_attempts);
+  Status last;  // every attempt that does not return overwrites it
   bool all_timeouts = true;
   // Set by a kOverloaded reply: the server's backlog-drain estimate, which
   // replaces a smaller blind backoff before the next attempt.
@@ -434,42 +450,37 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   // Circuit breaker: when this server's lane is open, fail fast with
   // kUnavailable instead of burning a timeout — the caller's error path
   // runs in microseconds rather than rpc_timeout.
-  if (reliable && !breaker_try_pass(ln, slot->server)) {
+  if (!breaker_try_pass(ln, slot->server)) {
     ++breaker_fast_fails_;
     if (obs_fast_fails_ != nullptr) obs_fast_fails_->add(1);
     slot->status = unavailable("circuit breaker open for server " +
                                std::to_string(slot->server));
     co_return;
   }
+  const obs::SpanId rpc_parent =
+      slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span;
   // AIMD flow control: acquire one window slot on this server's lane for
   // the whole RPC (all attempts); LaneReleaser's destructor releases it on
   // every exit path.
   LaneReleaser window_slot;
-  if (reliable && cc.flow_window > 0) {
+  if (cc.flow_window > 0) {
     obs::SpanId queue_span = 0;
     if (obs_ != nullptr) {
-      queue_span = obs_->spans.begin(
-          "client_queue", node_, sched_->now(),
-          slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span,
-          slot->request.trace_id, obs::Phase::kClientQueue);
+      queue_span = obs_->spans.begin("client_queue", node_, sched_->now(),
+                                     rpc_parent, slot->request.trace_id,
+                                     obs::Phase::kClientQueue);
     }
     co_await LaneGate{this, slot->server};
     if (obs_ != nullptr) obs_->spans.end(queue_span, sched_->now());
     window_slot.client = this;
     window_slot.server = slot->server;
   }
-  const bool is_data_read = slot->request.op == OpKind::kContigRead ||
-                            slot->request.op == OpKind::kListRead ||
-                            slot->request.op == OpKind::kDatatypeRead;
+  const bool data_read = is_data_read(slot->request.op);
 
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempt > 1) {
       // Exponential backoff with deterministic jitter before each retry.
-      SimTime backoff = cc.rpc_backoff_base;
-      for (int i = 2; i < attempt; ++i) {
-        backoff = static_cast<SimTime>(static_cast<double>(backoff) *
-                                       cc.rpc_backoff_multiplier);
-      }
+      SimTime backoff = retry_backoff(attempt - 1);
       if (cc.rpc_backoff_jitter > 0) {
         backoff += static_cast<SimTime>(rng_.next_double() *
                                         cc.rpc_backoff_jitter *
@@ -489,10 +500,10 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
                        << max_attempts << " to srv" << slot->server);
       obs::SpanId backoff_span = 0;
       if (obs_ != nullptr) {
-        backoff_span = obs_->spans.begin(
-            "client_backoff", node_, sched_->now(),
-            slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span,
-            slot->request.trace_id, obs::Phase::kClientBackoff);
+        backoff_span = obs_->spans.begin("client_backoff", node_,
+                                         sched_->now(), rpc_parent,
+                                         slot->request.trace_id,
+                                         obs::Phase::kClientBackoff);
       }
       co_await sched_->delay(backoff);
       if (obs_ != nullptr) obs_->spans.end(backoff_span, sched_->now());
@@ -506,141 +517,121 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     const std::uint64_t tag = request.reply_tag;
     const SimTime attempt_start = sched_->now();
     obs::SpanId attempt_span = 0;
-    if (obs_ != nullptr && reliable) {
-      attempt_span = obs_->spans.begin(
-          "rpc_attempt", node_, attempt_start,
-          slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span,
-          request.trace_id);
+    if (obs_ != nullptr) {
+      attempt_span = obs_->spans.begin("rpc_attempt", node_, attempt_start,
+                                       rpc_parent, request.trace_id);
       request.parent_span = attempt_span;
     }
     ++slot->attempts;
 
     sim::Message out(node_, kTagRequest, slot->wire_bytes, std::move(request));
     out.trace = slot->request.trace_id;
-    out.span = attempt_span != 0
-                   ? attempt_span
-                   : (slot->rpc_span != 0 ? slot->rpc_span
-                                          : slot->request.parent_span);
+    out.span = attempt_span;
     out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
     co_await network_->send(node_, slot->server, std::move(out));
 
-    sim::Message msg;
+    std::optional<sim::Message> maybe;
     bool hedge_sent = false;
     bool hedge_won = false;
-    if (!reliable) {
-      msg = co_await network_->mailbox(node_).recv(slot->server, tag);
-    } else {
-      std::optional<sim::Message> maybe;
-      // Hedged reads: once this lane has enough latency samples, wait only
-      // to the configured latency quantile; if the primary reply has not
-      // arrived by then, issue one hedge (fresh reply tag, same op_seq)
-      // and await BOTH tags for a fresh full rpc_timeout — first reply
-      // wins, and a slow-but-alive primary still counts. Reads only:
-      // hedging a write would double-apply without replay protection, and
-      // read hedges are idempotent by nature.
-      SimTime hedge_delay = 0;
-      if (cc.hedge_quantile > 0 && is_data_read &&
-          ln.samples >= static_cast<std::uint64_t>(
-                            std::max(1, cc.hedge_min_samples)) &&
-          ln.breaker == Lane::Breaker::kClosed) {
-        // The log-linear histogram reports bucket midpoints, which can sit
-        // just below the true quantile sample — close enough for a healthy
-        // reply to race its own hedge. One bucket width of headroom makes
-        // the estimate an upper bound on the bucketed sample.
-        hedge_delay = static_cast<SimTime>(
-            ln.attempt_latency.percentile(cc.hedge_quantile) *
-            (1.0 + 1.0 / obs::Histogram::kSubBuckets));
-        if (hedge_delay <= 0 || hedge_delay >= cc.rpc_timeout) hedge_delay = 0;
-      }
-      if (hedge_delay > 0) {
-        maybe = co_await network_->mailbox(node_).recv_for(slot->server, tag,
-                                                           hedge_delay);
-        if (!maybe.has_value() && ln.breaker != Lane::Breaker::kClosed) {
-          // The breaker opened while we waited out the hedge delay (a
-          // concurrent RPC to this server tripped it). Issuing the hedge
-          // now would aim a second copy at a server already judged
-          // unhealthy — the one place extra load cannot help. Suppress it
-          // and give the primary reply the full timeout instead.
-          ++hedges_suppressed_;
-          if (obs_hedges_suppressed_ != nullptr) obs_hedges_suppressed_->add(1);
-          if (tracer_ != nullptr) {
-            tracer_->record({sched_->now(), "hedge_suppressed", node_,
-                             slot->server, tag, 0, op_name(slot->request.op)});
-          }
-          maybe = co_await network_->mailbox(node_).recv_for(slot->server, tag,
-                                                             cc.rpc_timeout);
-        } else if (!maybe.has_value()) {
-          Request hedge = slot->request;
-          hedge.reply_tag = next_reply_tag();
-          const std::uint64_t hedge_tag = hedge.reply_tag;
-          if (attempt_span != 0) hedge.parent_span = attempt_span;
-          hedge_sent = true;
-          ++hedges_issued_;
-          ++stats_.requests_sent;
-          if (obs_hedges_issued_ != nullptr) obs_hedges_issued_->add(1);
-          if (tracer_ != nullptr) {
-            tracer_->record({sched_->now(), "hedge", node_, slot->server,
-                             hedge_tag, 0, op_name(slot->request.op)});
-          }
-          sim::Message out2(node_, kTagRequest, slot->wire_bytes,
-                            std::move(hedge));
-          out2.trace = slot->request.trace_id;
-          out2.span = attempt_span != 0
-                          ? attempt_span
-                          : (slot->rpc_span != 0 ? slot->rpc_span
-                                                 : slot->request.parent_span);
-          out2.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-          co_await network_->send(node_, slot->server, std::move(out2));
-          maybe = co_await network_->mailbox(node_).recv2_for(
-              slot->server, tag, hedge_tag, cc.rpc_timeout);
-          if (maybe.has_value() && maybe->tag == hedge_tag) hedge_won = true;
-        }
-      } else {
-        maybe = co_await network_->mailbox(node_).recv_for(slot->server, tag,
-                                                           cc.rpc_timeout);
-      }
-      if (!maybe.has_value()) {
-        ++rpc_timeouts_;
-        health_note(ln, 0, /*failed=*/true);
-        note_window_decrease(ln);
-        breaker_on_failure(ln, slot->server);
-        last = timed_out_error("rpc to server " +
-                               std::to_string(slot->server) +
-                               " timed out (attempt " +
-                               std::to_string(attempt) + ")");
-        if (obs_ != nullptr) {
-          obs_timeouts_->add(1);
-          attempt_latency_->record(sched_->now() - attempt_start);
-          obs_->spans.end(attempt_span, sched_->now());
-        }
-        continue;
-      }
-      msg = std::move(*maybe);
-      if (hedge_won) {
-        ++hedges_won_;
-        if (obs_hedges_won_ != nullptr) obs_hedges_won_->add(1);
-      }
+    // Hedged reads: once this lane has enough latency samples, wait only
+    // to the configured latency quantile; if the primary reply has not
+    // arrived by then, issue one hedge (fresh reply tag, same op_seq) and
+    // await BOTH tags for a fresh full deadline — first reply wins, and a
+    // slow-but-alive primary still counts. Reads only: hedging a write
+    // would double-apply without replay protection, and read hedges are
+    // idempotent by nature.
+    SimTime hedge_delay = 0;
+    if (cc.hedge_quantile > 0 && data_read &&
+        ln.samples >=
+            static_cast<std::uint64_t>(std::max(1, cc.hedge_min_samples)) &&
+        ln.breaker == Lane::Breaker::kClosed) {
+      // The log-linear histogram reports bucket midpoints, which can sit
+      // just below the true quantile sample — close enough for a healthy
+      // reply to race its own hedge. One bucket width of headroom makes
+      // the estimate an upper bound on the bucketed sample.
+      hedge_delay = static_cast<SimTime>(
+          ln.attempt_latency.percentile(cc.hedge_quantile) *
+          (1.0 + 1.0 / obs::Histogram::kSubBuckets));
+      if (deadline > 0 && hedge_delay >= deadline) hedge_delay = 0;
     }
-    Reply reply = msg.take<Reply>();
-    if (obs_ != nullptr && reliable) {
+    sim::Mailbox& mailbox = network_->mailbox(node_);
+    if (hedge_delay > 0) {
+      maybe = co_await mailbox.recv(slot->server, tag, hedge_delay);
+      if (!maybe.has_value() && ln.breaker != Lane::Breaker::kClosed) {
+        // The breaker opened while we waited out the hedge delay (a
+        // concurrent RPC to this server tripped it). Issuing the hedge now
+        // would aim a second copy at a server already judged unhealthy —
+        // the one place extra load cannot help. Suppress it and give the
+        // primary reply the full deadline instead.
+        ++hedges_suppressed_;
+        if (obs_hedges_suppressed_ != nullptr) obs_hedges_suppressed_->add(1);
+        if (tracer_ != nullptr) {
+          tracer_->record({sched_->now(), "hedge_suppressed", node_,
+                           slot->server, tag, 0, op_name(slot->request.op)});
+        }
+        maybe = co_await mailbox.recv(slot->server, tag, deadline);
+      } else if (!maybe.has_value()) {
+        Request hedge = slot->request;
+        hedge.reply_tag = next_reply_tag();
+        const std::uint64_t hedge_tag = hedge.reply_tag;
+        hedge.parent_span = attempt_span;
+        hedge_sent = true;
+        ++hedges_issued_;
+        ++stats_.requests_sent;
+        if (obs_hedges_issued_ != nullptr) obs_hedges_issued_->add(1);
+        if (tracer_ != nullptr) {
+          tracer_->record({sched_->now(), "hedge", node_, slot->server,
+                           hedge_tag, 0, op_name(slot->request.op)});
+        }
+        sim::Message out2(node_, kTagRequest, slot->wire_bytes,
+                          std::move(hedge));
+        out2.trace = slot->request.trace_id;
+        out2.span = attempt_span;
+        out2.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
+        co_await network_->send(node_, slot->server, std::move(out2));
+        maybe = co_await mailbox.recv(slot->server, tag, deadline, hedge_tag);
+        if (maybe.has_value() && maybe->tag == hedge_tag) hedge_won = true;
+      }
+    } else {
+      maybe = co_await mailbox.recv(slot->server, tag, deadline);
+    }
+    if (!maybe.has_value()) {
+      ++rpc_timeouts_;
+      health_note(ln, 0, /*failed=*/true);
+      note_window_decrease(ln);
+      breaker_on_failure(ln, slot->server);
+      last = timed_out_error("rpc to server " + std::to_string(slot->server) +
+                             " timed out (attempt " + std::to_string(attempt) +
+                             ")");
+      if (obs_ != nullptr) {
+        obs_timeouts_->add(1);
+        attempt_latency_->record(sched_->now() - attempt_start);
+        obs_->spans.end(attempt_span, sched_->now());
+      }
+      continue;
+    }
+    if (hedge_won) {
+      ++hedges_won_;
+      if (obs_hedges_won_ != nullptr) obs_hedges_won_->add(1);
+    }
+    Reply reply = maybe->take<Reply>();
+    if (obs_ != nullptr) {
       attempt_latency_->record(sched_->now() - attempt_start);
       obs_->spans.end(attempt_span, sched_->now());
     }
-    if (reliable) {
-      // Any reply — OK, shed, or application-level error — proves the
-      // server alive: settle the breaker now, on arrival. Otherwise a
-      // half-open probe answered with a definitive error would co_return
-      // with probe_in_flight stuck set (every later RPC fails fast
-      // forever), and an error reply would leave a stale near-threshold
-      // consecutive_failures count on a responsive server.
-      breaker_on_success(ln, slot->server);
-    }
+    // Any reply — OK, shed, or application-level error — proves the server
+    // alive: settle the breaker now, on arrival. Otherwise a half-open
+    // probe answered with a definitive error would co_return with
+    // probe_in_flight stuck set (every later RPC fails fast forever), and
+    // an error reply would leave a stale near-threshold
+    // consecutive_failures count on a responsive server.
+    breaker_on_success(ln, slot->server);
     // Read-data integrity: corrupted reply payloads must not reach the
     // caller's buffer; treat like a lost reply and retry.
     if (reply.has_payload_crc && reply.data &&
         crc32(*reply.data) != reply.payload_crc) {
       all_timeouts = false;
-      if (reliable) health_note(ln, 0, /*failed=*/true);
+      health_note(ln, 0, /*failed=*/true);
       // The observed CRC is embedded so two distinct corruptions of the
       // same reply never look like the identical, deterministic failure
       // the data-loss fast-fail below keys on.
@@ -654,7 +645,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       const StatusCode code =
           reply.code == StatusCode::kOk ? StatusCode::kInternal : reply.code;
       last = Status(code, reply.error);
-      if (code == StatusCode::kOverloaded && reliable) {
+      if (code == StatusCode::kOverloaded) {
         // The server shed this request at admission. Retryable like
         // kDataLoss, with two twists: the window halves (the shed IS the
         // backpressure signal), and the server's retry_after hint floors
@@ -676,7 +667,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // other error class is definitive. A partially-applied batch sheds
       // its acknowledged sub-ops first so only the rejected remainder is
       // resent.
-      if (code == StatusCode::kDataLoss && reliable) {
+      if (code == StatusCode::kDataLoss) {
         health_note(ln, 0, /*failed=*/true);
         // Persistent-loss fast-fail: N consecutive byte-identical
         // kDataLoss rejections of a data read mean the server keeps
@@ -684,7 +675,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // the retry budget (and its backoffs) against the same bad pages
         // cannot succeed. Surface the typed loss now. Reads only: a
         // write-payload CRC rejection is cured by the retry's clean copy.
-        if (cc.data_loss_fast_fail > 0 && is_data_read) {
+        if (cc.data_loss_fast_fail > 0 && data_read) {
           if (reply.error == last_loss_error) {
             ++loss_repeats;
           } else {
@@ -705,11 +696,9 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       slot->reply = std::move(reply);
       co_return;
     }
-    if (reliable) {
-      health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
-                  hedge_sent);
-      note_window_increase(ln);
-    }
+    health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
+                hedge_sent);
+    note_window_increase(ln);
     slot->status = Status::ok();
     slot->reply = std::move(reply);
     co_return;
@@ -722,7 +711,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
                                " unreachable after " +
                                std::to_string(max_attempts) + " attempts");
   } else {
-    if (last.code() == StatusCode::kDataLoss && is_data_read) {
+    if (last.code() == StatusCode::kDataLoss && data_read) {
       // Same terminal outcome as the fast-fail path, reached the slow way.
       note_data_loss_surfaced(slot->server);
     }
@@ -731,8 +720,22 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
 }
 
 sim::Fire Client::rpc_fire(RpcSlot* slot, sim::WaitGroup* wg) {
-  co_await rpc_attempts(slot);
+  co_await rpc_attempts_failover(slot);
   wg->done();
+}
+
+sim::Task<void> Client::rpc_all(std::vector<RpcSlot>* slots) {
+  // A one-server op awaits its RPC inline: no detached driver, no join.
+  if (slots->size() == 1) {
+    co_await rpc_attempts_failover(&slots->front());
+    co_return;
+  }
+  sim::WaitGroup wg(*sched_);
+  for (RpcSlot& slot : *slots) {
+    wg.add(1);
+    sched_->start(rpc_fire(&slot, &wg));
+  }
+  co_await wg.wait();
 }
 
 // ---- Replication: read failover and quorum writes ---------------------------
@@ -740,10 +743,7 @@ sim::Fire Client::rpc_fire(RpcSlot* slot, sim::WaitGroup* wg) {
 sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
   const int repl = effective_replication();
-  const bool is_data_read = slot->request.op == OpKind::kContigRead ||
-                            slot->request.op == OpKind::kListRead ||
-                            slot->request.op == OpKind::kDatatypeRead;
-  if (repl <= 1 || !is_data_read) {
+  if (repl <= 1 || !is_data_read(slot->request.op)) {
     co_await rpc_attempts(slot);
     co_return;
   }
@@ -761,12 +761,7 @@ sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
       // Every replica refused or timed out: back off like a retry before
       // sweeping the ring again (restarting servers finish resync, open
       // breakers reach their cool-down).
-      SimTime backoff = cc.rpc_backoff_base;
-      for (int i = 1; i < round; ++i) {
-        backoff = static_cast<SimTime>(static_cast<double>(backoff) *
-                                       cc.rpc_backoff_multiplier);
-      }
-      co_await sched_->delay(backoff);
+      co_await sched_->delay(retry_backoff(round));
     }
     for (int k = 0; k < repl; ++k) {
       slot->server = layout_.replica_server(primary, k);
@@ -794,11 +789,6 @@ sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
       }
     }
   }
-}
-
-sim::Fire Client::failover_fire(RpcSlot* slot, sim::WaitGroup* wg) {
-  co_await rpc_attempts_failover(slot);
-  wg->done();
 }
 
 std::shared_ptr<Client::QuorumGroup> Client::quorum_spawn(
@@ -922,47 +912,15 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
     slot.wire_bytes = request_descriptor_bytes(
         slot.request, config_->list_io_bytes_per_region);
   }
-  if (config_->client.rpc_timeout <= 0) {
-    // Legacy shape (reliability off): sends awaited inline in server
-    // order, then replies collected in the same order.
-    for (RpcSlot& slot : *slots) {
-      slot.request.reply_tag = next_reply_tag();
-      Request request = slot.request;
-      sim::Message out(node_, kTagRequest, slot.wire_bytes,
-                       std::move(request));
-      out.trace = t.trace;
-      out.span = t.span;
-      out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-      co_await network_->send(node_, slot.server, std::move(out));
-    }
-    for (RpcSlot& slot : *slots) {
-      sim::Message msg = co_await network_->mailbox(node_).recv(
-          slot.server, slot.request.reply_tag);
-      slot.reply = msg.take<Reply>();
-    }
-  } else {
-    // Concurrent per-server RPCs, each with its own timeout/retry driver.
-    sim::WaitGroup wg(*sched_);
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      sched_->start(rpc_fire(&slot, &wg));
-    }
-    co_await wg.wait();
-  }
+  co_await rpc_all(slots.get());
   MetaResult result;
   result.handle = handle;
   std::int64_t size = 0;
   for (RpcSlot& slot : *slots) {
+    // A failed slot is either a transport failure or the owning shard's
+    // veto (kNotFound: the handle is no longer live).
     if (!slot.status.is_ok()) {
       result.status = slot.status;
-      continue;
-    }
-    if (!slot.reply.ok && slot.server == owner) {
-      // The owning shard vetoes: the handle is no longer live.
-      result.status = Status(slot.reply.code == StatusCode::kOk
-                                 ? StatusCode::kInternal
-                                 : slot.reply.code,
-                             slot.reply.error);
       continue;
     }
     if (slot.reply.local_size > 0 && lay.slot_of_server(slot.server) >= 0) {
@@ -1331,64 +1289,15 @@ sim::Task<Status> Client::run_requests(
     }
   };
 
-  if (config_->client.rpc_timeout <= 0) {
-    // Legacy fast path (reliability off): requests to all involved servers
-    // stream CONCURRENTLY via detached sends — the tx link serializes at
-    // packet granularity, so flows interleave like PVFS's parallel
-    // per-server sockets — then replies are awaited in issue order. This
-    // is event-for-event the pre-reliability client.
-    for (RpcSlot& slot : *slots) {
-      slot.request.reply_tag = next_reply_tag();
-      Request request = slot.request;
-      sim::Message out(node_, kTagRequest, slot.wire_bytes,
-                       std::move(request));
-      out.trace = op_trace.trace;
-      out.span = slot.rpc_span;
-      out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
-      sched_->start(send_fire(slot.server, Box<sim::Message>(std::move(out))));
-    }
-    for (RpcSlot& slot : *slots) {
-      sim::Message msg = co_await network_->mailbox(node_).recv(
-          slot.server, slot.request.reply_tag);
-      Reply reply = msg.take<Reply>();
-      if (obs_ != nullptr) obs_->spans.end(slot.rpc_span, sched_->now());
-      if (!reply.ok) {
-        finish_op(prototype.op, op_trace);
-        co_return Status(reply.code == StatusCode::kOk ? StatusCode::kInternal
-                                                       : reply.code,
-                         reply.error);
-      }
-      if (reply.has_payload_crc && reply.data &&
-          crc32(*reply.data) != reply.payload_crc) {
-        finish_op(prototype.op, op_trace);
-        co_return data_loss("read reply payload CRC mismatch from server " +
-                            std::to_string(slot.server));
-      }
-      const ServerAccess& acc = access[static_cast<std::size_t>(slot.server)];
-      if (reply.bytes != acc.total_bytes) {
-        finish_op(prototype.op, op_trace);
-        co_return internal_error("server byte count mismatch");
-      }
-      slot.reply = std::move(reply);
-      if (!is_write && read_stream != nullptr && transfer_data_ &&
-          slot.reply.data) {
-        scatter(slot);
-      }
-    }
-    finish_op(prototype.op, op_trace);
-    co_return Status::ok();
-  }
-
-  // Reliable path: one concurrent RPC driver per server, each with its own
-  // timeout/retry loop (a straggler or outage on one server must not stall
-  // retries to the others); join, then validate and scatter. Under
-  // replication, writes fan out to every replica of their home server and
-  // join at write quorum (laggard copies finish in the background), and
-  // reads get the failover driver.
-  const int repl = effective_replication();
-  sim::WaitGroup wg(*sched_);
-  std::vector<std::shared_ptr<QuorumGroup>> groups;
-  if (is_write && repl > 1) {
+  // One concurrent RPC driver per server, each with its own retry loop (a
+  // straggler or outage on one server must not stall retries to the
+  // others); join, then validate and scatter. Under replication, writes
+  // fan out to every replica of their home server and join at write
+  // quorum (laggard copies finish in the background), and reads walk the
+  // replica ring on failure.
+  if (is_write && effective_replication() > 1) {
+    sim::WaitGroup wg(*sched_);
+    std::vector<std::shared_ptr<QuorumGroup>> groups;
     groups.reserve(slots->size());
     for (RpcSlot& slot : *slots) {
       wg.add(1);
@@ -1397,20 +1306,12 @@ sim::Task<Status> Client::run_requests(
       // this frame); ending span 0 below is a no-op.
       slot.rpc_span = 0;
     }
-  } else if (!is_write && repl > 1) {
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      sched_->start(failover_fire(&slot, &wg));
+    co_await wg.wait();
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+      quorum_outcome(*groups[i], (*slots)[i]);
     }
   } else {
-    for (RpcSlot& slot : *slots) {
-      wg.add(1);
-      sched_->start(rpc_fire(&slot, &wg));
-    }
-  }
-  co_await wg.wait();
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    quorum_outcome(*groups[i], (*slots)[i]);
+    co_await rpc_all(slots.get());
   }
 
   Status result = Status::ok();

@@ -65,7 +65,8 @@ class Client {
 
   /// Reliability-layer counters (also exported as client_retries_total /
   /// client_rpc_timeouts_total when observability is attached). Both stay
-  /// zero with rpc_timeout == 0 or a fault-free run.
+  /// zero in a fault-free run; timeouts also stay zero with
+  /// rpc_timeout == 0 (no deadline).
   [[nodiscard]] std::uint64_t rpc_retries() const noexcept {
     return rpc_retries_;
   }
@@ -98,8 +99,8 @@ class Client {
   // ---- Replication (ClusterConfig::replication > 1) --------------------------
 
   /// Replication factor this client acts on: the configured factor clamped
-  /// to the server count, and 1 (off) unless the reliability layer is armed
-  /// — quorum writes and read failover are meaningless without timeouts.
+  /// to the server count, and 1 (off) unless rpc_timeout sets a deadline —
+  /// failover has to detect a dead primary, which needs timeouts.
   [[nodiscard]] int effective_replication() const noexcept {
     const int cap = config_->num_servers;
     int r = config_->replication;
@@ -275,12 +276,11 @@ class Client {
                                 std::int64_t size_hint);
   sim::Task<MetaResult> stat_impl(Box<std::string> path);
   /// One lock/unlock message to a metadata shard, waiting (unbounded) for
-  /// the grant/ack. stripe == -1 is the legacy whole-file lock.
+  /// the grant/ack. stripe == -1 is the whole-file lock.
   sim::Task<Status> lock_op(OpKind op, std::uint64_t handle,
                             std::int64_t stripe, int shard);
   /// Stamp the file's cached layout (if any) onto an outgoing request.
   void stamp_layout(Request& request) const;
-  sim::Fire send_fire(int dst, Box<sim::Message> message);
 
   /// One in-flight RPC: the request prototype for every attempt (only the
   /// reply_tag is re-allocated per attempt) plus its outcome. Slots live
@@ -303,19 +303,21 @@ class Client {
     Reply reply;
   };
 
-  /// Drive one RPC to completion. With the reliability layer armed
-  /// (rpc_timeout > 0): per-attempt timeout, bounded retries with
-  /// exponential backoff + deterministic jitter, fresh reply tag per
-  /// attempt, CRC verification of read-reply data, kUnavailable /
-  /// kTimedOut / kDataLoss surfaced through slot->status. With it off
-  /// (the default) this is exactly the legacy send + untimed recv.
+  /// Drive one RPC to completion: every data, stat and metadata RPC goes
+  /// through here. Each attempt gets a fresh reply tag and waits up to
+  /// rpc_timeout for its reply — 0 (the default) means no deadline, so a
+  /// lost reply hangs the op, as in PVFS. CRC-mismatched read replies and
+  /// kDataLoss / kOverloaded rejections are retried up to rpc_max_attempts
+  /// with exponential backoff + deterministic jitter; kUnavailable /
+  /// kTimedOut / kDataLoss surface through slot->status.
   ///
   /// Layered on top (each gated by its own ClientConfig knob, default
   /// off): circuit-breaker fail-fast, AIMD per-server window acquisition,
-  /// hedged reads, and kOverloaded handling with the server's retry_after
-  /// hint.
+  /// hedged reads, and the server's retry_after hint on kOverloaded.
   sim::Task<void> rpc_attempts(RpcSlot* slot);
-  sim::Fire rpc_fire(RpcSlot* slot, sim::WaitGroup* wg);
+  /// Backoff before retry number `retry` (1 = the first retry), without
+  /// jitter: rpc_backoff_base * rpc_backoff_multiplier^(retry - 1).
+  [[nodiscard]] SimTime retry_backoff(int retry) const;
 
   /// Replica-aware read driver (effective_replication() > 1, data reads
   /// only; otherwise forwards to rpc_attempts unchanged). Walks the
@@ -326,7 +328,10 @@ class Client {
   /// which serves the mirrored bytes. Lane health lands on the lane of the
   /// server each attempt actually targeted.
   sim::Task<void> rpc_attempts_failover(RpcSlot* slot);
-  sim::Fire failover_fire(RpcSlot* slot, sim::WaitGroup* wg);
+  sim::Fire rpc_fire(RpcSlot* slot, sim::WaitGroup* wg);
+  /// Drive every slot through rpc_attempts_failover and join: one
+  /// detached driver per slot, or inline when the op touches one server.
+  sim::Task<void> rpc_all(std::vector<RpcSlot>* slots);
 
   /// One write fanned out to every replica of its home server. The group
   /// is heap-owned (shared by every per-replica driver) because the

@@ -101,8 +101,9 @@ struct MetaPayload {
   std::int64_t size_hint = 0;
   /// kMetaLock/kMetaUnlock with lock_stripe >= 0: a striped byte-range
   /// lock on (handle, lock_stripe), served by shard lock_stripe %
-  /// meta_shards with per-stripe FIFO fairness. -1 (default) = the legacy
-  /// whole-file lock on the handle's owning shard.
+  /// meta_shards with per-stripe FIFO fairness. -1 (default) = the
+  /// whole-file lock: the one stripe covering the file, on the handle's
+  /// owning shard.
   std::int64_t lock_stripe = -1;
 };
 

@@ -261,13 +261,12 @@ void IOServer::crash() {
   loop_cache_order_.clear();
   replay_acks_.clear();
   replay_order_.clear();
-  // Striped byte-range lock state is process state too (unlike the legacy
-  // whole-file table, which models durable storage): holders evaporate,
-  // and the parked waiters are stashed for deterministic re-grant at
-  // restart — dropping them would strand their clients, whose lock path
-  // deliberately has no retry layer.
+  // Lock state (whole-file and striped alike) is process state too:
+  // holders evaporate, and the parked waiters are stashed for
+  // deterministic re-grant at restart — dropping them would strand their
+  // clients, whose lock path deliberately has no retry layer.
   {
-    auto parked = striped_locks_.invalidate();
+    auto parked = locks_.invalidate();
     crash_parked_.insert(crash_parked_.end(), parked.begin(), parked.end());
   }
   // The scrub loop is process state too: its coroutine will notice the
@@ -354,7 +353,7 @@ void IOServer::restart() {
   req_epoch_ = epoch_;
   for (const auto& [key, w] : crash_parked_) {
     ++stats_.lock_regrants;
-    if (striped_locks_.acquire(key.first, key.second, w)) {
+    if (locks_.acquire(key.first, key.second, w)) {
       send_reply(w.client_node, w.reply_tag, Reply{}, 0);
     }
   }
@@ -427,7 +426,7 @@ sim::Task<void> IOServer::resync() {
       co_await network_->send(
           server_index_, peer,
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      auto maybe = co_await network_->mailbox(server_index_).recv_for(
+      auto maybe = co_await network_->mailbox(server_index_).recv(
           peer, tag, config_->server.resync_pull_timeout);
       if (crashed_ || epoch_ != my_epoch) {
         // Crashed again mid-resync: the next restart owns recovery.
@@ -802,7 +801,7 @@ const Bstream* IOServer::find_replica_bstream(std::uint64_t handle,
 sim::Task<void> IOServer::run() {
   sim::Mailbox& mailbox = network_->mailbox(server_index_);
   while (true) {
-    sim::Message msg = co_await mailbox.recv(sim::kAnySource, kTagRequest);
+    sim::Message msg = *co_await mailbox.recv(sim::kAnySource, kTagRequest);
     if (crashed_) {
       // The process is down: the message was consumed off the wire but
       // nobody is listening. The client's timeout will notice.
@@ -976,46 +975,28 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
       co_await handle_resync_pull(request);
       break;
     case OpKind::kMetaLock: {
+      // One lock table serves both granularities: stripe p.lock_stripe of
+      // a striped byte-range lock (stripe % meta_shards routed the client
+      // here), or stripe -1 — the one stripe covering the whole file — for
+      // a whole-file lock. Per-stripe FIFO.
       const auto& p = std::get<MetaPayload>(request.payload);
       count_meta_op(request.op);
-      if (p.lock_stripe >= 0) {
-        // Striped byte-range lock: this shard owns stripe p.lock_stripe
-        // (stripe % meta_shards routed the client here). Per-stripe FIFO.
-        if (striped_locks_.acquire(p.handle, p.lock_stripe,
-                                   {request.client_node, request.reply_tag})) {
-          send_reply(request.client_node, request.reply_tag, Reply{}, 0);
-        } else {
-          ++stats_.lock_waits;
-          if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
-        }
-      } else if (locked_.insert(p.handle).second) {
+      if (locks_.acquire(p.handle, p.lock_stripe,
+                         {request.client_node, request.reply_tag})) {
         send_reply(request.client_node, request.reply_tag, Reply{}, 0);
       } else {
-        // Grant deferred until the current holder unlocks (FIFO).
         ++stats_.lock_waits;
         if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
-        lock_waiters_[p.handle].emplace_back(request.client_node,
-                                             request.reply_tag);
       }
       break;
     }
     case OpKind::kMetaUnlock: {
       const auto& p = std::get<MetaPayload>(request.payload);
       count_meta_op(request.op);
-      if (p.lock_stripe >= 0) {
-        // Releasing a stripe invalidated by a crash is a safe no-op.
-        if (auto next = striped_locks_.release(p.handle, p.lock_stripe)) {
-          send_reply(next->client_node, next->reply_tag, Reply{}, 0);
-        }
-      } else {
-        auto waiters = lock_waiters_.find(p.handle);
-        if (waiters != lock_waiters_.end() && !waiters->second.empty()) {
-          const auto [node, tag] = waiters->second.front();
-          waiters->second.pop_front();
-          send_reply(node, tag, Reply{}, 0);  // ownership transfers
-        } else {
-          locked_.erase(p.handle);
-        }
+      // Ownership transfers to the next parked waiter, if any. Releasing a
+      // stripe invalidated by a crash is a safe no-op.
+      if (auto next = locks_.release(p.handle, p.lock_stripe)) {
+        send_reply(next->client_node, next->reply_tag, Reply{}, 0);
       }
       send_reply(request.client_node, request.reply_tag, Reply{}, 0);
       break;
@@ -1748,7 +1729,7 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
           server_index_, peer,
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
-      auto maybe = co_await network_->mailbox(server_index_).recv_for(
+      auto maybe = co_await network_->mailbox(server_index_).recv(
           peer, tag, config_->server.resync_pull_timeout);
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
       if (!maybe.has_value()) continue;  // pull timed out; retry this peer

@@ -174,12 +174,10 @@ class IOServer {
   }
 
   /// Metadata-queue depth: lock requests currently parked on this shard
-  /// (striped stripes plus legacy whole-file waiters). Feeds the
-  /// meta_qdepth timeline series and benches.
+  /// (whole-file and striped). Feeds the meta_qdepth timeline series and
+  /// benches.
   [[nodiscard]] std::size_t meta_qdepth() const noexcept {
-    std::size_t n = striped_locks_.parked();
-    for (const auto& [handle, queue] : lock_waiters_) n += queue.size();
-    return n;
+    return locks_.parked();
   }
 
  private:
@@ -506,16 +504,11 @@ class IOServer {
   std::unordered_set<std::uint64_t> live_handles_;
   meta::ShardMap shards_;
 
-  // Whole-file FIFO locks (legacy, lock_stripe == -1): holders and parked
-  // waiters (client node, reply tag) whose grant reply is deferred until
-  // unlock. Models durable lock state and survives a crash.
-  std::unordered_set<std::uint64_t> locked_;
-  std::unordered_map<std::uint64_t,
-                     std::deque<std::pair<int, std::uint64_t>>> lock_waiters_;
-  // Striped byte-range locks (lock_stripe >= 0): process state. crash()
-  // invalidates the table and stashes the parked waiters; restart()
-  // re-grants them in deterministic order so no client hangs.
-  meta::LockTable striped_locks_;
+  // File locks, keyed (handle, stripe): striped byte-range locks use their
+  // stripe, whole-file locks stripe -1. Process state: crash() invalidates
+  // the table and stashes the parked waiters; restart() re-grants them in
+  // deterministic order so no client hangs.
+  meta::LockTable locks_;
   std::vector<std::pair<meta::LockTable::Key, meta::LockTable::Waiter>>
       crash_parked_;
 };

@@ -4,7 +4,8 @@
 // either of which may be a wildcard, and matches the earliest queued
 // message satisfying the filter. Delivery and receipt are decoupled —
 // the network layer calls deliver() when the last packet of a message
-// arrives; receivers park in recv() until a match exists.
+// arrives; receivers park in recv() until a match exists or their
+// deadline, if they set one, expires.
 #pragma once
 
 #include <any>
@@ -22,6 +23,9 @@ namespace dtio::sim {
 
 inline constexpr int kAnySource = -1;
 inline constexpr std::uint64_t kAnyTag = std::numeric_limits<std::uint64_t>::max();
+/// Receive timeout meaning "no deadline": any negative value schedules no
+/// timer. (A timeout of 0 is a real deadline that expires at once.)
+inline constexpr SimTime kNoDeadline = -1;
 
 /// A delivered message. `wire_bytes` is the simulated on-the-wire size
 /// (headers + descriptors + data), which may exceed the in-memory size of
@@ -102,38 +106,20 @@ class Mailbox {
     Mailbox* mailbox;
     int src_filter;
     std::uint64_t tag_filter;
-    Message message;
-
-    bool await_ready() {
-      return mailbox->try_take(src_filter, tag_filter, message);
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      mailbox->waiters_.push_back(Waiter{src_filter, tag_filter, &message, h});
-    }
-    Message await_resume() noexcept { return std::move(message); }
-  };
-
-  /// Await a message matching (src, tag); wildcards allowed.
-  [[nodiscard]] RecvAwaiter recv(int src = kAnySource,
-                                 std::uint64_t tag = kAnyTag) {
-    return RecvAwaiter{this, src, tag, {}};
-  }
-
-  struct TimedRecvAwaiter {
-    Mailbox* mailbox;
-    int src_filter;
-    std::uint64_t tag_filter;
     SimTime timeout;
+    std::optional<std::uint64_t> tag_alt;
     Message message;
     bool expired = false;
 
     bool await_ready() {
-      return mailbox->try_take(src_filter, tag_filter, message);
+      return mailbox->try_take(src_filter, tag_filter, message) ||
+             (tag_alt && mailbox->try_take(src_filter, *tag_alt, message));
     }
     void await_suspend(std::coroutine_handle<> h) {
-      const std::uint64_t id = ++mailbox->next_waiter_id_;
+      const std::uint64_t id = timeout < 0 ? 0 : ++mailbox->next_waiter_id_;
       mailbox->waiters_.push_back(
-          Waiter{src_filter, tag_filter, &message, h, id, &expired});
+          Waiter{src_filter, tag_filter, tag_alt, &message, h, id, &expired});
+      if (id == 0) return;  // no deadline: no timer
       Mailbox* mb = mailbox;
       mb->sched_->schedule_call(mb->sched_->now() + timeout,
                                 [mb, id] { mb->expire_waiter(id); });
@@ -144,54 +130,26 @@ class Mailbox {
     }
   };
 
-  /// recv() with a deadline in simulated time: resumes with the matching
-  /// message, or with nullopt once `timeout` elapses without a match. The
+  /// Await a message matching (src, tag); wildcards allowed. With a
+  /// `timeout` (simulated time, 0 included) the receive resumes with
+  /// nullopt once it elapses without a match; kNoDeadline waits forever
+  /// and schedules no timer, so only a deadline can yield nullopt. The
   /// timer always fires (no cancellation) but is a no-op if the waiter
   /// already matched — expiry is looked up by id, never by address.
   /// Deadline-exact arrivals lose: the expiry callback was scheduled when
   /// the waiter parked, so at the deadline tick it runs before a deliver
   /// scheduled later for the same instant.
-  [[nodiscard]] TimedRecvAwaiter recv_for(int src, std::uint64_t tag,
-                                          SimTime timeout) {
-    return TimedRecvAwaiter{this, src, tag, timeout, {}, false};
-  }
-
-  struct TimedRecv2Awaiter {
-    Mailbox* mailbox;
-    int src_filter;
-    std::uint64_t tag_a;
-    std::uint64_t tag_b;
-    SimTime timeout;
-    Message message;
-    bool expired = false;
-
-    bool await_ready() {
-      return mailbox->try_take(src_filter, tag_a, message) ||
-             mailbox->try_take(src_filter, tag_b, message);
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      const std::uint64_t id = ++mailbox->next_waiter_id_;
-      mailbox->waiters_.push_back(
-          Waiter{src_filter, tag_a, &message, h, id, &expired, tag_b, true});
-      Mailbox* mb = mailbox;
-      mb->sched_->schedule_call(mb->sched_->now() + timeout,
-                                [mb, id] { mb->expire_waiter(id); });
-    }
-    std::optional<Message> await_resume() noexcept {
-      if (expired) return std::nullopt;
-      return std::move(message);
-    }
-  };
-
-  /// recv_for() matching EITHER of two tags from `src` — first delivery
-  /// wins; inspect the returned Message's `tag` to see which. Built for
-  /// hedged requests: the primary and the hedge carry distinct reply tags
-  /// and one receive awaits both, so the losing reply parks unclaimed
-  /// instead of being mistaken for anything.
-  [[nodiscard]] TimedRecv2Awaiter recv2_for(int src, std::uint64_t tag_a,
-                                            std::uint64_t tag_b,
-                                            SimTime timeout) {
-    return TimedRecv2Awaiter{this, src, tag_a, tag_b, timeout, {}, false};
+  ///
+  /// `tag_alt` also accepts a second tag from `src` — first delivery wins;
+  /// inspect the returned Message's `tag` to see which. Built for hedged
+  /// requests: the primary and the hedge carry distinct reply tags and one
+  /// receive awaits both, so the losing reply parks unclaimed instead of
+  /// being mistaken for anything.
+  [[nodiscard]] RecvAwaiter recv(
+      int src = kAnySource, std::uint64_t tag = kAnyTag,
+      SimTime timeout = kNoDeadline,
+      std::optional<std::uint64_t> tag_alt = std::nullopt) {
+    return RecvAwaiter{this, src, tag, timeout, tag_alt, {}, false};
   }
 
   /// Hand a fully-arrived message to this mailbox. If a parked receiver
@@ -200,7 +158,7 @@ class Mailbox {
     msg.delivered_at = sched_->now();
     for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
       if (matches(msg, it->src_filter, it->tag_filter) ||
-          (it->has_alt_tag && matches(msg, it->src_filter, it->tag_alt))) {
+          (it->tag_alt && matches(msg, it->src_filter, *it->tag_alt))) {
         *it->slot = std::move(msg);
         auto h = it->handle;
         waiters_.erase(it);
@@ -233,12 +191,11 @@ class Mailbox {
   struct Waiter {
     int src_filter;
     std::uint64_t tag_filter;
+    std::optional<std::uint64_t> tag_alt;  // second acceptable tag (hedges)
     Message* slot;
     std::coroutine_handle<> handle;
-    std::uint64_t id = 0;        // nonzero only for timed waiters
-    bool* expired = nullptr;     // set before resuming on timeout
-    std::uint64_t tag_alt = 0;   // second acceptable tag (hedged receives)
-    bool has_alt_tag = false;
+    std::uint64_t id = 0;     // nonzero only for waiters with a deadline
+    bool* expired = nullptr;  // set before resuming on timeout
   };
 
   /// Timer callback for a timed waiter: if it is still parked, mark it

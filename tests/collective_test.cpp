@@ -342,7 +342,7 @@ TEST(ServerRobustness, MalformedDataloopGetsErrorReply) {
                           sim::Message(node, pfs::kTagRequest, 64,
                                        std::move(request)));
         sim::Message msg =
-            co_await net.mailbox(node).recv(0, pfs::kTagReplyBase + 999);
+            *co_await net.mailbox(node).recv(0, pfs::kTagReplyBase + 999);
         pfs::Reply reply = msg.take<pfs::Reply>();
         out = reply.ok ? Status::ok() : internal_error(reply.error);
         (void)c;

@@ -123,11 +123,11 @@ TEST(MailboxTimedRecv, ExpiresThenMatchesThenIgnoresStaleTimer) {
                  std::optional<sim::Message>& first, SimTime& first_at,
                  std::optional<sim::Message>& second,
                  bool& done) -> Task<void> {
-    first = co_await mb.recv_for(sim::kAnySource, 7, kMillisecond);
+    first = co_await mb.recv(sim::kAnySource, 7, kMillisecond);
     first_at = s.now();
     // The second wait's timer must be a no-op after the match (expiry is
     // id-keyed, so it cannot hit this or any later waiter).
-    second = co_await mb.recv_for(sim::kAnySource, 7, 10 * kMillisecond);
+    second = co_await mb.recv(sim::kAnySource, 7, 10 * kMillisecond);
     done = true;
   }(sched, mailbox, first, first_at, second, done));
   sched.schedule_call(2 * kMillisecond,
@@ -694,25 +694,41 @@ struct TileRun {
   /// tiles[method][rank] = the tile bytes that rank read back.
   std::vector<std::vector<std::vector<std::uint8_t>>> tiles;
   bool all_ok = true;
+  std::uint64_t corrupted = 0;  ///< messages the fault plan corrupted
+  std::uint64_t retries = 0;    ///< RPC retries summed over all clients
+};
+
+enum class TileFaults {
+  kNone,
+  /// Drops, duplicates and corruption plus a server crash, with a 200 ms
+  /// per-attempt deadline.
+  kChaos,
+  /// Corruption only, with no deadline (rpc_timeout == 0): no message is
+  /// lost, so every attempt gets a reply and only error replies retry.
+  kCorruptOnly,
 };
 
 TileRun run_tile_workload(const workloads::TileConfig& tc,
                           const std::vector<std::uint8_t>& frame,
-                          bool chaos) {
+                          TileFaults faults) {
+  const bool chaos = faults == TileFaults::kChaos;
   net::ClusterConfig cfg;
   cfg.num_servers = 16;
   cfg.num_clients = tc.num_clients();
   cfg.strip_size = 256;
   cfg.seed = 42;
-  cfg.client.rpc_timeout = 200 * kMillisecond;
-  cfg.client.rpc_max_attempts = 6;
-  cfg.client.rpc_backoff_base = 10 * kMillisecond;
+  if (faults != TileFaults::kCorruptOnly) {
+    cfg.client.rpc_timeout = 200 * kMillisecond;
+    cfg.client.rpc_max_attempts = 6;
+    cfg.client.rpc_backoff_base = 10 * kMillisecond;
+  }
   pfs::Cluster cluster(cfg);
 
   FaultPlan plan(mix_seed(cfg.seed, /*salt=*/0x71E));
-  if (chaos) {
+  if (faults != TileFaults::kNone) {
     plan.set_default_spec(
-        FaultSpec{.drop = 0.05, .duplicate = 0.02, .corrupt = 0.01});
+        chaos ? FaultSpec{.drop = 0.05, .duplicate = 0.02, .corrupt = 0.01}
+              : FaultSpec{.corrupt = 0.05});
     plan.set_scope_max_node(cfg.num_servers);
     cluster.set_fault_plan(&plan);
   }
@@ -785,6 +801,8 @@ TileRun run_tile_workload(const workloads::TileConfig& tc,
     EXPECT_EQ(cluster.server(3).stats().crashes, 1u);
     EXPECT_FALSE(cluster.server(3).crashed());
   }
+  run.corrupted = plan.counters().corrupted;
+  for (const auto& c : clients) run.retries += c->rpc_retries();
   return run;
 }
 
@@ -799,8 +817,8 @@ TEST(TileChaos, AllMethodsByteIdenticalToFaultFreeRun) {
   const auto frame = pattern_bytes(
       static_cast<std::size_t>(tc.frame_bytes()), 0xF00D);
 
-  const TileRun clean = run_tile_workload(tc, frame, /*chaos=*/false);
-  const TileRun chaos = run_tile_workload(tc, frame, /*chaos=*/true);
+  const TileRun clean = run_tile_workload(tc, frame, TileFaults::kNone);
+  const TileRun chaos = run_tile_workload(tc, frame, TileFaults::kChaos);
   ASSERT_TRUE(clean.all_ok);
   ASSERT_TRUE(chaos.all_ok);
   ASSERT_EQ(clean.tiles.size(), chaos.tiles.size());
@@ -815,6 +833,38 @@ TEST(TileChaos, AllMethodsByteIdenticalToFaultFreeRun) {
   const std::size_t row_bytes =
       static_cast<std::size_t>(tc.tile_width) * tc.bytes_per_pixel;
   EXPECT_EQ(std::memcmp(clean.tiles[0][0].data(), frame.data(), row_bytes), 0);
+}
+
+// With no deadline (rpc_timeout == 0) the attempt loop still retries error
+// replies: CRC-mismatched read replies and kDataLoss rejections of
+// corrupted write payloads are retried up to rpc_max_attempts, so a run
+// that corrupts messages but drops none reads back every tile exactly.
+TEST(TileChaos, CorruptionWithoutDeadlineRetriesToExactBytes) {
+  workloads::TileConfig tc;
+  tc.tiles_x = 2;
+  tc.tiles_y = 2;
+  tc.tile_width = 48;
+  tc.tile_height = 16;
+  tc.overlap_x = 8;
+  tc.overlap_y = 4;
+  const auto frame = pattern_bytes(
+      static_cast<std::size_t>(tc.frame_bytes()), 0xF00D);
+
+  const TileRun clean = run_tile_workload(tc, frame, TileFaults::kNone);
+  const TileRun corrupt =
+      run_tile_workload(tc, frame, TileFaults::kCorruptOnly);
+  ASSERT_TRUE(clean.all_ok);
+  ASSERT_TRUE(corrupt.all_ok);
+  EXPECT_GT(corrupt.corrupted, 0u);
+  EXPECT_GT(corrupt.retries, 0u);
+  ASSERT_EQ(clean.tiles.size(), corrupt.tiles.size());
+  for (std::size_t m = 0; m < clean.tiles.size(); ++m) {
+    for (int r = 0; r < tc.num_clients(); ++r) {
+      EXPECT_EQ(clean.tiles[m][static_cast<std::size_t>(r)],
+                corrupt.tiles[m][static_cast<std::size_t>(r)])
+          << "method " << m << " rank " << r;
+    }
+  }
 }
 
 // ---- Write-behind batch reliability ----------------------------------------

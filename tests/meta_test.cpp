@@ -437,50 +437,60 @@ TEST(StripedLocks, OverlappingMultiStripeRangesDoNotDeadlock) {
 }
 
 TEST(StripedLocks, CrashInvalidatesAndRegrantsWaiters) {
-  net::ClusterConfig cfg;
-  cfg.num_servers = 2;
-  cfg.num_clients = 2;
-  cfg.meta_shards = 2;
-  cfg.lock_stripe_bytes = 4 * kKiB;
-  cfg.file_locking = true;
-  pfs::Cluster cluster(cfg);
-  auto holder = cluster.make_client(0);
-  auto waiter = cluster.make_client(1);
+  // Both lock granularities share one table and one crash rule: a striped
+  // lock (4 KiB stripes) and a whole-file lock (striping off, stripe -1).
+  for (const std::int64_t stripe_bytes : {std::int64_t{4 * kKiB},
+                                          std::int64_t{0}}) {
+    SCOPED_TRACE(stripe_bytes > 0 ? "striped" : "whole-file");
+    net::ClusterConfig cfg;
+    cfg.num_servers = 2;
+    cfg.num_clients = 2;
+    cfg.meta_shards = 2;
+    cfg.lock_stripe_bytes = stripe_bytes;
+    cfg.file_locking = true;
+    pfs::Cluster cluster(cfg);
+    auto holder = cluster.make_client(0);
+    auto waiter = cluster.make_client(1);
 
-  std::uint64_t h = 0;
-  cluster.scheduler().spawn([](pfs::Client& c, std::uint64_t& out)
-                                -> Task<void> {
-    out = (co_await c.create("/regrant")).handle;
-  }(*holder, h));
-  cluster.run();
+    std::uint64_t h = 0;
+    cluster.scheduler().spawn([](pfs::Client& c, std::uint64_t& out)
+                                  -> Task<void> {
+      out = (co_await c.create("/regrant")).handle;
+    }(*holder, h));
+    cluster.run();
 
-  // Stripe 0 lives on shard 0. The holder sits on the lock across the
-  // crash window; the waiter parks, the shard crashes, and the restart
-  // re-grant hands the invalidated stripe to the parked waiter.
-  int done = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
-         int& fin) -> Task<void> {
-        EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
-        co_await sched.delay(50 * kMillisecond);
-        // Unlock after restart: the stripe was invalidated, so this is
-        // the documented safe no-op.
-        EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
-        ++fin;
-      }(*holder, cluster.scheduler(), h, done));
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
-         int& fin) -> Task<void> {
-        co_await sched.delay(kMillisecond);
-        EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
-        EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
-        ++fin;
-      }(*waiter, cluster.scheduler(), h, done));
-  cluster.schedule_server_crash(/*index=*/0, /*at=*/10 * kMillisecond,
-                                /*restart_delay=*/5 * kMillisecond);
-  cluster.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_GE(cluster.server(0).stats().lock_regrants, 1u);
+    // Stripe 0 lives on shard 0; the whole-file lock on the handle's
+    // owning shard. The holder sits on the lock across the crash window;
+    // the waiter parks, the shard crashes, and the restart re-grant hands
+    // the invalidated lock to the parked waiter.
+    const int shard = stripe_bytes > 0
+                          ? 0
+                          : meta::ShardMap(cfg.meta_shards).shard_of_handle(h);
+    int done = 0;
+    cluster.scheduler().spawn(
+        [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
+           int& fin) -> Task<void> {
+          EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
+          co_await sched.delay(50 * kMillisecond);
+          // Unlock after restart: the lock was invalidated, so this is the
+          // documented safe no-op.
+          EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
+          ++fin;
+        }(*holder, cluster.scheduler(), h, done));
+    cluster.scheduler().spawn(
+        [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
+           int& fin) -> Task<void> {
+          co_await sched.delay(kMillisecond);
+          EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
+          EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
+          ++fin;
+        }(*waiter, cluster.scheduler(), h, done));
+    cluster.schedule_server_crash(/*index=*/shard, /*at=*/10 * kMillisecond,
+                                  /*restart_delay=*/5 * kMillisecond);
+    cluster.run();
+    EXPECT_EQ(done, 2);
+    EXPECT_GE(cluster.server(shard).stats().lock_regrants, 1u);
+  }
 }
 
 // ---- End-to-end: per-file layouts ------------------------------------------

@@ -133,7 +133,7 @@ TEST(Network, MessageBodySurvivesTransfer) {
                                   std::string("payload-intact")));
   }(sched, net));
   sched.spawn([](Scheduler&, Network& n, std::string& out) -> Task<void> {
-    Message m = co_await n.mailbox(1).recv(0, 3);
+    Message m = *co_await n.mailbox(1).recv(0, 3);
     out = m.as<std::string>();
   }(sched, net, got));
   sched.run();
@@ -172,7 +172,7 @@ TEST(Network, OrderingPreservedPerSenderPair) {
   sched.spawn([](Scheduler&, Network& n,
                  std::vector<std::uint64_t>& out) -> Task<void> {
     for (int i = 0; i < 10; ++i) {
-      Message m = co_await n.mailbox(1).recv();
+      Message m = *co_await n.mailbox(1).recv();
       out.push_back(m.tag);
     }
   }(sched, net, tags));

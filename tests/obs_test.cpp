@@ -186,30 +186,28 @@ TEST(Observability, ClusterRunLinksSpansAcrossLayers) {
   EXPECT_GE(op->end, op->start);
   EXPECT_EQ(op->value, 200'000);
 
-  // rpc child under the op; server_handle under the rpc; disk under the
-  // server_handle — all on the op's trace.
-  const Span* rpc = find_span(obs, "rpc");
-  ASSERT_NE(rpc, nullptr);
-  bool rpc_under_op = false;
-  for (const Span& s : obs.spans.spans()) {
-    if (s.name == "rpc" && s.parent == op->id && s.trace == op->trace) {
-      rpc_under_op = true;
-    }
-  }
-  EXPECT_TRUE(rpc_under_op);
-
-  bool handle_under_rpc = false, disk_under_handle = false, net_on_trace = false;
+  // The exact chain op -> rpc -> rpc_attempt -> server_handle -> disk, all
+  // on the op's trace: every RPC goes through the attempt loop, whose span
+  // the server parents its handling under.
+  const auto parent_of = [&](const Span& s) { return obs.spans.find(s.parent); };
+  bool chain = false, disk_under_handle = false, net_on_trace = false;
   for (const Span& s : obs.spans.spans()) {
     if (s.name == "server_handle" && s.trace == op->trace) {
-      const Span* parent = obs.spans.find(s.parent);
-      if (parent != nullptr && parent->name == "rpc") handle_under_rpc = true;
+      const Span* attempt = parent_of(s);
+      const Span* rpc = attempt != nullptr ? parent_of(*attempt) : nullptr;
+      if (attempt != nullptr && attempt->name == "rpc_attempt" &&
+          attempt->trace == op->trace && rpc != nullptr &&
+          rpc->name == "rpc" && rpc->trace == op->trace &&
+          rpc->parent == op->id) {
+        chain = true;
+      }
       for (const Span& d : obs.spans.spans()) {
         if (d.name == "disk" && d.parent == s.id) disk_under_handle = true;
       }
     }
     if (s.name == "net_send" && s.trace == op->trace) net_on_trace = true;
   }
-  EXPECT_TRUE(handle_under_rpc);
+  EXPECT_TRUE(chain);
   EXPECT_TRUE(disk_under_handle);
   EXPECT_TRUE(net_on_trace);
 

@@ -71,7 +71,7 @@ TEST(MailboxTimedRecv, ZeroTimeoutTakesQueuedMessage) {
     co_await s.delay(kMillisecond);
     // Ready path: the message is already queued, so a zero timeout still
     // returns it without suspending.
-    got = co_await mb.recv_for(sim::kAnySource, 7, 0);
+    got = co_await mb.recv(sim::kAnySource, 7, 0);
   }(sched, mailbox, got));
   sched.run();
   ASSERT_TRUE(got.has_value());
@@ -87,12 +87,30 @@ TEST(MailboxTimedRecv, ZeroTimeoutExpiresImmediatelyWhenEmpty) {
                  std::optional<sim::Message>& got,
                  SimTime& expired_at) -> Task<void> {
     co_await s.delay(kMillisecond);
-    got = co_await mb.recv_for(sim::kAnySource, 7, 0);
+    got = co_await mb.recv(sim::kAnySource, 7, 0);
     expired_at = s.now();
   }(sched, mailbox, got, expired_at));
   sched.run();
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(expired_at, kMillisecond);  // no simulated time consumed
+}
+
+TEST(MailboxTimedRecv, NoDeadlineSchedulesNoTimer) {
+  // kNoDeadline waits forever: nothing is scheduled, so with no sender the
+  // run drains at the park time and the receiver stays parked.
+  sim::Scheduler sched;
+  sim::Mailbox mailbox(sched);
+  bool resumed = false;
+  sched.spawn([](sim::Scheduler& s, sim::Mailbox& mb,
+                 bool& resumed) -> Task<void> {
+    co_await s.delay(kMillisecond);
+    (void)co_await mb.recv(sim::kAnySource, 7, sim::kNoDeadline);
+    resumed = true;
+  }(sched, mailbox, resumed));
+  sched.run();
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(sched.now(), kMillisecond);
+  EXPECT_EQ(mailbox.waiting(), 1u);
 }
 
 TEST(MailboxTimedRecv, DeadlineExactArrivalLoses) {
@@ -104,7 +122,7 @@ TEST(MailboxTimedRecv, DeadlineExactArrivalLoses) {
   std::optional<sim::Message> got;
   sched.spawn([](sim::Mailbox& mb,
                  std::optional<sim::Message>& got) -> Task<void> {
-    got = co_await mb.recv_for(sim::kAnySource, 7, 5 * kMillisecond);
+    got = co_await mb.recv(sim::kAnySource, 7, 5 * kMillisecond);
   }(mailbox, got));
   sched.spawn([](sim::Scheduler& s, sim::Mailbox& mb) -> Task<void> {
     co_await s.delay(5 * kMillisecond);
@@ -125,8 +143,8 @@ TEST(MailboxTimedRecv, ClearQueueWhileWaiterParkedExpiresCleanly) {
   std::size_t cleared = 0;
   sched.spawn([](sim::Mailbox& mb, std::optional<sim::Message>& first,
                  std::optional<sim::Message>& second) -> Task<void> {
-    first = co_await mb.recv_for(sim::kAnySource, 7, 5 * kMillisecond);
-    second = co_await mb.recv_for(sim::kAnySource, 7, 10 * kMillisecond);
+    first = co_await mb.recv(sim::kAnySource, 7, 5 * kMillisecond);
+    second = co_await mb.recv(sim::kAnySource, 7, 10 * kMillisecond);
   }(mailbox, first, second));
   sched.schedule_call(kMillisecond,
                       [&] { mailbox.deliver(sim::Message(1, 9, 64, 1)); });
@@ -152,7 +170,7 @@ TEST(MailboxQueuedBytes, TracksDeliverTakeAndClear) {
   sched.spawn([](sim::Scheduler& s, sim::Mailbox& mb, bool& done) -> Task<void> {
     co_await s.delay(kMillisecond);
     EXPECT_EQ(mb.queued_bytes(), 150u);
-    auto got = co_await mb.recv_for(sim::kAnySource, 7, 0);
+    auto got = co_await mb.recv(sim::kAnySource, 7, 0);
     EXPECT_TRUE(got.has_value());
     EXPECT_EQ(mb.queued_bytes(), 50u);  // the 100-byte message left
     mb.clear_queue();
@@ -171,7 +189,7 @@ TEST(MailboxRecv2, FirstDeliveryWinsByTag) {
   std::optional<sim::Message> got;
   sched.spawn([](sim::Mailbox& mb,
                  std::optional<sim::Message>& got) -> Task<void> {
-    got = co_await mb.recv2_for(sim::kAnySource, 7, 9, 10 * kMillisecond);
+    got = co_await mb.recv(sim::kAnySource, 7, 10 * kMillisecond, 9);
   }(mailbox, got));
   sched.schedule_call(kMillisecond,
                       [&] { mailbox.deliver(sim::Message(1, 9, 64, 90)); });
@@ -196,7 +214,7 @@ TEST(MailboxRecv2, ReadyPathTakesQueuedSecondTag) {
                  std::optional<sim::Message>& got,
                  SimTime& got_at) -> Task<void> {
     co_await s.delay(kMillisecond);
-    got = co_await mb.recv2_for(sim::kAnySource, 7, 9, kMillisecond);
+    got = co_await mb.recv(sim::kAnySource, 7, kMillisecond, 9);
     got_at = s.now();
   }(sched, mailbox, got, got_at));
   sched.run();
@@ -213,7 +231,7 @@ TEST(MailboxRecv2, TimesOutWhenNeitherTagArrives) {
   sched.spawn([](sim::Scheduler& s, sim::Mailbox& mb,
                  std::optional<sim::Message>& got,
                  SimTime& expired_at) -> Task<void> {
-    got = co_await mb.recv2_for(sim::kAnySource, 7, 9, 3 * kMillisecond);
+    got = co_await mb.recv(sim::kAnySource, 7, 3 * kMillisecond, 9);
     expired_at = s.now();
   }(sched, mailbox, got, expired_at));
   sched.run();

@@ -220,7 +220,7 @@ TEST(Mailbox, DeliverBeforeRecv) {
   box.deliver(Message(3, 7, 0, 42));
   int got = 0;
   sched.spawn([](Mailbox& mb, int& out) -> Task<void> {
-    Message m = co_await mb.recv(3, 7);
+    Message m = *co_await mb.recv(3, 7);
     out = m.as<int>();
   }(box, got));
   sched.run();
@@ -232,7 +232,7 @@ TEST(Mailbox, RecvBeforeDeliver) {
   Mailbox box(sched);
   int got = 0;
   sched.spawn([](Mailbox& mb, int& out) -> Task<void> {
-    Message m = co_await mb.recv();
+    Message m = *co_await mb.recv();
     out = m.as<int>();
   }(box, got));
   sched.spawn([](Scheduler& s, Mailbox& mb) -> Task<void> {
@@ -250,9 +250,9 @@ TEST(Mailbox, TagFilterSkipsNonMatching) {
   box.deliver(Message(0, 2, 0, 20));
   std::vector<int> got;
   sched.spawn([](Mailbox& mb, std::vector<int>& out) -> Task<void> {
-    Message m2 = co_await mb.recv(kAnySource, 2);
+    Message m2 = *co_await mb.recv(kAnySource, 2);
     out.push_back(m2.as<int>());
-    Message m1 = co_await mb.recv(kAnySource, 1);
+    Message m1 = *co_await mb.recv(kAnySource, 1);
     out.push_back(m1.as<int>());
   }(box, got));
   sched.run();
@@ -266,7 +266,7 @@ TEST(Mailbox, SourceFilterMatchesSpecificSender) {
   box.deliver(Message(6, 0, 0, 60));
   int got = 0;
   sched.spawn([](Mailbox& mb, int& out) -> Task<void> {
-    Message m = co_await mb.recv(6, kAnyTag);
+    Message m = *co_await mb.recv(6, kAnyTag);
     out = m.as<int>();
   }(box, got));
   sched.run();
