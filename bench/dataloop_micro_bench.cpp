@@ -150,9 +150,10 @@ BENCHMARK(BM_CursorSeek);
 // Pruned vs full expansion of the tile-reader row pattern (768 rows of
 // 3072 bytes, stride 7596) striped over 16 servers / 64 KiB strips, from
 // server 0's point of view. Full expansion walks every row; pruned
-// expansion probes each row's span against the stripe map and only emits
-// the rows that land on this server. Counters report pieces walked and
-// subtrees skipped per iteration.
+// expansion probes the stripe map and only emits the rows that land on
+// this server, skipping each run of other servers' rows after a few
+// probes of the span covering it. Counters report pieces walked, subtrees
+// skipped and filter probes per iteration.
 void BM_ExpandFull(benchmark::State& state) {
   auto loop = dl::make_vector(768, 3072, 7596, dl::make_leaf(1));
   std::int64_t pieces = 0;
@@ -174,14 +175,17 @@ void BM_ExpandPruned(benchmark::State& state) {
   struct Ctx {
     const pfs::FileLayout* layout;
     int server;
-  } ctx{&layout, 0};
+    mutable std::int64_t probes;
+  } ctx{&layout, 0, 0};
   std::int64_t pieces = 0;
   std::int64_t skipped = 0;
   for (auto _ : state) {
     dl::Cursor cursor(loop, 0, 16);
+    ctx.probes = 0;
     cursor.set_filter(
         [](const void* c, std::int64_t lo, std::int64_t hi) {
           const auto* x = static_cast<const Ctx*>(c);
+          ++x->probes;
           return x->layout->intersects_server(Region{lo, hi - lo}, x->server);
         },
         &ctx);
@@ -193,6 +197,7 @@ void BM_ExpandPruned(benchmark::State& state) {
   }
   state.counters["pieces_walked"] = static_cast<double>(pieces);
   state.counters["subtrees_skipped"] = static_cast<double>(skipped);
+  state.counters["filter_probes"] = static_cast<double>(ctx.probes);
   state.SetItemsProcessed(state.iterations() * (pieces + skipped));
 }
 BENCHMARK(BM_ExpandPruned);

@@ -67,8 +67,8 @@ bool Cursor::prune_block(const Dataloop& child, std::int64_t start,
 
 bool Cursor::prune_atomic(std::int64_t region_lo, std::int64_t region_len) {
   if (filter_ == nullptr) return false;
-  // A sub-span of a rejected span is also rejected, so skipping the
-  // remainder of a partially-consumed block region is sound.
+  // The remainder of a partially-consumed block is a sub-span of the
+  // block, so rejecting it is as sound as rejecting the whole block.
   const std::int64_t lo = region_lo + region_consumed_;
   const std::int64_t len = region_len - region_consumed_;
   if (filter_(filter_ctx_, lo, lo + len)) return false;
@@ -78,6 +78,67 @@ bool Cursor::prune_atomic(std::int64_t region_lo, std::int64_t region_len) {
   ++regions_pruned_;
   bytes_pruned_ += len;
   return true;
+}
+
+void Cursor::skip_rejected_run(Frame& f) {
+  const Dataloop& L = *f.loop;
+  const Dataloop& child = *L.child;
+  // Per-block probing would stop at the loop end, and before any block
+  // that starts at or past the stream limit.
+  if (pos_ >= limit_ || f.block == L.count) return;
+  if (gallop_holdoff_ > 0) {
+    --gallop_holdoff_;
+    return;
+  }
+  const std::int64_t block_bytes = L.blocklen * child.size;
+  const std::int64_t max_run =
+      std::min(L.count - f.block, (limit_ - pos_ - 1) / block_bytes + 1);
+  // Data span of one block relative to its start, over both ends (child
+  // extent may be negative); blocks step by the stride, which may be too.
+  const std::int64_t span = (L.blocklen - 1) * child.extent;
+  const std::int64_t lo_off = std::min<std::int64_t>(span, 0) + child.data_lb;
+  const std::int64_t hi_off = std::max<std::int64_t>(span, 0) + child.data_ub;
+  const std::int64_t first = f.origin + f.block * L.stride;
+  const auto rejects = [&](std::int64_t k) {
+    const std::int64_t last = first + (k - 1) * L.stride;
+    return !filter_(filter_ctx_, std::min(first, last) + lo_off,
+                    std::max(first, last) + hi_off);
+  };
+  // The span of k blocks contains that of fewer, so rejection is monotone
+  // in k: gallop to bracket the longest rejected run, then bisect.
+  std::int64_t good = 0;           // longest run known rejected
+  std::int64_t bad = max_run + 1;  // shortest run known kept (or too long)
+  for (std::int64_t k = 1; good < max_run; k = std::min(2 * k, max_run)) {
+    if (!rejects(k)) {
+      bad = k;
+      break;
+    }
+    good = k;
+  }
+  while (bad - good > 1) {
+    const std::int64_t mid = good + (bad - good) / 2;
+    if (rejects(mid)) {
+      good = mid;
+    } else {
+      bad = mid;
+    }
+  }
+  // A run that a kept span cut short of 4 blocks cost at least one probe
+  // more than probing its blocks singly. Back off where that keeps
+  // happening, as when the gaps between blocks hold wanted bytes so no
+  // multi-block span is ever rejected.
+  if (bad <= max_run && good < 4) {
+    gallop_backoff_ = std::min<std::int64_t>(2 * gallop_backoff_ + 1, 64);
+    gallop_holdoff_ = gallop_backoff_;
+  } else {
+    gallop_backoff_ = 0;
+  }
+  f.block += good;
+  f.elem = 0;
+  pos_ += good * block_bytes;
+  subtrees_skipped_ += good;
+  regions_pruned_ += good * (packed(child) ? 1 : L.blocklen * child.regions);
+  bytes_pruned_ += good * block_bytes;
 }
 
 void Cursor::settle() {
@@ -138,12 +199,14 @@ void Cursor::settle() {
                            L.blocklen * L.child->size)) {
             f.elem = 0;
             ++f.block;
+            if (L.kind == Kind::kVector) skip_rejected_run(f);
             break;
           }
           return;  // atomic block
         }
         if (f.elem == 0 && prune_block(*L.child, start, L.blocklen)) {
           ++f.block;
+          if (L.kind == Kind::kVector) skip_rejected_run(f);
           break;
         }
         const std::int64_t elem_origin = start + f.elem * L.child->extent;

@@ -62,7 +62,15 @@ class Cursor {
   /// with FileLayout::intersects_server, whole rows/tiles that miss this
   /// server's strips cost one probe instead of a walk. The filter must be
   /// conservative: it may keep a span it does not need, but must never
-  /// reject a span that contains wanted bytes.
+  /// reject a span that contains wanted bytes. It must also be monotone: a
+  /// sub-span of a rejected span is rejected. Traversal relies on this
+  /// twice — to skip the rest of a partly consumed block, and to skip a
+  /// whole run of vector blocks after one probe of the span covering them
+  /// (runs are found by galloping then bisecting, so a run of k rejected
+  /// blocks costs O(log k) probes; where runs keep coming out too short to
+  /// pay, the cursor backs off toward per-block probes. The pruning
+  /// counters advance per block either way, exactly as per-block probing
+  /// would).
   using FilterFn = bool (*)(const void* ctx, std::int64_t lo, std::int64_t hi);
   void set_filter(FilterFn fn, const void* ctx) noexcept {
     filter_ = fn;
@@ -157,6 +165,9 @@ class Cursor {
   /// Same for a block-atomic block whose (remaining) contiguous region is
   /// region_consumed_ bytes into {region_lo, region_len}.
   bool prune_atomic(std::int64_t region_lo, std::int64_t region_len);
+  /// After a block of kVector frame `f` was pruned: skip the longest run of
+  /// following blocks whose covering span the filter rejects.
+  void skip_rejected_run(Frame& f);
 
   DataloopPtr loop_;
   std::int64_t base_;
@@ -173,6 +184,12 @@ class Cursor {
   std::int64_t subtrees_skipped_ = 0;
   std::int64_t regions_pruned_ = 0;
   std::int64_t bytes_pruned_ = 0;
+  /// Run-skip back-off: a gallop that skips too few blocks to pay for its
+  /// probes sets a hold-off of that many rejected blocks probed singly
+  /// before the next gallop, doubling (up to a cap) while gallops keep
+  /// failing and clearing on one that pays.
+  std::int64_t gallop_backoff_ = 0;
+  std::int64_t gallop_holdoff_ = 0;
 };
 
 /// Convenience: fully flatten `count` instances into a region list.

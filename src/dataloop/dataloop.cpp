@@ -41,6 +41,25 @@ bool packed(const Dataloop& loop) noexcept {
   return loop.solid && loop.extent == loop.size;
 }
 
+// Checked size/extent/span arithmetic. Builders run on decoded wire input,
+// so a hostile descriptor must fail as invalid_argument, not overflow.
+std::int64_t add(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_add_overflow(a, b, &r)) fail("size arithmetic overflows");
+  return r;
+}
+
+std::int64_t sub(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_sub_overflow(a, b, &r)) fail("size arithmetic overflows");
+  return r;
+}
+
+std::int64_t mul(std::int64_t a, std::int64_t b) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) fail("size arithmetic overflows");
+  return r;
+}
 
 }  // namespace
 
@@ -115,23 +134,23 @@ DataloopPtr make_contig(std::int64_t count, DataloopPtr child) {
   if (count > 0 && child->kind == Kind::kContig &&
       child->extent == child->count * child->child->extent &&
       child->lb == (child->count == 0 ? 0 : child->child->lb)) {
-    return make_contig(count * child->count, child->child);
+    return make_contig(mul(count, child->count), child->child);
   }
 
   auto loop = std::make_shared<Dataloop>();
   loop->kind = Kind::kContig;
   loop->count = count;
-  loop->size = count * child->size;
-  loop->extent = count * child->extent;
+  loop->size = mul(count, child->size);
+  loop->extent = mul(count, child->extent);
   loop->lb = count == 0 ? 0 : child->lb;
   loop->data_lb = count == 0 ? 0 : child->data_lb;
   loop->data_ub = loop->size == 0
                       ? loop->data_lb
-                      : (count - 1) * child->extent + child->data_ub;
+                      : add(mul(count - 1, child->extent), child->data_ub);
   loop->solid = count == 0 || packed(*child) ||
                 (count == 1 && child->solid);
   loop->regions =
-      loop->size == 0 ? 0 : (loop->solid ? 1 : count * child->regions);
+      loop->size == 0 ? 0 : (loop->solid ? 1 : mul(count, child->regions));
   loop->child = std::move(child);
   return loop;
 }
@@ -145,10 +164,10 @@ DataloopPtr make_vector(std::int64_t count, std::int64_t blocklen,
   // Degenerate shapes reduce to contig.
   if (count == 0 || blocklen == 0) return make_contig(0, std::move(child));
   if (count == 1) return make_contig(blocklen, std::move(child));
-  if (stride_bytes == blocklen * child->extent) {
+  if (stride_bytes == mul(blocklen, child->extent)) {
     // Blocks tile seamlessly: the whole vector is one contiguous sequence
     // of child instances.
-    return make_contig(count * blocklen, std::move(child));
+    return make_contig(mul(count, blocklen), std::move(child));
   }
 
   auto loop = std::make_shared<Dataloop>();
@@ -156,22 +175,24 @@ DataloopPtr make_vector(std::int64_t count, std::int64_t blocklen,
   loop->count = count;
   loop->blocklen = blocklen;
   loop->stride = stride_bytes;
-  loop->size = count * blocklen * child->size;
-  const std::int64_t block_extent = blocklen * child->extent;
-  const std::int64_t last = (count - 1) * stride_bytes;
-  loop->lb = child->lb + std::min<std::int64_t>(0, last);
-  loop->data_lb = child->data_lb + std::min<std::int64_t>(0, last);
-  loop->data_ub = loop->size == 0
-                      ? loop->data_lb
-                      : std::max<std::int64_t>(0, last) +
-                            (blocklen - 1) * child->extent + child->data_ub;
-  loop->extent = std::max<std::int64_t>(0, last) + block_extent -
-                 std::min<std::int64_t>(0, last);
+  loop->size = mul(mul(count, blocklen), child->size);
+  const std::int64_t block_extent = mul(blocklen, child->extent);
+  const std::int64_t last = mul(count - 1, stride_bytes);
+  loop->lb = add(child->lb, std::min<std::int64_t>(0, last));
+  loop->data_lb = add(child->data_lb, std::min<std::int64_t>(0, last));
+  loop->data_ub =
+      loop->size == 0
+          ? loop->data_lb
+          : add(add(std::max<std::int64_t>(0, last),
+                    mul(blocklen - 1, child->extent)),
+                child->data_ub);
+  loop->extent = sub(add(std::max<std::int64_t>(0, last), block_extent),
+                     std::min<std::int64_t>(0, last));
   loop->solid = false;  // seamless tiling was normalised to contig above
   loop->regions =
       loop->size == 0
           ? 0
-          : count * (packed(*child) ? 1 : blocklen * child->regions);
+          : mul(count, packed(*child) ? 1 : mul(blocklen, child->regions));
   loop->child = std::move(child);
   return loop;
 }
@@ -190,11 +211,14 @@ DataloopPtr make_blockindexed(std::int64_t count, std::int64_t blocklen,
   // Uniformly strided offsets are a vector (anchored at zero) — the classic
   // regularity recovery. Offsets with a nonzero anchor stay blockindexed.
   if (count >= 2) {
-    const std::int64_t step = offsets_bytes[1] - offsets_bytes[0];
+    // With offsets[0] == 0 the step is offsets[1] itself; an offset that
+    // i * step cannot reach without overflow breaks uniformity.
+    const std::int64_t step = offsets_bytes[1];
     bool uniform = offsets_bytes[0] == 0;
     for (std::int64_t i = 1; uniform && i < count; ++i) {
-      uniform = offsets_bytes[static_cast<std::size_t>(i)] ==
-                static_cast<std::int64_t>(i) * step;
+      std::int64_t want = 0;
+      uniform = !__builtin_mul_overflow(i, step, &want) &&
+                offsets_bytes[static_cast<std::size_t>(i)] == want;
     }
     if (uniform) {
       return make_vector(count, blocklen, step, std::move(child));
@@ -208,27 +232,29 @@ DataloopPtr make_blockindexed(std::int64_t count, std::int64_t blocklen,
   loop->count = count;
   loop->blocklen = blocklen;
   loop->offsets.assign(offsets_bytes.begin(), offsets_bytes.end());
-  loop->size = count * blocklen * child->size;
-  const std::int64_t block_extent = blocklen * child->extent;
+  loop->size = mul(mul(count, blocklen), child->size);
+  const std::int64_t block_extent = mul(blocklen, child->extent);
   std::int64_t lo = offsets_bytes[0];
   std::int64_t hi = offsets_bytes[0];
   for (const std::int64_t off : offsets_bytes) {
     lo = std::min(lo, off);
     hi = std::max(hi, off);
   }
-  loop->lb = lo + child->lb;
-  loop->data_lb = lo + child->data_lb;
-  loop->data_ub = loop->size == 0
-                      ? loop->data_lb
-                      : hi + (blocklen - 1) * child->extent + child->data_ub;
-  loop->extent = (hi + block_extent + child->lb) - loop->lb;
+  loop->lb = add(lo, child->lb);
+  loop->data_lb = add(lo, child->data_lb);
+  loop->data_ub =
+      loop->size == 0
+          ? loop->data_lb
+          : add(add(hi, mul(blocklen - 1, child->extent)), child->data_ub);
+  loop->extent = sub(add(add(hi, block_extent), child->lb), loop->lb);
   loop->solid = count == 1 && child->solid && blocklen == 1;
   loop->regions =
       loop->size == 0
           ? 0
-          : (loop->solid
-                 ? 1
-                 : count * (packed(*child) ? 1 : blocklen * child->regions));
+          : (loop->solid ? 1
+                         : mul(count, packed(*child)
+                                          ? 1
+                                          : mul(blocklen, child->regions)));
   loop->child = std::move(child);
   return loop;
 }
@@ -272,15 +298,16 @@ DataloopPtr make_indexed(std::span<const std::int64_t> blocklens,
   loop->block_bytes_prefix.push_back(0);
   for (std::int64_t b = 0; b < count; ++b) {
     const auto bi = static_cast<std::size_t>(b);
-    size += blocklens[bi] * child->size;
+    const std::int64_t bl = blocklens[bi];
+    size = add(size, mul(bl, child->size));
     loop->block_bytes_prefix.push_back(size);
-    if (blocklens[bi] == 0) continue;
-    regions += packed(*child) ? 1 : blocklens[bi] * child->regions;
-    const std::int64_t begin = offsets_bytes[bi] + child->lb;
+    if (bl == 0) continue;
+    regions = add(regions, packed(*child) ? 1 : mul(bl, child->regions));
+    const std::int64_t begin = add(offsets_bytes[bi], child->lb);
     const std::int64_t end =
-        offsets_bytes[bi] + blocklens[bi] * child->extent + child->lb;
-    const std::int64_t data_end =
-        offsets_bytes[bi] + (blocklens[bi] - 1) * child->extent + child->data_ub;
+        add(add(offsets_bytes[bi], mul(bl, child->extent)), child->lb);
+    const std::int64_t data_end = add(
+        add(offsets_bytes[bi], mul(bl - 1, child->extent)), child->data_ub);
     if (first) {
       lo = begin;
       hi = end;
@@ -294,9 +321,9 @@ DataloopPtr make_indexed(std::span<const std::int64_t> blocklens,
   }
   loop->size = size;
   loop->lb = lo;
-  loop->data_lb = lo - child->lb + child->data_lb;
+  loop->data_lb = add(sub(lo, child->lb), child->data_lb);
   loop->data_ub = size == 0 ? loop->data_lb : data_hi;
-  loop->extent = hi - lo;
+  loop->extent = sub(hi, lo);
   loop->solid = false;
   loop->regions = size == 0 ? 0 : regions;
   loop->child = std::move(child);
@@ -346,15 +373,16 @@ DataloopPtr make_struct(std::span<const std::int64_t> blocklens,
   for (std::int64_t b = 0; b < count; ++b) {
     const auto bi = static_cast<std::size_t>(b);
     const Dataloop& c = *children[bi];
-    size += blocklens[bi] * c.size;
+    const std::int64_t bl = blocklens[bi];
+    size = add(size, mul(bl, c.size));
     loop->block_bytes_prefix.push_back(size);
-    if (blocklens[bi] == 0 || c.size == 0) continue;
-    regions += packed(c) ? 1 : blocklens[bi] * c.regions;
-    const std::int64_t begin = offsets_bytes[bi] + c.lb;
-    const std::int64_t end = offsets_bytes[bi] + blocklens[bi] * c.extent + c.lb;
-    const std::int64_t data_begin = offsets_bytes[bi] + c.data_lb;
+    if (bl == 0 || c.size == 0) continue;
+    regions = add(regions, packed(c) ? 1 : mul(bl, c.regions));
+    const std::int64_t begin = add(offsets_bytes[bi], c.lb);
+    const std::int64_t end = add(add(offsets_bytes[bi], mul(bl, c.extent)), c.lb);
+    const std::int64_t data_begin = add(offsets_bytes[bi], c.data_lb);
     const std::int64_t data_end =
-        offsets_bytes[bi] + (blocklens[bi] - 1) * c.extent + c.data_ub;
+        add(add(offsets_bytes[bi], mul(bl - 1, c.extent)), c.data_ub);
     if (first) {
       lo = begin;
       hi = end;
@@ -372,7 +400,7 @@ DataloopPtr make_struct(std::span<const std::int64_t> blocklens,
   loop->lb = lo;
   loop->data_lb = data_lo;
   loop->data_ub = size == 0 ? data_lo : data_hi;
-  loop->extent = hi - lo;
+  loop->extent = sub(hi, lo);
   loop->solid = false;
   loop->regions = size == 0 ? 0 : regions;
   return loop;

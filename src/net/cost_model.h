@@ -96,7 +96,9 @@ struct ServerConfig {
   bool pruned_expansion = true;
 
   /// CPU cost per pruned subtree: one span/stripe intersection probe
-  /// (a handful of integer ops) charged for each subtree skipped.
+  /// (a handful of integer ops) charged for each subtree skipped, even
+  /// where the host cursor skips a run of rejected vector blocks with a
+  /// few probes of the span covering them.
   dtio::SimTime subtree_probe_cost = 50;  // ns
 
   /// Idempotent-replay window: how many recent write/create acks the

@@ -957,22 +957,20 @@ std::int64_t Client::build_access_datatype(
     std::int64_t stream_length, std::vector<ServerAccess>& out) const {
   out.assign(static_cast<std::size_t>(config_->num_servers), ServerAccess{});
   std::int64_t pieces = 0;
-  std::int64_t pos = 0;  // position within the stream window
+  StripMapper mapper(layout);  // stream positions run within the window
   dl::Cursor cursor(filetype, displacement, count);
   cursor.seek(stream_offset);
   cursor.process(
       std::numeric_limits<std::int64_t>::max(), stream_length,
       [&](std::int64_t off, std::int64_t len) {
-        layout.map_region(
-            Region{off, len},
-            [&](int server, Region phys, std::int64_t rel) {
-              auto& acc = out[static_cast<std::size_t>(server)];
-              acc.pieces.push_back(phys);
-              acc.stream_at.push_back(pos + rel);
-              acc.total_bytes += phys.length;
-              ++pieces;
-            });
-        pos += len;
+        mapper.map(Region{off, len},
+                   [&](int server, Region phys, std::int64_t stream_pos) {
+                     auto& acc = out[static_cast<std::size_t>(server)];
+                     acc.pieces.push_back(phys);
+                     acc.stream_at.push_back(stream_pos);
+                     acc.total_bytes += phys.length;
+                     ++pieces;
+                   });
       });
   return pieces;
 }

@@ -79,22 +79,7 @@ class FileLayout {
   /// which a data stream maps onto the pieces, which is how clients
   /// segment outgoing data per server and servers locate their slice.
   template <typename Callback>
-  void map_regions(std::span<const Region> regions, Callback&& cb) const {
-    std::int64_t stream_pos = 0;
-    for (const Region& r : regions) {
-      std::int64_t offset = r.offset;
-      std::int64_t remaining = r.length;
-      while (remaining > 0) {
-        const Placement p = place(offset);
-        const std::int64_t run =
-            std::min(remaining, strip_size_ - offset % strip_size_);
-        cb(p.server, Region{p.physical, run}, stream_pos);
-        offset += run;
-        remaining -= run;
-        stream_pos += run;
-      }
-    }
-  }
+  void map_regions(std::span<const Region> regions, Callback&& cb) const;
 
   /// Single-region convenience overload.
   template <typename Callback>
@@ -158,5 +143,58 @@ class FileLayout {
   int start_server_;
   int total_servers_;
 };
+
+/// FileLayout::map_regions as a resumable walk: feed regions one at a time
+/// (in stream order) and get the same pieces and stream positions. It
+/// remembers the strip of the last piece, so a region that starts inside
+/// that strip maps with no divisions; place() runs only when a piece
+/// leaves it. Regions of a strided access mostly share strips with their
+/// predecessor (a 64 KiB strip holds many rows of a tile), so per-region
+/// mapping becomes a compare and an add.
+class StripMapper {
+ public:
+  explicit StripMapper(const FileLayout& layout) noexcept : layout_(&layout) {}
+
+  /// Map `region`, invoking cb(server, physical_region, stream_pos) per
+  /// single-server piece; stream_pos runs on across calls.
+  template <typename Callback>
+  void map(Region region, Callback&& cb) {
+    std::int64_t offset = region.offset;
+    std::int64_t remaining = region.length;
+    while (remaining > 0) {
+      if (offset < strip_lo_ || offset >= strip_hi_) {
+        const FileLayout::Placement p = layout_->place(offset);
+        strip_lo_ = offset;
+        strip_hi_ = offset + layout_->strip_size() -
+                    offset % layout_->strip_size();
+        server_ = p.server;
+        physical_lo_ = p.physical;
+      }
+      const std::int64_t run = std::min(remaining, strip_hi_ - offset);
+      cb(server_, Region{physical_lo_ + (offset - strip_lo_), run},
+         stream_pos_);
+      offset += run;
+      remaining -= run;
+      stream_pos_ += run;
+    }
+  }
+
+ private:
+  const FileLayout* layout_;
+  /// Logical [strip_lo_, strip_hi_) is the rest of the last piece's strip,
+  /// starting at the byte that place() mapped to (server_, physical_lo_).
+  std::int64_t strip_lo_ = 0;
+  std::int64_t strip_hi_ = 0;
+  int server_ = 0;
+  std::int64_t physical_lo_ = 0;
+  std::int64_t stream_pos_ = 0;
+};
+
+template <typename Callback>
+void FileLayout::map_regions(std::span<const Region> regions,
+                             Callback&& cb) const {
+  StripMapper mapper(*this);
+  for (const Region& r : regions) mapper.map(r, cb);
+}
 
 }  // namespace dtio::pfs

@@ -42,13 +42,15 @@ struct Applier {
   /// can verify the visited pages and re-gather after a repair.
   std::vector<Region>* visited_out = nullptr;
 
+  /// One mapper per request: consecutive regions mostly share a strip.
+  StripMapper mapper{layout};
   std::int64_t my_pos = 0;     ///< bytes of MY data consumed/produced
   std::int64_t pieces = 0;     ///< every piece walked (all servers)
   std::int64_t my_pieces = 0;  ///< pieces on this server
   std::int64_t my_bytes = 0;
 
   void apply(Region logical) {
-    layout.map_region(logical, [&](int server, Region phys, std::int64_t) {
+    mapper.map(logical, [&](int server, Region phys, std::int64_t) {
       ++pieces;
       if (server != my_server) return;
       ++my_pieces;

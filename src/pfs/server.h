@@ -52,7 +52,8 @@ struct ServerStats {
   std::uint64_t dataloop_cache_hits = 0;
   std::uint64_t bad_requests = 0;     ///< malformed requests answered with errors
   std::uint64_t subtrees_skipped = 0; ///< dataloop subtrees pruned (span missed
-                                      ///< this server's strips; one probe each)
+                                      ///< this server's strips; each charged
+                                      ///< one modelled probe)
   std::uint64_t pieces_pruned = 0;    ///< atomic regions never generated
                                       ///< because their subtree was pruned
   std::uint64_t crashes = 0;            ///< crash events injected

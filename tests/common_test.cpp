@@ -167,6 +167,36 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(whole, chained);
 }
 
+TEST(Crc32, ChainingMatchesOneShotAtEverySplit) {
+  // The table-sliced loop folds 8 bytes at a time and finishes the tail
+  // bytewise, so cover every tail length and every split point.
+  std::vector<std::uint8_t> data(1024 + 15);
+  Rng rng(11);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t tail = 0; tail < 16; ++tail) {
+    const auto buf = std::span<const std::uint8_t>(data).first(1024 + tail);
+    const std::uint32_t whole = crc32(buf);
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+      EXPECT_EQ(crc32(buf.subspan(split), crc32(buf.first(split))), whole)
+          << "length " << buf.size() << " split " << split;
+    }
+  }
+}
+
+TEST(Crc32, MatchesBitwiseDefinition) {
+  std::vector<std::uint8_t> data(300);
+  Rng rng(12);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t n = 0; n <= data.size(); n += 7) {
+    std::uint32_t c = 0xFFFFFFFFU;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= data[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+    }
+    EXPECT_EQ(crc32(std::span(data).first(n)), c ^ 0xFFFFFFFFU) << "n=" << n;
+  }
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

@@ -3,6 +3,8 @@
 // processing, seek, pack/unpack, and wire serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -15,6 +17,7 @@
 #include "dataloop/dataloop.h"
 #include "dataloop/pack.h"
 #include "dataloop/serialize.h"
+#include "pfs/layout.h"
 
 namespace dtio::dl {
 namespace {
@@ -539,6 +542,162 @@ TEST(StreamLimit, BoundsWindowIndependentlyOfFilter) {
   EXPECT_EQ(c.position(), 14);
 }
 
+// ---- Run skip over pruned vector blocks ------------------------------------
+
+// Stripe filter for one server that counts its probes. With
+// `block_width` set it is the per-block reference: a span wider than one
+// block that is not a whole instance can only be a run probe, and keeping
+// it is conservative, so the cursor skips rejected blocks one at a time —
+// exactly what per-block probing does, from the same cursor code.
+struct StripeProbe {
+  const pfs::FileLayout* layout;
+  int server;
+  std::int64_t block_width = 0;  ///< 0: answer every span from the layout
+  std::vector<Region> instances;
+  mutable std::int64_t probes = 0;
+};
+
+bool stripe_probe(const void* ctx, std::int64_t lo, std::int64_t hi) {
+  const auto* p = static_cast<const StripeProbe*>(ctx);
+  ++p->probes;
+  const Region span{lo, hi - lo};
+  if (p->block_width > 0 && span.length > p->block_width &&
+      std::find(p->instances.begin(), p->instances.end(), span) ==
+          p->instances.end()) {
+    return true;
+  }
+  return p->layout->intersects_server(span, p->server);
+}
+
+/// Data span of one vector block, from its start.
+std::int64_t block_width(const Dataloop& vec) {
+  const Dataloop& child = *vec.child;
+  return std::abs((vec.blocklen - 1) * child.extent) + child.data_ub -
+         child.data_lb;
+}
+
+std::vector<Region> instance_spans(const Dataloop& loop, std::int64_t base,
+                                   std::int64_t count) {
+  std::vector<Region> spans;
+  for (std::int64_t i = 0; i < count; ++i) {
+    spans.push_back(Region{base + i * loop.extent + loop.data_lb,
+                           loop.data_ub - loop.data_lb});
+  }
+  return spans;
+}
+
+TEST(RunSkip, MatchesPerBlockProbingOnRandomVectors) {
+  Rng rng(1414);
+  std::int64_t fast_probes = 0;
+  std::int64_t ref_probes = 0;
+  std::int64_t runs_cut_by_limit = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Atomic blocks (packed leaf child) or non-atomic ones (gappy child).
+    const std::int64_t el = rng.next_range(1, 8);
+    const DataloopPtr child =
+        rng.next_below(2) == 0
+            ? make_leaf(el)
+            : make_vector(2, 1, el + rng.next_range(1, 16), make_leaf(el));
+    const std::int64_t count = rng.next_range(2, 80);
+    const std::int64_t blocklen = rng.next_range(1, 4);
+    // Any stride but the seamless one (that normalises to contig); small
+    // ones make blocks overlap.
+    std::int64_t stride = rng.next_range(1, blocklen * child->extent + 300);
+    if (stride == blocklen * child->extent) ++stride;
+    if (rng.next_below(2) == 0) stride = -stride;
+    const DataloopPtr loop = make_vector(count, blocklen, stride, child);
+    ASSERT_EQ(loop->kind, Kind::kVector);
+
+    // 1-16 servers, often a narrow per-file layout; the probing server may
+    // lie outside the file's stripe (then everything is rejected).
+    const int total = static_cast<int>(rng.next_range(1, 16));
+    const int servers = static_cast<int>(rng.next_range(1, total));
+    const int start = static_cast<int>(rng.next_range(0, total - 1));
+    const pfs::FileLayout layout(servers, rng.next_range(4, 600), start, total);
+    const int server = static_cast<int>(rng.next_range(0, total - 1));
+
+    const std::int64_t instances = rng.next_range(1, 3);
+    const std::int64_t base = rng.next_range(0, 4096) - loop->data_lb;
+    Cursor fast(loop, base, instances);
+    Cursor ref(loop, base, instances);
+    const std::int64_t seek = rng.next_range(0, fast.total_bytes());
+    std::int64_t limit = fast.total_bytes();
+    if (rng.next_below(2) == 0) limit = rng.next_range(seek, limit);
+    const StripeProbe fast_filter{&layout, server, 0, {}};
+    const StripeProbe ref_filter{&layout, server, block_width(*loop),
+                                 instance_spans(*loop, base, instances)};
+    for (auto [c, f] : {std::pair{&fast, &fast_filter}, {&ref, &ref_filter}}) {
+      c->seek(seek);
+      c->set_stream_limit(limit);
+      c->set_filter(stripe_probe, f);
+    }
+    const auto got = collect(fast, kUnlimited, kUnlimited, /*coalesce=*/false);
+    const auto want = collect(ref, kUnlimited, kUnlimited, /*coalesce=*/false);
+
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << "\n" << loop->to_string()
+                 << "base=" << base << " instances=" << instances
+                 << " seek=" << seek << " limit=" << limit << " layout("
+                 << servers << "," << layout.strip_size() << "," << start
+                 << "," << total << ") server=" << server);
+    ASSERT_EQ(got, want);
+    EXPECT_EQ(fast.subtrees_skipped(), ref.subtrees_skipped());
+    EXPECT_EQ(fast.regions_pruned(), ref.regions_pruned());
+    EXPECT_EQ(fast.bytes_pruned(), ref.bytes_pruned());
+    EXPECT_EQ(fast.position(), ref.position());
+    EXPECT_TRUE(fast.done());
+    fast_probes += fast_filter.probes;
+    ref_probes += ref_filter.probes;
+    if (limit < fast.total_bytes() && fast.position() > limit) {
+      ++runs_cut_by_limit;  // the last skipped block straddles the limit
+    }
+  }
+  EXPECT_LT(fast_probes, ref_probes);
+  EXPECT_GT(runs_cut_by_limit, 0);
+}
+
+TEST(RunSkip, TileRowsProbeAQuarterAsOftenAsPerBlock) {
+  // The tile reader's file type (768 rows of 3072 bytes, stride 7596) over
+  // 16 frames, striped over 16 servers in 64 KiB strips, from server 0.
+  // Per-block probing asks once per frame and once per row; the run skip
+  // must cut that at least 4x while walking and skipping the same.
+  const auto rows = make_vector(768, 3072, 7596, make_leaf(1));
+  const pfs::FileLayout layout(16, 64 * 1024);
+  const StripeProbe fast_filter{&layout, 0, 0, {}};
+  const StripeProbe ref_filter{&layout, 0, block_width(*rows),
+                               instance_spans(*rows, 0, 16)};
+  Cursor fast(rows, 0, 16);
+  Cursor ref(rows, 0, 16);
+  fast.set_filter(stripe_probe, &fast_filter);
+  ref.set_filter(stripe_probe, &ref_filter);
+  const auto pieces = collect(fast);
+  EXPECT_EQ(pieces, collect(ref));
+  EXPECT_EQ(pieces.size(), 805u);
+  EXPECT_EQ(fast.subtrees_skipped(), 11482);
+  EXPECT_EQ(fast.subtrees_skipped(), ref.subtrees_skipped());
+  EXPECT_EQ(fast.regions_pruned(), ref.regions_pruned());
+  const std::int64_t per_block_probes = 16 + 16 * 768;
+  EXPECT_LE(4 * fast_filter.probes, per_block_probes) << fast_filter.probes;
+}
+
+TEST(RunSkip, GappyBlocksStayNearOneProbePerBlock) {
+  // The FLASH checkpoint's file type: 24 blocks of 320 KiB at a 5 MiB
+  // stride. Each block covers the same 5 strips of a 16 x 64 KiB stripe,
+  // and every gap holds all 16 servers' strips, so no span of two blocks
+  // is ever rejected. Galloping cannot pay here; backing off keeps every
+  // server within 25% of per-block probing (which asks once for the
+  // instance and once per block).
+  const auto blocks = make_vector(24, 320 * 1024, 5 << 20, make_leaf(1));
+  const pfs::FileLayout layout(16, 64 * 1024);
+  for (int server = 0; server < 16; ++server) {
+    const StripeProbe filter{&layout, server, 0, {}};
+    Cursor c(blocks, 0, 1);
+    c.set_filter(stripe_probe, &filter);
+    collect(c);
+    EXPECT_LE(4 * filter.probes, 5 * (1 + 24)) << "server " << server;
+  }
+}
+
 // ---- Pack / unpack --------------------------------------------------------
 
 TEST(Pack, GatherScatterRoundTrip) {
@@ -667,6 +826,28 @@ TEST(Serialize, DecoderSurvivesBitFlips) {
     } catch (const std::invalid_argument&) {
     }
   }
+}
+
+TEST(Serialize, DecoderRejectsSizeOverflow) {
+  // A descriptor whose sizes, extents or spans overflow int64 is malformed
+  // input: the builders reject it instead of wrapping.
+  std::vector<std::uint8_t> wire;
+  encode(*make_vector(4, 2, 24, make_leaf(4)), wire);
+  const std::uint64_t huge = std::uint64_t{1} << 61;  // count * 8 B overflows
+  for (int i = 0; i < 8; ++i) {
+    wire[1 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  EXPECT_THROW(decode(wire), std::invalid_argument);
+
+  const std::int64_t big = std::int64_t{1} << 62;
+  const std::int64_t lens[] = {2, 5};
+  const std::int64_t offs[] = {0, 64};
+  EXPECT_THROW(make_indexed(lens, offs, make_contig(big, make_leaf(1))),
+               std::invalid_argument);
+  EXPECT_THROW(make_vector(3, 1, big, make_leaf(1)), std::invalid_argument);
+  EXPECT_THROW(make_contig(4, make_vector(2, 1, big, make_leaf(1))),
+               std::invalid_argument);
 }
 
 TEST(Cursor, DeepNestingStress) {

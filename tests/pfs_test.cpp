@@ -71,6 +71,53 @@ TEST(Layout, MapRegionsTracksStreamAcrossRegions) {
   EXPECT_EQ(stream_positions, (std::vector<std::int64_t>{0, 4}));
 }
 
+TEST(Layout, StripMapperMatchesPlacePerPiece) {
+  // One mapper fed a region list one region at a time must yield exactly
+  // the pieces place() gives when asked afresh for every piece: regions
+  // that cross strips, revisit earlier strips (unsorted order) or start
+  // inside the previous piece's strip, under wide and narrow layouts.
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int total = static_cast<int>(rng.next_range(1, 16));
+    const int servers = static_cast<int>(rng.next_range(1, total));
+    const int start = static_cast<int>(rng.next_range(0, total - 1));
+    const FileLayout layout(servers, rng.next_range(1, 100), start, total);
+    std::vector<Region> regions;
+    for (std::int64_t i = rng.next_range(1, 40); i > 0; --i) {
+      regions.push_back(Region{rng.next_range(0, 5000), rng.next_range(0, 300)});
+    }
+
+    using Piece = std::tuple<int, Region, std::int64_t>;
+    std::vector<Piece> want;
+    std::int64_t stream_pos = 0;
+    for (const Region& r : regions) {
+      for (std::int64_t off = r.offset; off < r.end();) {
+        const auto p = layout.place(off);
+        const std::int64_t run =
+            std::min(r.end() - off, layout.strip_size() - off % layout.strip_size());
+        want.emplace_back(p.server, Region{p.physical, run}, stream_pos);
+        off += run;
+        stream_pos += run;
+      }
+    }
+
+    std::vector<Piece> got;
+    StripMapper mapper(layout);
+    for (const Region& r : regions) {
+      mapper.map(r, [&](int s, Region phys, std::int64_t pos) {
+        got.emplace_back(s, phys, pos);
+      });
+    }
+    ASSERT_EQ(got, want) << "trial " << trial;
+
+    std::vector<Piece> batch;
+    layout.map_regions(regions, [&](int s, Region phys, std::int64_t pos) {
+      batch.emplace_back(s, phys, pos);
+    });
+    ASSERT_EQ(batch, want) << "trial " << trial;
+  }
+}
+
 TEST(Layout, ServersTouched) {
   FileLayout layout(4, 10);
   EXPECT_EQ(layout.servers_touched({0, 5}), 1);
