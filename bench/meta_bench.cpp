@@ -98,8 +98,8 @@ StormRun run_storm(int shards, std::int64_t stripe_bytes,
   out.seconds = to_seconds(cluster.scheduler().now() - t0);
   for (int s = 0; s < std::min(shards, cfg.num_servers); ++s) {
     const pfs::ServerStats& st = cluster.server(s).stats();
-    out.per_shard_ops.push_back(st.meta_ops);
-    out.total_meta_ops += st.meta_ops;
+    out.per_shard_ops.push_back(st.meta_ops());
+    out.total_meta_ops += st.meta_ops();
     out.lock_waits += st.lock_waits;
   }
   std::vector<double> waits;

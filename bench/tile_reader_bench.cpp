@@ -131,7 +131,7 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   }
   if (use_obs) {
     bench::capture_latency(result, obs);
-    cluster.record_utilization_gauges();
+    cluster.publish_metrics();
     if (!trace_path.empty() && cluster.write_trace(trace_path)) {
       std::printf("chrome trace (%s run): %s\n",
                   std::string(mpiio::method_name(method)).c_str(),

@@ -2,36 +2,23 @@
 
 #include <algorithm>
 
-#include "obs/observability.h"
+#include "obs/metrics.h"
 
 namespace dtio::net {
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kDrop:
-      return "drop";
-    case FaultKind::kDuplicate:
-      return "duplicate";
-    case FaultKind::kCorrupt:
-      return "corrupt";
-    case FaultKind::kDelay:
-      return "delay";
-    case FaultKind::kOutage:
-      return "outage";
-  }
-  return "unknown";
+std::span<const obs::CounterRow<FaultCounters>> FaultPlan::counter_table() {
+  static constexpr obs::CounterRow<FaultCounters> kRows[] = {
+      {"faults_injected_total", "kind=drop", &FaultCounters::dropped},
+      {"faults_injected_total", "kind=duplicate", &FaultCounters::duplicated},
+      {"faults_injected_total", "kind=corrupt", &FaultCounters::corrupted},
+      {"faults_injected_total", "kind=delay", &FaultCounters::delayed},
+      {"faults_injected_total", "kind=outage", &FaultCounters::outage_dropped},
+  };
+  return kRows;
 }
 
-void FaultPlan::set_observability(obs::Observability* obs) {
-  for (int k = 0; k < kNumFaultKinds; ++k) {
-    obs_kind_[k] =
-        obs == nullptr
-            ? nullptr
-            : &obs->metrics.counter(
-                  "faults_injected_total",
-                  obs::label("kind",
-                             fault_kind_name(static_cast<FaultKind>(k))));
-  }
+void FaultPlan::publish_metrics(obs::MetricsRegistry& registry) const {
+  obs::publish_counters(registry, counter_table(), counters_);
 }
 
 void FaultPlan::record(FaultKind kind, int src, int dst, SimTime now,
@@ -52,9 +39,6 @@ void FaultPlan::record(FaultKind kind, int src, int dst, SimTime now,
     case FaultKind::kOutage:
       ++counters_.outage_dropped;
       break;
-  }
-  if (obs_kind_[static_cast<int>(kind)] != nullptr) {
-    obs_kind_[static_cast<int>(kind)]->add(1);
   }
   if (log_events_) events_.push_back(FaultEvent{now, kind, src, dst, tag});
 }

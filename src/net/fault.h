@@ -15,16 +15,13 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "sim/mailbox.h"
-
-namespace dtio::obs {
-class Counter;
-struct Observability;
-}  // namespace dtio::obs
 
 namespace dtio::net {
 
@@ -35,9 +32,6 @@ enum class FaultKind : std::uint8_t {
   kDelay,      ///< extra delivery latency; doubles as reordering
   kOutage,     ///< dropped by a scheduled unreachability window
 };
-inline constexpr int kNumFaultKinds = 5;
-
-[[nodiscard]] const char* fault_kind_name(FaultKind kind) noexcept;
 
 /// Per-link fault probabilities. All default to zero (clean link).
 struct FaultSpec {
@@ -89,7 +83,7 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Injection totals by kind (always maintained, even without obs attached).
+/// Injection totals by kind, published as faults_injected_total{kind}.
 struct FaultCounters {
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -187,9 +181,10 @@ class FaultPlan {
   /// it to assert identical sequences across same-seed runs).
   void set_log_events(bool on) noexcept { log_events_ = on; }
 
-  /// Attach the observability context (nullptr detaches): resolves one
-  /// faults_injected_total{kind=...} counter per kind.
-  void set_observability(obs::Observability* obs);
+  /// One faults_injected_total{kind=...} row per FaultCounters field.
+  static std::span<const obs::CounterRow<FaultCounters>> counter_table();
+  /// Sets every counter_table() row in `registry` from counters().
+  void publish_metrics(obs::MetricsRegistry& registry) const;
 
   /// The verdict for one message. `deliver == false` means the message is
   /// transmitted but never delivered; `duplicate_copy`, when present, is a
@@ -247,7 +242,6 @@ class FaultPlan {
   bool log_events_ = false;
   std::vector<FaultEvent> events_;
   FaultCounters counters_;
-  obs::Counter* obs_kind_[kNumFaultKinds] = {};
 };
 
 }  // namespace dtio::net

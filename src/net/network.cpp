@@ -22,15 +22,16 @@ Network::Network(sim::Scheduler& sched, int num_nodes, NetConfig config)
   }
 }
 
-void Network::set_observability(obs::Observability* obs) {
-  obs_ = obs;
-  if (obs == nullptr) {
-    obs_messages_ = nullptr;
-    obs_wire_bytes_ = nullptr;
-    return;
-  }
-  obs_messages_ = &obs->metrics.counter("net_messages_total");
-  obs_wire_bytes_ = &obs->metrics.counter("net_wire_bytes_total");
+std::span<const obs::CounterRow<Network>> Network::counter_table() {
+  static constexpr obs::CounterRow<Network> kRows[] = {
+      {"net_messages_total", "", &Network::total_messages_},
+      {"net_wire_bytes_total", "", &Network::total_wire_bytes_},
+  };
+  return kRows;
+}
+
+void Network::publish_metrics(obs::MetricsRegistry& registry) const {
+  obs::publish_counters(registry, counter_table(), *this);
 }
 
 // Non-coroutine entry point: boxes the message before the coroutine frame
@@ -65,13 +66,8 @@ sim::Task<void> Network::send_impl(int src, int dst, Box<sim::Message> boxed,
   ++total_messages_;
   total_wire_bytes_ += bytes;
   inflight_wire_bytes_ += bytes;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "send", src, dst, msg.tag, bytes, ""});
-  }
   std::uint64_t net_span = 0;
   if (obs_ != nullptr) {
-    obs_messages_->add(1);
-    obs_wire_bytes_->add(bytes);
     // One span per message, covering first-byte-out to delivery; parented
     // under whatever span the sender stamped on the message and typed with
     // whatever phase the sender stamped (request vs reply direction).
@@ -137,20 +133,16 @@ sim::Fire Network::receive_packet(int dst, SimTime rx_hold,
     inflight_wire_bytes_ -= msg.wire_bytes + config_.per_message_overhead_bytes;
     if (!deliver) {
       // Fault-injected loss: the bytes crossed the wire but the message
-      // never reaches the mailbox. Close the span here so traces show
-      // where the loss happened.
-      if (tracer_ != nullptr) {
-        tracer_->record({sched_->now(), "lost", dst, msg.src, msg.tag,
-                         msg.wire_bytes, ""});
+      // never reaches the mailbox. Close the span here and mark the loss
+      // with a "lost" instant under it, so traces show where it happened.
+      if (obs_ != nullptr) {
+        obs_->spans.end(net_span, sched_->now());
+        obs_->spans.instant("lost", dst, sched_->now(), net_span, msg.trace,
+                            static_cast<std::int64_t>(msg.wire_bytes));
       }
-      if (obs_ != nullptr) obs_->spans.end(net_span, sched_->now());
       co_return;
     }
     if (extra_delay > 0) co_await sched_->delay(extra_delay);
-    if (tracer_ != nullptr) {
-      tracer_->record({sched_->now(), "deliver", dst, msg.src, msg.tag,
-                       msg.wire_bytes, ""});
-    }
     if (obs_ != nullptr) obs_->spans.end(net_span, sched_->now());
     receiver.mailbox.deliver(std::move(msg));
   }

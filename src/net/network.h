@@ -9,18 +9,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/box.h"
 #include "net/cost_model.h"
+#include "obs/metrics.h"
 #include "sim/mailbox.h"
 #include "sim/resource.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
-#include "sim/tracer.h"
 
 namespace dtio::obs {
-class Counter;
 struct Observability;
 }  // namespace dtio::obs
 
@@ -41,18 +41,20 @@ class Network {
   /// Shared fabric stage, or nullptr when disabled (diagnostics).
   [[nodiscard]] sim::Resource* fabric() noexcept { return fabric_.get(); }
 
-  /// Attach an event tracer (nullptr detaches). Not owned.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Attach a fault-injection plan (nullptr detaches). Not owned. When
   /// detached — the default — the send path pays exactly one pointer test.
   void set_fault_plan(FaultPlan* plan) noexcept { fault_ = plan; }
   [[nodiscard]] FaultPlan* fault_plan() const noexcept { return fault_; }
 
   /// Attach the observability context (nullptr detaches). Not owned.
-  /// Resolves the message/byte counters once so the send path never pays a
-  /// registry lookup; when detached the cost is one pointer test.
-  void set_observability(obs::Observability* obs);
+  /// Records one net_send span per message; when detached the cost is one
+  /// pointer test.
+  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
+  /// The counters this network publishes (net_messages_total, ...), each
+  /// read from one of its totals below.
+  static std::span<const obs::CounterRow<Network>> counter_table();
+  /// Sets every counter_table() row in `registry`.
+  void publish_metrics(obs::MetricsRegistry& registry) const;
   [[nodiscard]] sim::Resource& tx_link(int node) { return endpoint(node).tx; }
   [[nodiscard]] sim::Resource& rx_link(int node) { return endpoint(node).rx; }
 
@@ -116,11 +118,8 @@ class Network {
   NetConfig config_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   std::unique_ptr<sim::Resource> fabric_;  ///< shared bisection stage (optional)
-  sim::Tracer* tracer_ = nullptr;
   FaultPlan* fault_ = nullptr;
   obs::Observability* obs_ = nullptr;
-  obs::Counter* obs_messages_ = nullptr;   ///< net_messages_total
-  obs::Counter* obs_wire_bytes_ = nullptr; ///< net_wire_bytes_total
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_wire_bytes_ = 0;
   std::uint64_t inflight_wire_bytes_ = 0;

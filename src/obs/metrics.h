@@ -2,7 +2,8 @@
 // keyed by {metric name, label set}. The registry owns every instrument
 // and hands out stable pointers, so instrumented code resolves a metric
 // once (a map lookup) and then updates it with plain arithmetic — cheap
-// enough to live on simulated hot paths.
+// enough to live on simulated hot paths. Counts the simulator keeps in
+// its own stats are published in bulk instead, from CounterRow tables.
 //
 // Histograms use log-linear buckets (one power of two split into
 // kSubBuckets linear sub-buckets), bounding the relative quantile error
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -23,6 +25,7 @@ class JsonWriter;
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
+  void set(std::uint64_t v) noexcept { value_ = v; }
   [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
  private:
@@ -121,5 +124,29 @@ class MetricsRegistry {
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
   std::map<Key, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// One row of an owner's counter table: the registry counter `name` is
+/// published from the stats field `member`. `labels` is "k=v,..." and may
+/// end in a bare key that takes the owner's index: "reason=depth,node"
+/// publishes as "reason=depth,node=3".
+template <class Stats>
+struct CounterRow {
+  const char* name;
+  const char* labels;
+  std::uint64_t Stats::*member;
+};
+
+/// Sets (not adds) every row's counter to its field in `stats`, so
+/// publishing twice is harmless. `index` < 0 publishes labels verbatim.
+template <class Stats>
+void publish_counters(MetricsRegistry& registry,
+                      std::span<const CounterRow<Stats>> rows,
+                      const Stats& stats, int index = -1) {
+  for (const CounterRow<Stats>& row : rows) {
+    std::string labels = row.labels;
+    if (index >= 0) labels.append("=").append(std::to_string(index));
+    registry.counter(row.name, labels).set(stats.*row.member);
+  }
+}
 
 }  // namespace dtio::obs

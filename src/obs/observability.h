@@ -2,13 +2,13 @@
 // the span/counter collector. Instrumented layers (client, server,
 // network, access methods, two-phase) hold a nullable pointer to one of
 // these; when it is null — the default — every instrumented site costs a
-// single pointer test, preserving the hot-path guarantee the Tracer
-// established.
+// single pointer test.
 //
 // Lifecycle: a bench or test constructs an Observability, attaches it via
-// Cluster::set_observability() BEFORE creating clients, runs, then exports
-// (chrome_trace.h for Perfetto, run_report.h for machine-readable bench
-// output, MetricsRegistry::to_json for raw metrics).
+// Cluster::set_observability() BEFORE creating clients, runs, calls
+// Cluster::publish_metrics(), then exports (chrome_trace.h for Perfetto,
+// run_report.h for machine-readable bench output, MetricsRegistry::to_json
+// for raw metrics).
 #pragma once
 
 #include <cstddef>

@@ -53,6 +53,15 @@ void SpanCollector::end(SpanId id, SimTime end) noexcept {
   spans_[id - 1].end = end;
 }
 
+SpanId SpanCollector::instant(std::string_view name, int node, SimTime at,
+                              SpanId parent, std::uint64_t trace,
+                              std::int64_t value) {
+  const SpanId id = begin(name, node, at, parent, trace);
+  end(id, at);
+  set_value(id, value);
+  return id;
+}
+
 void SpanCollector::set_value(SpanId id, std::int64_t value) noexcept {
   if (id == 0 || id > spans_.size()) return;
   spans_[id - 1].value = value;

@@ -88,6 +88,11 @@ class SpanCollector {
   /// Closes a span; id 0 and out-of-range ids are ignored.
   void end(SpanId id, SimTime end) noexcept;
 
+  /// Records a zero-length span at `at`: a point event (crash, shed,
+  /// breaker transition, ...) with `value` as its payload.
+  SpanId instant(std::string_view name, int node, SimTime at, SpanId parent,
+                 std::uint64_t trace, std::int64_t value);
+
   /// Attaches a numeric payload (bytes moved, regions walked, ...).
   void set_value(SpanId id, std::int64_t value) noexcept;
 

@@ -30,62 +30,60 @@ Client::Client(sim::Scheduler& sched, net::Network& network,
 
 void Client::set_observability(obs::Observability* obs) {
   obs_ = obs;
-  // Write-behind and data-loss metrics re-resolve lazily against the new
-  // context.
-  obs_wb_staged_ = nullptr;
-  obs_wb_coalesced_ = nullptr;
-  wb_batch_subops_ = nullptr;
-  obs_data_loss_ = nullptr;
+  const auto histogram = [&](const char* name, std::string labels) {
+    return obs == nullptr ? nullptr
+                          : &obs->metrics.histogram(name, std::move(labels));
+  };
   for (int i = 0; i < kNumOps; ++i) {
-    op_latency_[i] =
-        obs == nullptr
-            ? nullptr
-            : &obs->metrics.histogram(
-                  "client_op_latency_ns",
-                  obs::label("op", op_name(static_cast<OpKind>(i)), "node",
-                             node_));
+    op_latency_[i] = histogram(
+        "client_op_latency_ns",
+        obs::label("op", op_name(static_cast<OpKind>(i)), "node", node_));
   }
-  if (obs == nullptr) {
-    obs_retries_ = nullptr;
-    obs_timeouts_ = nullptr;
-    attempt_latency_ = nullptr;
-    retry_backoff_ = nullptr;
-    obs_hedges_issued_ = nullptr;
-    obs_hedges_won_ = nullptr;
-    obs_hedges_suppressed_ = nullptr;
-    obs_overloaded_ = nullptr;
-    obs_fast_fails_ = nullptr;
-    obs_read_failovers_ = nullptr;
-    obs_quorum_writes_ = nullptr;
-    return;
-  }
-  obs_hedges_issued_ = &obs->metrics.counter("client_hedges_issued_total",
-                                             obs::label("node", node_));
-  obs_hedges_won_ = &obs->metrics.counter("client_hedges_won_total",
-                                          obs::label("node", node_));
-  obs_hedges_suppressed_ = &obs->metrics.counter(
-      "client_hedges_suppressed_total", obs::label("node", node_));
-  if (effective_replication() > 1) {
-    obs_read_failovers_ = &obs->metrics.counter(
-        "client_read_failovers_total", obs::label("node", node_));
-    obs_quorum_writes_ = &obs->metrics.counter("client_quorum_writes_total",
-                                               obs::label("node", node_));
-  } else {
-    obs_read_failovers_ = nullptr;
-    obs_quorum_writes_ = nullptr;
-  }
-  obs_overloaded_ = &obs->metrics.counter("client_overloaded_total",
-                                          obs::label("node", node_));
-  obs_fast_fails_ = &obs->metrics.counter("client_breaker_fast_fails_total",
-                                          obs::label("node", node_));
-  obs_retries_ =
-      &obs->metrics.counter("client_retries_total", obs::label("node", node_));
-  obs_timeouts_ = &obs->metrics.counter("client_rpc_timeouts_total",
-                                        obs::label("node", node_));
-  attempt_latency_ = &obs->metrics.histogram("client_rpc_attempt_latency_ns",
-                                             obs::label("node", node_));
-  retry_backoff_ = &obs->metrics.histogram("client_retry_backoff_ns",
-                                           obs::label("node", node_));
+  attempt_latency_ =
+      histogram("client_rpc_attempt_latency_ns", obs::label("node", node_));
+  retry_backoff_ =
+      histogram("client_retry_backoff_ns", obs::label("node", node_));
+  wb_batch_subops_ =
+      histogram("client_wb_batch_subops", obs::label("node", node_));
+}
+
+std::span<const obs::CounterRow<Client>> Client::counter_table() {
+  using C = Client;
+  static constexpr obs::CounterRow<C> kRows[] = {
+      {"client_retries_total", "node", &C::rpc_retries_},
+      {"client_rpc_timeouts_total", "node", &C::rpc_timeouts_},
+      {"client_hedges_issued_total", "node", &C::hedges_issued_},
+      {"client_hedges_won_total", "node", &C::hedges_won_},
+      {"client_hedges_suppressed_total", "node", &C::hedges_suppressed_},
+      {"client_overloaded_total", "node", &C::overloads_seen_},
+      {"client_breaker_fast_fails_total", "node", &C::breaker_fast_fails_},
+      {"client_read_failovers_total", "node", &C::read_failovers_},
+      {"client_quorum_writes_total", "node", &C::quorum_writes_},
+      {"client_data_loss_total", "node", &C::data_loss_surfaced_},
+      {"client_wb_staged_bytes_total", "node", &C::wb_staged_bytes_},
+      {"client_wb_coalesced_ops_total", "node", &C::wb_coalesced_},
+      {"client_wb_flushes_total", "reason=watermark,node",
+       &C::wb_flushes_watermark_},
+      {"client_wb_flushes_total", "reason=read_overlap,node",
+       &C::wb_flushes_read_overlap_},
+      {"client_wb_flushes_total", "reason=lock,node", &C::wb_flushes_lock_},
+      {"client_wb_flushes_total", "reason=stat,node", &C::wb_flushes_stat_},
+      {"client_wb_flushes_total", "reason=flush,node", &C::wb_flushes_flush_},
+      {"client_wb_flushes_total", "reason=explicit,node",
+       &C::wb_flushes_explicit_},
+  };
+  return kRows;
+}
+
+void Client::publish_metrics(obs::MetricsRegistry& registry) const {
+  obs::publish_counters(registry, counter_table(), *this, node_);
+}
+
+void Client::instant(std::string_view name, const RpcSlot& slot) {
+  if (obs_ == nullptr) return;
+  const obs::SpanId parent = slot.parent_span();
+  obs_->spans.instant(name, node_, sched_->now(), parent,
+                      parent != 0 ? slot.request.trace_id : 0, slot.server);
 }
 
 Client::OpTrace Client::begin_op(OpKind op) {
@@ -171,7 +169,7 @@ sim::Task<Status> Client::lock(std::uint64_t handle) {
   // Lock boundary: staged writes must be durable before lock-protected
   // readers can be granted the file.
   if (write_behind_enabled() && wb_total_bytes_ > 0) {
-    const Status flushed = co_await wb_flush_all("lock");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_lock_);
     if (!flushed.is_ok()) co_return flushed;
   }
   co_return co_await lock_op(OpKind::kMetaLock, handle, -1,
@@ -181,7 +179,7 @@ sim::Task<Status> Client::lock(std::uint64_t handle) {
 sim::Task<Status> Client::unlock(std::uint64_t handle) {
   // Data written under the lock lands before the lock is released.
   if (write_behind_enabled() && wb_total_bytes_ > 0) {
-    const Status flushed = co_await wb_flush_all("lock");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_lock_);
     if (!flushed.is_ok()) co_return flushed;
   }
   co_return co_await lock_op(OpKind::kMetaUnlock, handle, -1,
@@ -192,7 +190,7 @@ sim::Task<Status> Client::lock_range(std::uint64_t handle, std::int64_t offset,
                                      std::int64_t length) {
   if (config_->lock_stripe_bytes <= 0) co_return co_await lock(handle);
   if (write_behind_enabled() && wb_total_bytes_ > 0) {
-    const Status flushed = co_await wb_flush_all("lock");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_lock_);
     if (!flushed.is_ok()) co_return flushed;
   }
   // Ascending stripe order on every client = no acquisition cycles.
@@ -210,7 +208,7 @@ sim::Task<Status> Client::unlock_range(std::uint64_t handle,
                                        std::int64_t length) {
   if (config_->lock_stripe_bytes <= 0) co_return co_await unlock(handle);
   if (write_behind_enabled() && wb_total_bytes_ > 0) {
-    const Status flushed = co_await wb_flush_all("lock");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_lock_);
     if (!flushed.is_ok()) co_return flushed;
   }
   const meta::StripeSpan span =
@@ -228,7 +226,7 @@ sim::Task<MetaResult> Client::meta_op(OpKind op, Box<std::string> path,
       wb_total_bytes_ > 0) {
     // Settle staged data before namespace mutation; a flush after the
     // remove would resurrect per-server bstream bytes for a dead name.
-    const Status flushed = co_await wb_flush_all("flush");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_flush_);
     if (!flushed.is_ok()) {
       MetaResult failed;
       failed.status = flushed;
@@ -355,17 +353,14 @@ void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged) {
   ++l.samples;
 }
 
-bool Client::breaker_try_pass(Lane& l, int server) {
+bool Client::breaker_try_pass(Lane& l, const RpcSlot& slot) {
   if (config_->client.breaker_failures <= 0) return true;
   if (l.breaker == Lane::Breaker::kOpen) {
     if (sched_->now() < l.open_until) return false;
     // Cool-down elapsed: admit probes one at a time until one resolves.
     l.breaker = Lane::Breaker::kHalfOpen;
     l.probe_in_flight = false;
-    if (tracer_ != nullptr) {
-      tracer_->record({sched_->now(), "breaker_half_open", node_, server, 0,
-                       0, ""});
-    }
+    instant("breaker_half_open", slot);
   }
   if (l.breaker == Lane::Breaker::kHalfOpen) {
     if (l.probe_in_flight) return false;
@@ -374,18 +369,16 @@ bool Client::breaker_try_pass(Lane& l, int server) {
   return true;
 }
 
-void Client::breaker_on_success(Lane& l, int server) {
+void Client::breaker_on_success(Lane& l, const RpcSlot& slot) {
   l.consecutive_failures = 0;
   if (config_->client.breaker_failures <= 0) return;
   if (l.breaker == Lane::Breaker::kClosed) return;
   l.breaker = Lane::Breaker::kClosed;
   l.probe_in_flight = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "breaker_close", node_, server, 0, 0, ""});
-  }
+  instant("breaker_close", slot);
 }
 
-void Client::breaker_on_failure(Lane& l, int server) {
+void Client::breaker_on_failure(Lane& l, const RpcSlot& slot) {
   ++l.consecutive_failures;
   const int threshold = config_->client.breaker_failures;
   if (threshold <= 0) return;
@@ -397,10 +390,7 @@ void Client::breaker_on_failure(Lane& l, int server) {
   l.breaker = Lane::Breaker::kOpen;
   l.open_until = sched_->now() + config_->client.breaker_open_duration;
   l.probe_in_flight = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "breaker_open", node_, server, 0,
-                     static_cast<std::uint64_t>(l.consecutive_failures), ""});
-  }
+  instant("breaker_open", slot);
 }
 
 // ---- RPC reliability core ---------------------------------------------------
@@ -450,15 +440,13 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   // Circuit breaker: when this server's lane is open, fail fast with
   // kUnavailable instead of burning a timeout — the caller's error path
   // runs in microseconds rather than rpc_timeout.
-  if (!breaker_try_pass(ln, slot->server)) {
+  if (!breaker_try_pass(ln, *slot)) {
     ++breaker_fast_fails_;
-    if (obs_fast_fails_ != nullptr) obs_fast_fails_->add(1);
     slot->status = unavailable("circuit breaker open for server " +
                                std::to_string(slot->server));
     co_return;
   }
-  const obs::SpanId rpc_parent =
-      slot->rpc_span != 0 ? slot->rpc_span : slot->request.parent_span;
+  const obs::SpanId rpc_parent = slot->parent_span();
   // AIMD flow control: acquire one window slot on this server's lane for
   // the whole RPC (all attempts); LaneReleaser's destructor releases it on
   // every exit path.
@@ -492,10 +480,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       }
       ++rpc_retries_;
       ++stats_.requests_sent;
-      if (obs_retries_ != nullptr) {
-        obs_retries_->add(1);
-        retry_backoff_->record(backoff);
-      }
+      if (obs_ != nullptr) retry_backoff_->record(backoff);
       DTIO_DEBUG("cli" << node_ << " rpc retry " << attempt << "/"
                        << max_attempts << " to srv" << slot->server);
       obs::SpanId backoff_span = 0;
@@ -564,11 +549,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // the one place extra load cannot help. Suppress it and give the
         // primary reply the full deadline instead.
         ++hedges_suppressed_;
-        if (obs_hedges_suppressed_ != nullptr) obs_hedges_suppressed_->add(1);
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "hedge_suppressed", node_,
-                           slot->server, tag, 0, op_name(slot->request.op)});
-        }
+        instant("hedge_suppressed", *slot);
         maybe = co_await mailbox.recv(slot->server, tag, deadline);
       } else if (!maybe.has_value()) {
         Request hedge = slot->request;
@@ -578,11 +559,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         hedge_sent = true;
         ++hedges_issued_;
         ++stats_.requests_sent;
-        if (obs_hedges_issued_ != nullptr) obs_hedges_issued_->add(1);
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "hedge", node_, slot->server,
-                           hedge_tag, 0, op_name(slot->request.op)});
-        }
+        instant("hedge", *slot);
         sim::Message out2(node_, kTagRequest, slot->wire_bytes,
                           std::move(hedge));
         out2.trace = slot->request.trace_id;
@@ -599,21 +576,17 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       ++rpc_timeouts_;
       health_note(ln, 0, /*failed=*/true);
       note_window_decrease(ln);
-      breaker_on_failure(ln, slot->server);
+      breaker_on_failure(ln, *slot);
       last = timed_out_error("rpc to server " + std::to_string(slot->server) +
                              " timed out (attempt " + std::to_string(attempt) +
                              ")");
       if (obs_ != nullptr) {
-        obs_timeouts_->add(1);
         attempt_latency_->record(sched_->now() - attempt_start);
         obs_->spans.end(attempt_span, sched_->now());
       }
       continue;
     }
-    if (hedge_won) {
-      ++hedges_won_;
-      if (obs_hedges_won_ != nullptr) obs_hedges_won_->add(1);
-    }
+    if (hedge_won) ++hedges_won_;
     Reply reply = maybe->take<Reply>();
     if (obs_ != nullptr) {
       attempt_latency_->record(sched_->now() - attempt_start);
@@ -625,7 +598,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     // probe_in_flight stuck set (every later RPC fails fast forever), and
     // an error reply would leave a stale near-threshold
     // consecutive_failures count on a responsive server.
-    breaker_on_success(ln, slot->server);
+    breaker_on_success(ln, *slot);
     // Read-data integrity: corrupted reply payloads must not reach the
     // caller's buffer; treat like a lost reply and retry.
     if (reply.has_payload_crc && reply.data &&
@@ -652,7 +625,6 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // the next backoff. Sheds are deliberate, cheap, and prove the
         // server alive — they do not count toward the breaker.
         ++overloads_seen_;
-        if (obs_overloaded_ != nullptr) obs_overloaded_->add(1);
         // One reply, one decrease: a shed batch halves the AIMD window
         // once, regardless of how many sub-ops it carried.
         health_note(ln, 0, /*failed=*/true);
@@ -683,7 +655,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
             loss_repeats = 1;
           }
           if (loss_repeats >= cc.data_loss_fast_fail) {
-            note_data_loss_surfaced(slot->server);
+            note_data_loss_surfaced(*slot);
             slot->status = last;
             slot->reply = std::move(reply);
             co_return;
@@ -713,7 +685,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   } else {
     if (last.code() == StatusCode::kDataLoss && data_read) {
       // Same terminal outcome as the fast-fail path, reached the slow way.
-      note_data_loss_surfaced(slot->server);
+      note_data_loss_surfaced(*slot);
     }
     slot->status = last;
   }
@@ -771,13 +743,7 @@ sim::Task<void> Client::rpc_attempts_failover(RpcSlot* slot) {
       if (k > 0 || round > 0) ++stats_.requests_sent;
       if (k > 0) {
         ++read_failovers_;
-        if (obs_read_failovers_ != nullptr) obs_read_failovers_->add(1);
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "read_failover", node_,
-                           slot->server, 0,
-                           static_cast<std::uint64_t>(primary),
-                           op_name(base.op)});
-        }
+        instant("read_failover", *slot);
       }
       co_await rpc_attempts(slot);
       if (slot->status.is_ok()) co_return;
@@ -821,7 +787,6 @@ std::shared_ptr<Client::QuorumGroup> Client::quorum_spawn(
     group->slots.push_back(std::move(slot));
   }
   ++quorum_writes_;
-  if (obs_quorum_writes_ != nullptr) obs_quorum_writes_->add(1);
   for (auto& slot : group->slots) {
     sched_->start(quorum_fire(group, slot.get()));
   }
@@ -878,7 +843,7 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
   // The logical size must include staged-but-unflushed bytes; the servers
   // can only report what they have.
   if (write_behind_enabled() && wb_total_bytes_ > 0) {
-    const Status flushed = co_await wb_flush_all("stat");
+    const Status flushed = co_await wb_flush_all(&Client::wb_flushes_stat_);
     if (!flushed.is_ok()) {
       MetaResult failed;
       failed.status = flushed;
@@ -1149,8 +1114,8 @@ sim::Task<Status> Client::run_requests(
       const ServerAccess& acc = access[static_cast<std::size_t>(s)];
       if (acc.total_bytes == 0) continue;
       if (!wb_read_overlaps(s, prototype.handle, acc.pieces)) continue;
-      const Status flushed = co_await wb_flush_server(s, "read_overlap",
-                                                      /*charge_prep=*/true);
+      const Status flushed = co_await wb_flush_server(
+          s, &Client::wb_flushes_read_overlap_, /*charge_prep=*/true);
       if (!flushed.is_ok()) co_return flushed;
     }
   }
@@ -1180,7 +1145,6 @@ sim::Task<Status> Client::run_requests(
   // The op completes immediately after the client-side prep charge; network
   // and server costs are paid later, by flushes, in kBatchWrite envelopes.
   if (is_write && write_behind_enabled()) {
-    wb_resolve_obs();
     for (int s = 0; s < config_->num_servers; ++s) {
       const ServerAccess& acc = access[static_cast<std::size_t>(s)];
       if (acc.total_bytes == 0) continue;
@@ -1194,7 +1158,7 @@ sim::Task<Status> Client::run_requests(
       stats_.accessed_bytes += static_cast<std::uint64_t>(acc.total_bytes);
     }
     ++wb_staged_ops_;
-    if (obs_wb_staged_ != nullptr) obs_wb_staged_->add(total_bytes);
+    wb_staged_bytes_ += static_cast<std::uint64_t>(total_bytes);
 
     // High watermark: any server whose staging buffer crossed the limit
     // flushes now, inline, so a hot server cannot grow its buffer without
@@ -1207,7 +1171,8 @@ sim::Task<Status> Client::run_requests(
         continue;
       }
       const Status flushed =
-          co_await wb_flush_server(s, "watermark", /*charge_prep=*/true);
+          co_await wb_flush_server(s, &Client::wb_flushes_watermark_,
+                                   /*charge_prep=*/true);
       if (!flushed.is_ok() && staged.is_ok()) staged = flushed;
     }
     finish_op(prototype.op, op_trace);
@@ -1344,7 +1309,7 @@ sim::Task<Status> Client::run_requests(
 // each coalesced write exactly once even when the envelope is retried.
 
 sim::Task<Status> Client::flush_write_behind() {
-  co_return co_await wb_flush_all("explicit");
+  co_return co_await wb_flush_all(&Client::wb_flushes_explicit_);
 }
 
 void Client::wb_stage_run(int server, std::uint64_t handle, Region phys,
@@ -1404,9 +1369,6 @@ void Client::wb_stage_run(int server, std::uint64_t handle, Region phys,
   buf.runs.emplace(std::make_pair(handle, new_lo), std::move(merged));
 
   wb_coalesced_ += absorbed_ops;
-  if (obs_wb_coalesced_ != nullptr && absorbed_ops > 0) {
-    obs_wb_coalesced_->add(static_cast<std::int64_t>(absorbed_ops));
-  }
 }
 
 bool Client::wb_read_overlaps(int server, std::uint64_t handle,
@@ -1431,7 +1393,7 @@ bool Client::wb_read_overlaps(int server, std::uint64_t handle,
   return false;
 }
 
-sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
+sim::Task<Status> Client::wb_flush_server(int server, FlushReason reason,
                                           bool charge_prep) {
   if (static_cast<std::size_t>(server) >= wb_.size()) co_return Status::ok();
   WbServerBuf& buf = wb_[static_cast<std::size_t>(server)];
@@ -1445,8 +1407,10 @@ sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
   buf.bytes = 0;
   wb_total_bytes_ -= flush_bytes;
 
-  ++wb_flushes_;
-  wb_note_flush(reason, runs.size());
+  ++(this->*reason);
+  if (obs_ != nullptr) {
+    wb_batch_subops_->record(static_cast<std::int64_t>(runs.size()));
+  }
 
   // The flush is its own root trace: staged writes already closed their op
   // spans, so deferred network/server time is attributed to client_flush.
@@ -1531,13 +1495,13 @@ sim::Task<Status> Client::wb_flush_server(int server, const char* reason,
   co_return slot.status;
 }
 
-sim::Fire Client::wb_flush_fire(int server, const char* reason, Status* out,
+sim::Fire Client::wb_flush_fire(int server, FlushReason reason, Status* out,
                                 sim::WaitGroup* wg) {
   *out = co_await wb_flush_server(server, reason, /*charge_prep=*/false);
   wg->done();
 }
 
-sim::Task<Status> Client::wb_flush_all(const char* reason) {
+sim::Task<Status> Client::wb_flush_all(FlushReason reason) {
   if (wb_.empty() || wb_total_bytes_ <= 0) co_return Status::ok();
 
   // Staggered server order, like run_requests, so concurrent clients do not
@@ -1598,40 +1562,9 @@ void Client::wb_strip_acked(RpcSlot* slot, const Reply& reply) {
                      rest_bytes;
 }
 
-void Client::wb_resolve_obs() {
-  if (obs_ == nullptr || wb_batch_subops_ != nullptr) return;
-  // Resolved lazily, on first staged write, so runs with write-behind off
-  // register no wb_* metrics and their exports stay byte-identical.
-  obs_wb_staged_ = &obs_->metrics.counter("client_wb_staged_bytes_total",
-                                          obs::label("node", node_));
-  obs_wb_coalesced_ = &obs_->metrics.counter("client_wb_coalesced_ops_total",
-                                             obs::label("node", node_));
-  wb_batch_subops_ = &obs_->metrics.histogram("client_wb_batch_subops",
-                                              obs::label("node", node_));
-}
-
-void Client::note_data_loss_surfaced(int server) {
+void Client::note_data_loss_surfaced(const RpcSlot& slot) {
   ++data_loss_surfaced_;
-  if (obs_ != nullptr) {
-    if (obs_data_loss_ == nullptr) {
-      obs_data_loss_ = &obs_->metrics.counter("client_data_loss_total",
-                                              obs::label("node", node_));
-    }
-    obs_data_loss_->add(1);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "data_loss", node_, server, 0, 0, ""});
-  }
-}
-
-void Client::wb_note_flush(const char* reason, std::size_t sub_ops) {
-  if (obs_ == nullptr) return;
-  obs_->metrics
-      .counter("client_wb_flushes_total",
-               obs::label("reason", reason, "node", node_))
-      .add(1);
-  wb_resolve_obs();
-  wb_batch_subops_->record(static_cast<std::int64_t>(sub_ops));
+  instant("data_loss", slot);
 }
 
 }  // namespace dtio::pfs

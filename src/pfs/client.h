@@ -19,7 +19,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,7 +38,6 @@
 #include "pfs/protocol.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
-#include "sim/tracer.h"
 #include "sim/waitgroup.h"
 
 namespace dtio::pfs {
@@ -63,10 +64,9 @@ class Client {
   void set_transfer_data(bool transfer) noexcept { transfer_data_ = transfer; }
   [[nodiscard]] bool transfer_data() const noexcept { return transfer_data_; }
 
-  /// Reliability-layer counters (also exported as client_retries_total /
-  /// client_rpc_timeouts_total when observability is attached). Both stay
-  /// zero in a fault-free run; timeouts also stay zero with
-  /// rpc_timeout == 0 (no deadline).
+  /// Reliability-layer counters (published as client_retries_total /
+  /// client_rpc_timeouts_total). Both stay zero in a fault-free run;
+  /// timeouts also stay zero with rpc_timeout == 0 (no deadline).
   [[nodiscard]] std::uint64_t rpc_retries() const noexcept {
     return rpc_retries_;
   }
@@ -144,9 +144,12 @@ class Client {
   /// call — deferred write errors surface here.
   sim::Task<Status> flush_write_behind();
 
-  /// Write-behind counters, for tests and benches.
+  /// Write-behind counters, for tests and benches. Flushes are counted
+  /// per reason (client_wb_flushes_total{reason}); this is their sum.
   [[nodiscard]] std::uint64_t wb_flushes() const noexcept {
-    return wb_flushes_;
+    return wb_flushes_watermark_ + wb_flushes_read_overlap_ +
+           wb_flushes_lock_ + wb_flushes_stat_ + wb_flushes_flush_ +
+           wb_flushes_explicit_;
   }
   [[nodiscard]] std::uint64_t wb_batches() const noexcept {
     return wb_batches_;
@@ -156,6 +159,9 @@ class Client {
   }
   [[nodiscard]] std::uint64_t wb_staged_ops() const noexcept {
     return wb_staged_ops_;
+  }
+  [[nodiscard]] std::uint64_t wb_staged_bytes() const noexcept {
+    return wb_staged_bytes_;
   }
 
   /// Snapshot of one per-server lane's health, for tests and benches.
@@ -169,17 +175,19 @@ class Client {
   };
   [[nodiscard]] LaneHealth lane_health(int server) const;
 
-  /// Attach the event tracer (nullptr detaches): breaker transitions and
-  /// hedge issues become trace events. Not owned.
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
-
   /// Attach the observability context (nullptr detaches). Not owned.
-  /// Per-op latency histograms are resolved here, once, so the op path
-  /// pays no registry lookups; when detached, one pointer test.
+  /// Latency histograms are resolved here, once, so the op path pays no
+  /// registry lookups; when detached, one pointer test.
   void set_observability(obs::Observability* obs);
   [[nodiscard]] obs::Observability* observability() const noexcept {
     return obs_;
   }
+
+  /// The counters every client publishes (client_retries_total, ...),
+  /// each read from one of its counter members and labelled with its node.
+  static std::span<const obs::CounterRow<Client>> counter_table();
+  /// Sets every counter_table() row in `registry`.
+  void publish_metrics(obs::MetricsRegistry& registry) const;
 
   // ---- Metadata ------------------------------------------------------------
   /// Create a file. `size_hint` (bytes; 0 = unknown) is the expected file
@@ -296,6 +304,10 @@ class Client {
     std::uint64_t wire_bytes = 0;
     obs::SpanId rpc_span = 0;
     int attempts = 0;
+    /// The span this RPC's attempts and instants hang under.
+    [[nodiscard]] obs::SpanId parent_span() const noexcept {
+      return rpc_span != 0 ? rpc_span : request.parent_span;
+    }
     /// When > 0, caps rpc_attempts' retry loop below rpc_max_attempts —
     /// read failover retries at the replica-ring level instead.
     int max_attempts_override = 0;
@@ -420,9 +432,10 @@ class Client {
   /// the healthy baseline only.
   void health_note(Lane& l, SimTime latency, bool failed, bool hedged = false);
   /// Circuit breaker: false = fail fast (open, or half-open probe taken).
-  [[nodiscard]] bool breaker_try_pass(Lane& l, int server);
-  void breaker_on_success(Lane& l, int server);
-  void breaker_on_failure(Lane& l, int server);
+  /// Transitions are marked with breaker_* instants under `slot`'s RPC.
+  [[nodiscard]] bool breaker_try_pass(Lane& l, const RpcSlot& slot);
+  void breaker_on_success(Lane& l, const RpcSlot& slot);
+  void breaker_on_failure(Lane& l, const RpcSlot& slot);
 
   // ---- Write-behind internals ------------------------------------------------
 
@@ -450,27 +463,29 @@ class Client {
   [[nodiscard]] bool wb_read_overlaps(
       int server, std::uint64_t handle,
       const std::vector<Region>& pieces) const;
+  /// Why a flush happened, named by the per-reason counter it bumps (one
+  /// of the wb_flushes_* members).
+  using FlushReason = std::uint64_t Client::*;
   /// Flush one server's buffer as a kBatchWrite envelope. `charge_prep`
   /// pays issue overhead + staged-bytes memcpy inline (flush_all charges
   /// one combined prep for its whole fan-out instead).
-  sim::Task<Status> wb_flush_server(int server, const char* reason,
+  sim::Task<Status> wb_flush_server(int server, FlushReason reason,
                                     bool charge_prep);
-  sim::Fire wb_flush_fire(int server, const char* reason, Status* out,
+  sim::Fire wb_flush_fire(int server, FlushReason reason, Status* out,
                           sim::WaitGroup* wg);
-  sim::Task<Status> wb_flush_all(const char* reason);
+  sim::Task<Status> wb_flush_all(FlushReason reason);
   /// Strip sub-ops the reply already acknowledged from a batch slot so a
   /// retry resends only the unacked remainder.
   void wb_strip_acked(RpcSlot* slot, const Reply& reply);
-  /// Lazy metric resolution: write-behind counters only enter the registry
-  /// once staging actually happens, keeping default-config exports
-  /// untouched.
-  void wb_resolve_obs();
-  void wb_note_flush(const char* reason, std::size_t sub_ops);
+  /// Count a read surfaced as kDataLoss by the fast-fail path and mark it
+  /// with a "data_loss" instant under the slot's RPC.
+  void note_data_loss_surfaced(const RpcSlot& slot);
 
-  /// Count a read surfaced as kDataLoss by the fast-fail path; resolves
-  /// client_data_loss_total lazily (clean runs register nothing) and emits
-  /// a "data_loss" trace event.
-  void note_data_loss_surfaced(int server);
+  /// Records a zero-length instant span ("hedge", "breaker_open", ...) at
+  /// now() on this node, with the target server as its payload, under
+  /// `slot`'s RPC span (a node-level root on trace 0 when it has none).
+  /// No-op when observability is detached.
+  void instant(std::string_view name, const RpcSlot& slot);
 
   /// One client operation's trace context. begin_op is a no-op returning
   /// zeroes when observability is detached; finish_op closes the root span
@@ -527,15 +542,21 @@ class Client {
   std::uint64_t quorum_writes_ = 0;
   std::uint64_t data_loss_surfaced_ = 0;
   std::vector<Lane> lanes_;  ///< one per server
-  sim::Tracer* tracer_ = nullptr;
 
   // Write-behind state (all dormant while write_behind_bytes == 0).
   std::vector<WbServerBuf> wb_;  ///< sized lazily to num_servers
   std::int64_t wb_total_bytes_ = 0;
-  std::uint64_t wb_flushes_ = 0;     ///< flush events (any reason)
   std::uint64_t wb_batches_ = 0;     ///< kBatchWrite envelopes completed
   std::uint64_t wb_coalesced_ = 0;   ///< staged runs merged away
   std::uint64_t wb_staged_ops_ = 0;  ///< write ops absorbed without an RPC
+  std::uint64_t wb_staged_bytes_ = 0;  ///< bytes those ops staged
+  // Flush events, one counter per FlushReason.
+  std::uint64_t wb_flushes_watermark_ = 0;     ///< a buffer crossed the limit
+  std::uint64_t wb_flushes_read_overlap_ = 0;  ///< a read hit staged data
+  std::uint64_t wb_flushes_lock_ = 0;          ///< before a lock/unlock
+  std::uint64_t wb_flushes_stat_ = 0;          ///< before a stat
+  std::uint64_t wb_flushes_flush_ = 0;         ///< File flush/close
+  std::uint64_t wb_flushes_explicit_ = 0;      ///< flush_write_behind()
 
   /// Client-facing ops with latency histograms (kBatchWrite is internal:
   /// flush latency is tracked by the client_flush span and wb counters).
@@ -543,26 +564,8 @@ class Client {
   obs::Observability* obs_ = nullptr;
   /// client_op_latency_ns{op=...,node=...}, resolved in set_observability.
   obs::Histogram* op_latency_[kNumOps] = {};
-  obs::Counter* obs_retries_ = nullptr;        ///< client_retries_total
-  obs::Counter* obs_timeouts_ = nullptr;       ///< client_rpc_timeouts_total
   obs::Histogram* attempt_latency_ = nullptr;  ///< client_rpc_attempt_latency_ns
   obs::Histogram* retry_backoff_ = nullptr;    ///< client_retry_backoff_ns
-  obs::Counter* obs_hedges_issued_ = nullptr;  ///< client_hedges_issued_total
-  obs::Counter* obs_hedges_won_ = nullptr;     ///< client_hedges_won_total
-  obs::Counter* obs_overloaded_ = nullptr;     ///< client_overloaded_total
-  obs::Counter* obs_fast_fails_ = nullptr;     ///< client_breaker_fast_fails_total
-  obs::Counter* obs_hedges_suppressed_ = nullptr;  ///< client_hedges_suppressed_total
-  // Replication metrics, registered only at effective_replication() > 1 so
-  // unreplicated runs keep their metric exports untouched.
-  obs::Counter* obs_read_failovers_ = nullptr;  ///< client_read_failovers_total
-  obs::Counter* obs_quorum_writes_ = nullptr;   ///< client_quorum_writes_total
-  // Resolved lazily on the first surfaced loss (like the wb_* counters):
-  // clean runs register no data-loss metric and their exports stay
-  // byte-identical.
-  obs::Counter* obs_data_loss_ = nullptr;  ///< client_data_loss_total
-  // Write-behind metrics, resolved lazily on first staging (wb_resolve_obs).
-  obs::Counter* obs_wb_staged_ = nullptr;      ///< client_wb_staged_bytes_total
-  obs::Counter* obs_wb_coalesced_ = nullptr;   ///< client_wb_coalesced_ops_total
   obs::Histogram* wb_batch_subops_ = nullptr;  ///< client_wb_batch_subops
 };
 

@@ -60,25 +60,29 @@ ServerStats Cluster::cache_stats_total() const {
   return total;
 }
 
-void Cluster::record_utilization_gauges() {
+void Cluster::publish_metrics() {
   if (obs_ == nullptr) return;
+  obs::MetricsRegistry& metrics = obs_->metrics;
+  network_.publish_metrics(metrics);
+  if (network_.fault_plan() != nullptr) {
+    network_.fault_plan()->publish_metrics(metrics);
+  }
+  for (const auto& server : servers_) server->publish_metrics(metrics);
+  for (const Client* client : clients_) client->publish_metrics(metrics);
+
   const SimTime elapsed = scheduler_.now();
   for (int s = 0; s < config_.num_servers; ++s) {
-    obs_->metrics
-        .gauge("server_disk_utilization", obs::label("node", s))
+    metrics.gauge("server_disk_utilization", obs::label("node", s))
         .set(fraction(server(s).disk().busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_cpu_utilization", obs::label("node", s))
+    metrics.gauge("server_cpu_utilization", obs::label("node", s))
         .set(fraction(server(s).cpu().busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_tx_utilization", obs::label("node", s))
+    metrics.gauge("server_tx_utilization", obs::label("node", s))
         .set(fraction(network_.tx_link(s).busy_integral(), elapsed));
-    obs_->metrics
-        .gauge("server_rx_utilization", obs::label("node", s))
+    metrics.gauge("server_rx_utilization", obs::label("node", s))
         .set(fraction(network_.rx_link(s).busy_integral(), elapsed));
   }
   if (network_.fabric() != nullptr) {
-    obs_->metrics.gauge("fabric_utilization")
+    metrics.gauge("fabric_utilization")
         .set(fraction(network_.fabric()->busy_integral(), elapsed));
   }
 }

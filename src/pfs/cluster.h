@@ -18,7 +18,6 @@
 #include "pfs/client.h"
 #include "pfs/server.h"
 #include "sim/scheduler.h"
-#include "sim/tracer.h"
 
 namespace dtio::pfs {
 
@@ -59,14 +58,13 @@ class Cluster {
 
   /// A client for application rank `rank` (node num_servers + rank).
   /// Inherits the cluster's observability context, if attached. The
-  /// cluster keeps a non-owning pointer for the timeline sampler, so
-  /// clients must outlive the run (they already must: they own the
-  /// running coroutines).
+  /// cluster keeps a non-owning pointer for the timeline sampler and
+  /// publish_metrics(), so clients must outlive the run (they already
+  /// must: they own the running coroutines).
   [[nodiscard]] std::unique_ptr<Client> make_client(int rank) {
     auto client = std::make_unique<Client>(scheduler_, network_, config_,
                                            rank);
     if (obs_ != nullptr) client->set_observability(obs_);
-    if (tracer_ != nullptr) client->set_tracer(tracer_);
     clients_.push_back(client.get());
     return client;
   }
@@ -74,16 +72,6 @@ class Cluster {
   /// Run the simulation to completion (servers stay parked on their
   /// mailboxes; the event queue drains when all clients finish).
   void run() { scheduler_.run(); }
-
-  /// Attach an event tracer to the network, every server, and every client
-  /// created afterwards (nullptr detaches). Call before make_client for
-  /// client-side events (breaker transitions, hedges). The tracer must
-  /// outlive the traced activity.
-  void set_tracer(sim::Tracer* tracer) {
-    tracer_ = tracer;
-    network_.set_tracer(tracer);
-    for (auto& server : servers_) server->set_tracer(tracer);
-  }
 
   /// Attach the observability context (metrics + spans) to the network,
   /// every server, and every client created afterwards. Call before
@@ -95,23 +83,18 @@ class Cluster {
     obs_ = obs;
     network_.set_observability(obs);
     for (auto& server : servers_) server->set_observability(obs);
-    if (network_.fault_plan() != nullptr) {
-      network_.fault_plan()->set_observability(obs);
-    }
     if (obs != nullptr && obs->config.sample_period > 0) arm_sampler();
   }
   [[nodiscard]] obs::Observability* observability() noexcept { return obs_; }
 
   /// Attach a fault plan to the interconnect (nullptr detaches; not
   /// owned). Installs the protocol-aware corruptor so kCorrupt faults flip
-  /// bits in actual request/reply payloads, and forwards the attached
-  /// observability context. Detached — the default — the send path pays
-  /// one pointer test.
+  /// bits in actual request/reply payloads. Detached — the default — the
+  /// send path pays one pointer test.
   void set_fault_plan(net::FaultPlan* plan) {
     network_.set_fault_plan(plan);
     if (plan != nullptr) {
       plan->set_corruptor(&corrupt_message_payload);
-      if (obs_ != nullptr) plan->set_observability(obs_);
       // Storage-media faults are per-server state, not wire state: install
       // each server's DiskFaultSpec into its media context.
       if (plan->has_disk_specs()) {
@@ -143,9 +126,13 @@ class Cluster {
   /// "cli<k>" for client nodes.
   [[nodiscard]] std::vector<std::string> node_names() const;
 
-  /// Final utilization gauges (disk/cpu/link busy fractions over [0, now])
-  /// into the attached metrics registry; no-op when detached.
-  void record_utilization_gauges();
+  /// Writes the run's counters and final utilization gauges into the
+  /// attached metrics registry; no-op when detached. Every counter is set
+  /// (not added) from its owner's counter table — the network, the fault
+  /// plan, every server and every client made by make_client, which must
+  /// still be alive — and the gauges are disk/cpu/link busy fractions over
+  /// [0, now]. Call after the run, before reading or exporting metrics.
+  void publish_metrics();
 
   /// Export the attached observability context as a Chrome trace-event
   /// file (Perfetto-loadable). False when detached or the file won't open.
@@ -170,7 +157,6 @@ class Cluster {
   std::vector<std::unique_ptr<IOServer>> servers_;
   std::vector<Client*> clients_;  ///< registered by make_client; not owned
   obs::Observability* obs_ = nullptr;
-  sim::Tracer* tracer_ = nullptr;
   /// Utilization is sampled as busy_integral deltas over the last window.
   struct ResourceWindow {
     double disk = 0;

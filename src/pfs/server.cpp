@@ -134,110 +134,60 @@ IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
 
 void IOServer::start() { sched_->spawn(run()); }
 
-void IOServer::set_observability(obs::Observability* obs) {
-  obs_ = obs;
-  if (obs == nullptr) {
-    obs_requests_ = nullptr;
-    obs_disk_bytes_ = nullptr;
-    obs_subtrees_skipped_ = nullptr;
-    obs_pieces_pruned_ = nullptr;
-    obs_replays_ = nullptr;
-    obs_crashes_ = nullptr;
-    obs_crc_rejects_ = nullptr;
-    obs_shed_depth_ = nullptr;
-    obs_shed_bytes_ = nullptr;
-    obs_cache_hits_ = nullptr;
-    obs_cache_misses_ = nullptr;
-    obs_cache_readahead_ = nullptr;
-    obs_cache_evictions_ = nullptr;
-    obs_cache_flushed_ = nullptr;
-    obs_dl_cache_hits_ = nullptr;
-    obs_dl_cache_misses_ = nullptr;
-    obs_crash_discarded_ = nullptr;
-    obs_resync_strips_ = nullptr;
-    obs_resync_bytes_ = nullptr;
-    obs_media_sector_ = nullptr;
-    obs_media_rot_ = nullptr;
-    obs_media_torn_ = nullptr;
-    obs_checksum_mismatch_ = nullptr;
-    obs_scrub_blocks_ = nullptr;
-    obs_scrub_repairs_ = nullptr;
-    obs_scrub_errors_ = nullptr;
-    for (auto*& c : obs_meta_ops_) c = nullptr;
-    obs_meta_lock_waits_ = nullptr;
-    return;
-  }
-  obs_requests_ = &obs->metrics.counter(
-      "server_requests_total", obs::label("node", server_index_));
-  obs_disk_bytes_ = &obs->metrics.counter(
-      "server_disk_bytes_total", obs::label("node", server_index_));
-  obs_subtrees_skipped_ = &obs->metrics.counter(
-      "server_subtrees_skipped_total", obs::label("node", server_index_));
-  obs_pieces_pruned_ = &obs->metrics.counter(
-      "server_pieces_pruned_total", obs::label("node", server_index_));
-  obs_replays_ = &obs->metrics.counter(
-      "server_replays_suppressed_total", obs::label("node", server_index_));
-  obs_crashes_ = &obs->metrics.counter(
-      "server_crashes_total", obs::label("node", server_index_));
-  obs_crc_rejects_ = &obs->metrics.counter(
-      "server_crc_rejects_total", obs::label("node", server_index_));
-  obs_shed_depth_ = &obs->metrics.counter(
-      "server_shed_total", obs::label("reason", "depth", "node", server_index_));
-  obs_shed_bytes_ = &obs->metrics.counter(
-      "server_shed_total", obs::label("reason", "bytes", "node", server_index_));
-  obs_cache_hits_ = &obs->metrics.counter(
-      "server_cache_hits_total", obs::label("node", server_index_));
-  obs_cache_misses_ = &obs->metrics.counter(
-      "server_cache_misses_total", obs::label("node", server_index_));
-  obs_cache_readahead_ = &obs->metrics.counter(
-      "server_cache_readahead_issued_total", obs::label("node", server_index_));
-  obs_cache_evictions_ = &obs->metrics.counter(
-      "server_cache_evictions_total", obs::label("node", server_index_));
-  obs_cache_flushed_ = &obs->metrics.counter(
-      "server_cache_dirty_flushed_bytes_total",
-      obs::label("node", server_index_));
-  obs_dl_cache_hits_ = &obs->metrics.counter(
-      "server_dataloop_cache_hits_total", obs::label("node", server_index_));
-  obs_dl_cache_misses_ = &obs->metrics.counter(
-      "server_dataloop_cache_misses_total", obs::label("node", server_index_));
-  obs_crash_discarded_ = &obs->metrics.counter(
-      "server_crash_discarded_total", obs::label("node", server_index_));
-  if (config_->replication > 1) {
-    obs_resync_strips_ = &obs->metrics.counter(
-        "server_resync_strips_pulled_total", obs::label("node", server_index_));
-    obs_resync_bytes_ = &obs->metrics.counter(
-        "server_resync_bytes_pulled_total", obs::label("node", server_index_));
-  }
-  if (config_->server.block_checksums) {
-    obs_media_sector_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "sector", "node", server_index_));
-    obs_media_rot_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "bit_rot", "node", server_index_));
-    obs_media_torn_ = &obs->metrics.counter(
-        "server_media_errors_total",
-        obs::label("kind", "torn", "node", server_index_));
-    obs_checksum_mismatch_ = &obs->metrics.counter(
-        "server_checksum_mismatches_total", obs::label("node", server_index_));
-    obs_scrub_blocks_ = &obs->metrics.counter(
-        "server_scrub_blocks_total", obs::label("node", server_index_));
-    obs_scrub_repairs_ = &obs->metrics.counter(
-        "server_scrub_repairs_total", obs::label("node", server_index_));
-    obs_scrub_errors_ = &obs->metrics.counter(
-        "server_scrub_errors_total", obs::label("node", server_index_));
-  }
-  if (config_->meta_shards > 1 && is_meta_shard()) {
-    static constexpr const char* kMetaOpNames[6] = {
-        "create", "open", "remove", "stat", "lock", "unlock"};
-    for (int i = 0; i < 6; ++i) {
-      obs_meta_ops_[i] = &obs->metrics.counter(
-          "meta_ops_total",
-          obs::label("op", kMetaOpNames[i], "shard", server_index_));
-    }
-    obs_meta_lock_waits_ = &obs->metrics.counter(
-        "meta_lock_waits_total", obs::label("shard", server_index_));
-  }
+std::span<const obs::CounterRow<ServerStats>> IOServer::counter_table() {
+  using S = ServerStats;
+  static constexpr obs::CounterRow<S> kRows[] = {
+      {"server_requests_total", "node", &S::requests},
+      {"server_disk_bytes_total", "node", &S::disk_bytes},
+      {"server_subtrees_skipped_total", "node", &S::subtrees_skipped},
+      {"server_pieces_pruned_total", "node", &S::pieces_pruned},
+      {"server_replays_suppressed_total", "node", &S::replays_suppressed},
+      {"server_crashes_total", "node", &S::crashes},
+      {"server_crash_discarded_total", "node", &S::crash_discarded},
+      {"server_crc_rejects_total", "node", &S::crc_rejects},
+      {"server_shed_total", "reason=depth,node", &S::sheds_depth},
+      {"server_shed_total", "reason=bytes,node", &S::sheds_bytes},
+      {"server_cache_hits_total", "node", &S::cache_hits},
+      {"server_cache_misses_total", "node", &S::cache_misses},
+      {"server_cache_readahead_issued_total", "node",
+       &S::cache_readahead_issued},
+      {"server_cache_evictions_total", "node", &S::cache_evictions},
+      {"server_cache_dirty_flushed_bytes_total", "node",
+       &S::cache_dirty_flushed_bytes},
+      {"server_dataloop_cache_hits_total", "node", &S::dataloop_cache_hits},
+      {"server_dataloop_cache_misses_total", "node",
+       &S::dataloop_cache_misses},
+      {"server_resync_strips_pulled_total", "node", &S::resync_strips_pulled},
+      {"server_resync_bytes_pulled_total", "node", &S::resync_bytes_pulled},
+      {"server_media_errors_total", "kind=sector,node",
+       &S::media_sector_errors},
+      {"server_media_errors_total", "kind=bit_rot,node",
+       &S::media_bit_rot_detected},
+      {"server_media_errors_total", "kind=torn,node", &S::media_torn_detected},
+      {"server_checksum_mismatches_total", "node", &S::checksum_mismatches},
+      {"server_scrub_blocks_total", "node", &S::scrub_blocks},
+      {"server_scrub_repairs_total", "node", &S::scrub_repairs},
+      {"server_scrub_errors_total", "node", &S::scrub_errors},
+      {"meta_ops_total", "op=create,shard", &S::meta_creates},
+      {"meta_ops_total", "op=open,shard", &S::meta_opens},
+      {"meta_ops_total", "op=remove,shard", &S::meta_removes},
+      {"meta_ops_total", "op=stat,shard", &S::meta_stats},
+      {"meta_ops_total", "op=lock,shard", &S::meta_locks},
+      {"meta_ops_total", "op=unlock,shard", &S::meta_unlocks},
+      {"meta_lock_waits_total", "shard", &S::lock_waits},
+  };
+  return kRows;
+}
+
+void IOServer::publish_metrics(obs::MetricsRegistry& registry) const {
+  obs::publish_counters(registry, counter_table(), stats_, server_index_);
+}
+
+void IOServer::instant(std::string_view name, std::int64_t value,
+                       obs::SpanId parent, std::uint64_t trace) {
+  if (obs_ == nullptr) return;
+  obs_->spans.instant(name, server_index_, sched_->now(), parent,
+                      parent != 0 ? trace : 0, value);
 }
 
 void IOServer::schedule_crash(SimTime at, SimTime restart_delay) {
@@ -250,12 +200,8 @@ void IOServer::crash() {
   crashed_ = true;
   ++epoch_;
   ++stats_.crashes;
-  if (obs_ != nullptr) obs_crashes_->add(1);
   const std::size_t dropped = network_->mailbox(server_index_).clear_queue();
   stats_.crash_discarded += dropped;
-  if (obs_ != nullptr && dropped > 0) {
-    obs_crash_discarded_->add(static_cast<std::uint64_t>(dropped));
-  }
   // Process state dies with the process: decoded-datatype cache and the
   // replay window restart cold. Namespace, bstreams, and the lock table
   // model durable storage and survive.
@@ -301,9 +247,8 @@ void IOServer::crash() {
     const std::uint64_t lost = cache_->drop_all(
         config_->replication > 1 ? &lost_extents : nullptr, torn);
     stats_.cache_dirty_lost_bytes += lost;
-    if (tracer_ != nullptr && torn_extents > 0) {
-      tracer_->record({sched_->now(), "torn_write", server_index_, -1, 0,
-                       torn_bytes, ""});
+    if (torn_extents > 0) {
+      instant("torn_write", static_cast<std::int64_t>(torn_bytes));
     }
     // Replication: the lost dirty bytes never reached this server's
     // bstream, so its copy of every covered strip trails the epoch it
@@ -318,15 +263,9 @@ void IOServer::crash() {
         strip_epochs_[{seg.handle, server_index_, s}] = 0;
       }
     }
-    if (tracer_ != nullptr && lost > 0) {
-      tracer_->record({sched_->now(), "cache_lost", server_index_, -1, 0,
-                       lost, ""});
-    }
+    if (lost > 0) instant("cache_lost", static_cast<std::int64_t>(lost));
   }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "crash", server_index_, -1, 0,
-                     static_cast<std::uint64_t>(dropped), ""});
-  }
+  instant("crash", static_cast<std::int64_t>(dropped));
   DTIO_DEBUG("srv" << server_index_ << " CRASH, dropped " << dropped
                    << " queued messages");
 }
@@ -334,9 +273,7 @@ void IOServer::crash() {
 void IOServer::restart() {
   if (!crashed_) return;
   crashed_ = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "restart", server_index_, -1, 0, 0, ""});
-  }
+  instant("restart", 0);
   DTIO_DEBUG("srv" << server_index_ << " restart");
   if (std::min(config_->replication, config_->num_servers) > 1) {
     // Replicated restart: the outage may have left this server's copies
@@ -384,10 +321,7 @@ sim::Task<void> IOServer::resync() {
     span = obs_->spans.begin("server_resync", server_index_, sched_->now(), 0,
                              0, obs::Phase::kServerResync);
   }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "resync_begin", server_index_, -1, 0, 0,
-                     ""});
-  }
+  instant("resync_begin", 0);
   const int n = config_->num_servers;
   const int r = std::min(config_->replication, n);
   std::uint64_t pulled_strips = 0;
@@ -481,18 +415,11 @@ sim::Task<void> IOServer::resync() {
   stats_.resync_strips_pulled += pulled_strips;
   stats_.resync_bytes_pulled += pulled_bytes;
   if (obs_ != nullptr) {
-    if (obs_resync_strips_ != nullptr && pulled_strips > 0) {
-      obs_resync_strips_->add(pulled_strips);
-      obs_resync_bytes_->add(pulled_bytes);
-    }
     obs_->spans.set_value(span, static_cast<std::int64_t>(pulled_bytes));
     obs_->spans.end(span, sched_->now());
   }
   resyncing_ = false;
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "resync_done", server_index_, -1, 0,
-                     pulled_bytes, ""});
-  }
+  instant("resync_done", static_cast<std::int64_t>(pulled_bytes));
   DTIO_DEBUG("srv" << server_index_ << " resync done: " << pulled_strips
                    << " strips, " << pulled_bytes << " bytes");
   // Resync pulls are normal writes (fresh fault draws included), so the
@@ -719,21 +646,10 @@ sim::Task<void> IOServer::shed_request(Box<Request> boxed, const char* reason) {
   req_epoch_ = epoch_;
   req_degrade_ = degraded_factor_now();
   if (obs_ != nullptr) record_queue_wait(request);
-  const bool by_bytes = reason[0] == 'b';
-  if (by_bytes) {
-    ++stats_.sheds_bytes;
-    if (obs_ != nullptr) obs_shed_bytes_->add(1);
-  } else {
-    ++stats_.sheds_depth;
-    if (obs_ != nullptr) obs_shed_depth_->add(1);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "shed", server_index_, request.client_node,
-                     request.reply_tag,
-                     static_cast<std::uint64_t>(
-                         network_->mailbox(server_index_).queued()),
-                     reason});
-  }
+  ++(reason[0] == 'b' ? stats_.sheds_bytes : stats_.sheds_depth);
+  instant("shed",
+          static_cast<std::int64_t>(network_->mailbox(server_index_).queued()),
+          request.parent_span, request.trace_id);
   DTIO_DEBUG("srv" << server_index_ << " SHED " << op_name(request.op)
                    << " from node " << request.client_node << " (" << reason
                    << ")");
@@ -808,7 +724,6 @@ sim::Task<void> IOServer::run() {
       // The process is down: the message was consumed off the wire but
       // nobody is listening. The client's timeout will notice.
       ++stats_.crash_discarded;
-      if (obs_ != nullptr) obs_crash_discarded_->add(1);
       continue;
     }
     const auto backlog = static_cast<std::uint64_t>(mailbox.queued());
@@ -845,11 +760,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   ++stats_.requests;
   DTIO_DEBUG("srv" << server_index_ << " <- " << op_name(request.op)
                    << " from node " << request.client_node);
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "request", server_index_,
-                     request.client_node, request.reply_tag, 0,
-                     op_name(request.op)});
-  }
   req_trace_ = request.trace_id;
   req_span_ = 0;
   req_epoch_ = epoch_;
@@ -858,7 +768,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   req_degrade_ = degraded_factor_now();
   if (req_degrade_ > 1.0) ++stats_.degraded_requests;
   if (obs_ != nullptr) {
-    obs_requests_->add(1);
     record_queue_wait(request);
     req_span_ = obs_->spans.begin("server_handle", server_index_,
                                   sched_->now(), request.parent_span,
@@ -907,11 +816,7 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
       } else {
         reply.code = StatusCode::kUnavailable;
       }
-      if (tracer_ != nullptr) {
-        tracer_->record({sched_->now(), "resync_refuse", server_index_,
-                         request.client_node, request.reply_tag, 0,
-                         op_name(request.op)});
-      }
+      instant("resync_refuse", request.client_node, req_span_, req_trace_);
       send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
       co_return;
@@ -927,12 +832,7 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
         replay_acks_.find(replay_key(request.client_node, request.op_seq));
     if (it != replay_acks_.end()) {
       ++stats_.replays_suppressed;
-      if (obs_ != nullptr) obs_replays_->add(1);
-      if (tracer_ != nullptr) {
-        tracer_->record({sched_->now(), "replay", server_index_,
-                         request.client_node, request.reply_tag, 0,
-                         op_name(request.op)});
-      }
+      instant("replay", request.client_node, req_span_, req_trace_);
       send_reply(request.client_node, request.reply_tag, Reply(it->second), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
       co_return;
@@ -945,12 +845,7 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   if (!verify_integrity(request, integrity)) {
     ++stats_.bad_requests;
     ++stats_.crc_rejects;
-    if (obs_ != nullptr) obs_crc_rejects_->add(1);
-    if (tracer_ != nullptr) {
-      tracer_->record({sched_->now(), "crc_reject", server_index_,
-                       request.client_node, request.reply_tag, 0,
-                       op_name(request.op)});
-    }
+    instant("crc_reject", request.client_node, req_span_, req_trace_);
     send_reply(request.client_node, request.reply_tag, std::move(integrity),
                0);
     if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
@@ -988,7 +883,6 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
         send_reply(request.client_node, request.reply_tag, Reply{}, 0);
       } else {
         ++stats_.lock_waits;
-        if (obs_meta_lock_waits_ != nullptr) obs_meta_lock_waits_->add(1);
       }
       break;
     }
@@ -1171,14 +1065,12 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
       acked_bytes += sub.length;
       ++stats_.replays_suppressed;
       ++stats_.batch_subs_replayed;
-      if (obs_ != nullptr) obs_replays_->add(1);
       continue;
     }
     if (sub.has_payload_crc && sub.data && crc32(*sub.data) != sub.payload_crc) {
       // Leave this sub-op unacked: the retry resends it with clean data
       // while the acked sub-ops are stripped client-side.
       ++stats_.crc_rejects;
-      if (obs_ != nullptr) obs_crc_rejects_->add(1);
       crc_fail = true;
       continue;
     }
@@ -1283,7 +1175,6 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
       loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
                                it->second.pos);
       ++stats_.dataloop_cache_hits;
-      if (obs_ != nullptr) obs_dl_cache_hits_->add(1);
     }
   }
   if (!loop) {
@@ -1294,9 +1185,7 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
       co_return;
     }
     ++stats_.dataloops_decoded;
-    if (config_->server.dataloop_cache && obs_ != nullptr) {
-      obs_dl_cache_misses_->add(1);
-    }
+    if (config_->server.dataloop_cache) ++stats_.dataloop_cache_misses;
     obs::SpanId decode_span = 0;
     if (obs_ != nullptr) {
       decode_span = obs_->spans.begin("dataloop_decode", server_index_,
@@ -1393,11 +1282,6 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
   stats_.my_pieces += static_cast<std::uint64_t>(applier.my_pieces);
   stats_.subtrees_skipped += static_cast<std::uint64_t>(skipped);
   stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());
-  if (obs_ != nullptr && skipped > 0) {
-    obs_subtrees_skipped_->add(static_cast<std::uint64_t>(skipped));
-    obs_pieces_pruned_->add(
-        static_cast<std::uint64_t>(cursor.regions_pruned()));
-  }
   co_await charge_regions(
       applier.pieces, is_write ? config_->server.per_dataloop_region_cost_write
                                : config_->server.per_dataloop_region_cost);
@@ -1451,12 +1335,13 @@ void IOServer::finish_data_reply(Request& request, bool is_write,
 }
 
 void IOServer::count_meta_op(OpKind op) noexcept {
-  ++stats_.meta_ops;
-  const int idx =
-      static_cast<int>(op) - static_cast<int>(OpKind::kMetaCreate);
-  if (idx >= 0 && idx < 6 && obs_meta_ops_[idx] != nullptr) {
-    obs_meta_ops_[idx]->add(1);
-  }
+  // Indexed by OpKind - kMetaCreate: the six meta/lock ops are contiguous.
+  static constexpr std::uint64_t ServerStats::*kByOp[] = {
+      &ServerStats::meta_creates, &ServerStats::meta_opens,
+      &ServerStats::meta_removes, &ServerStats::meta_stats,
+      &ServerStats::meta_locks,   &ServerStats::meta_unlocks};
+  ++(stats_.*
+     kByOp[static_cast<int>(op) - static_cast<int>(OpKind::kMetaCreate)]);
 }
 
 void IOServer::handle_meta(Request& request, Reply& reply) {
@@ -1602,23 +1487,14 @@ IOServer::MediaCheck IOServer::check_media(
   return out;
 }
 
-void IOServer::note_media_errors(const MediaCheck& bad, const char* origin) {
+void IOServer::note_media_errors(const MediaCheck& bad, bool in_request) {
   stats_.media_sector_errors += bad.sector;
   stats_.media_bit_rot_detected += bad.rot;
   stats_.media_torn_detected += bad.torn;
   stats_.checksum_mismatches += bad.rot + bad.torn;
-  if (obs_ != nullptr && obs_media_sector_ != nullptr) {
-    if (bad.sector > 0) obs_media_sector_->add(bad.sector);
-    if (bad.rot > 0) obs_media_rot_->add(bad.rot);
-    if (bad.torn > 0) obs_media_torn_->add(bad.torn);
-    if (bad.rot + bad.torn > 0) {
-      obs_checksum_mismatch_->add(bad.rot + bad.torn);
-    }
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sched_->now(), "media_error", server_index_, -1, 0,
-                     bad.sector + bad.rot + bad.torn, origin});
-  }
+  instant("media_error",
+          static_cast<std::int64_t>(bad.sector + bad.rot + bad.torn),
+          in_request ? req_span_ : 0, req_trace_);
 }
 
 sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
@@ -1627,12 +1503,13 @@ sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
                                             DataBuffer& reply_data) {
   MediaCheck bad = check_media(target, visited);
   if (!bad.any()) co_return true;
-  note_media_errors(bad, "read");
+  note_media_errors(bad, /*in_request=*/true);
   const int r = std::min(config_->replication, config_->num_servers);
   if (r > 1) {
     const std::size_t wanted = bad.strips.size();
     const std::uint64_t repaired =
-        co_await repair_strips(request.handle, primary, bad.strips);
+        co_await repair_strips(request.handle, primary, bad.strips,
+                               /*in_request=*/true);
     if (crashed_ || req_epoch_ != epoch_) co_return false;  // reply suppressed
     stats_.media_repairs += repaired;
     if (repaired < wanted) {
@@ -1686,7 +1563,8 @@ sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
 }
 
 sim::Task<std::uint64_t> IOServer::repair_strips(
-    std::uint64_t handle, int primary, std::vector<std::int64_t> strips) {
+    std::uint64_t handle, int primary, std::vector<std::int64_t> strips,
+    bool in_request) {
   const std::uint64_t my_epoch = epoch_;
   const int n = config_->num_servers;
   const int r = std::min(config_->replication, n);
@@ -1754,10 +1632,7 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
             remaining.end());
         ++repaired;
         ++stats_.disk_accesses;
-        if (tracer_ != nullptr) {
-          tracer_->record({sched_->now(), "repair", server_index_, peer, 0,
-                           static_cast<std::uint64_t>(ext.length), ""});
-        }
+        instant("repair", ext.length, in_request ? req_span_ : 0, req_trace_);
         co_await disk_.use(
             config_->server.disk_access_overhead +
             transfer_time(static_cast<std::uint64_t>(ext.length),
@@ -1857,7 +1732,6 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
       const auto pages = static_cast<std::uint64_t>(
           (len + Bstream::kPageSize - 1) / Bstream::kPageSize);
       stats_.scrub_blocks += pages;
-      if (obs_scrub_blocks_ != nullptr) obs_scrub_blocks_->add(pages);
       ++stats_.disk_accesses;
       co_await disk_.use(
           config_->server.disk_access_overhead +
@@ -1869,11 +1743,12 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
       }
       if (!found.empty()) {
         MediaCheck check = check_media(bs, {Region{offset, len}});
-        note_media_errors(check, "scrub");
+        note_media_errors(check, /*in_request=*/false);
         if (r > 1) {
           const std::size_t wanted = check.strips.size();
           const std::uint64_t repaired =
-              co_await repair_strips(u.handle, primary, check.strips);
+              co_await repair_strips(u.handle, primary, check.strips,
+                                     /*in_request=*/false);
           if (crashed_ || epoch_ != my_epoch) {
             scrubbing_ = false;
             co_return;
@@ -1885,30 +1760,14 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
                 static_cast<std::uint64_t>(wanted) - repaired;
           }
           if (repaired > 0) {
-            if (obs_scrub_repairs_ != nullptr) {
-              obs_scrub_repairs_->add(repaired);
-            }
-            if (tracer_ != nullptr) {
-              tracer_->record({sched_->now(), "scrub_repair", server_index_,
-                               -1, 0, repaired, ""});
-            }
+            instant("scrub_repair", static_cast<std::int64_t>(repaired));
           }
-          const std::vector<Bstream::BadPage> still =
-              bs.verify_range(offset, len);
-          if (!still.empty()) {
-            stats_.scrub_errors += still.size();
-            if (obs_scrub_errors_ != nullptr) {
-              obs_scrub_errors_->add(still.size());
-            }
-          }
+          stats_.scrub_errors += bs.verify_range(offset, len).size();
         } else {
           // Replication 1: nothing to repair from. Counted once per full
           // cycle — a quiescent store stops cycling, so a permanently bad
           // page does not inflate the counter forever.
           stats_.scrub_errors += found.size();
-          if (obs_scrub_errors_ != nullptr) {
-            obs_scrub_errors_->add(found.size());
-          }
         }
       }
       offset += len;
@@ -1936,9 +1795,9 @@ sim::Task<void> IOServer::scrub_pass(std::uint64_t my_epoch) {
 sim::Task<void> IOServer::charge_disk(std::int64_t bytes) {
   if (bytes <= 0) co_return;
   ++stats_.disk_accesses;  // host-side tally; no simulated cost
+  stats_.disk_bytes += static_cast<std::uint64_t>(bytes);
   obs::SpanId disk_span = 0;
   if (obs_ != nullptr) {
-    obs_disk_bytes_->add(static_cast<std::uint64_t>(bytes));
     disk_span = obs_->spans.begin("disk", server_index_, sched_->now(),
                                   req_span_, req_trace_,
                                   obs::Phase::kServerDisk);
@@ -1966,38 +1825,23 @@ sim::Task<void> IOServer::charge_disk(std::int64_t bytes) {
 sim::Fire IOServer::disk_drain(SimTime hold) { co_await disk_.use(hold); }
 
 sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
-  // Mirror the per-request cache counters into stats/obs/trace first, so
-  // they land even for a plan with no disk work (pure hits).
+  // Count the per-request cache traffic first, so it lands even for a
+  // plan with no disk work (pure hits).
   stats_.cache_hits += plan.hits;
   stats_.cache_misses += plan.misses;
   stats_.cache_readahead_issued += plan.readahead_blocks;
   stats_.cache_evictions += plan.evictions;
   stats_.cache_dirty_flushed_bytes += plan.flushed_bytes;
   if (obs_ != nullptr) {
-    if (plan.hits > 0) obs_cache_hits_->add(plan.hits);
-    if (plan.misses > 0) obs_cache_misses_->add(plan.misses);
-    if (plan.readahead_blocks > 0) {
-      obs_cache_readahead_->add(plan.readahead_blocks);
-    }
-    if (plan.evictions > 0) obs_cache_evictions_->add(plan.evictions);
-    if (plan.flushed_bytes > 0) obs_cache_flushed_->add(plan.flushed_bytes);
-  }
-  if (tracer_ != nullptr) {
-    if (plan.hits > 0) {
-      tracer_->record({sched_->now(), "cache_hit", server_index_, -1, 0,
-                       plan.hits, ""});
-    }
-    if (plan.misses > 0) {
-      tracer_->record({sched_->now(), "cache_miss", server_index_, -1, 0,
-                       plan.misses, ""});
-    }
-    if (plan.readahead_blocks > 0) {
-      tracer_->record({sched_->now(), "cache_readahead", server_index_, -1, 0,
-                       plan.readahead_blocks, ""});
-    }
-    if (plan.flushed_bytes > 0) {
-      tracer_->record({sched_->now(), "cache_flush", server_index_, -1, 0,
-                       plan.flushed_bytes, ""});
+    const std::pair<const char*, std::uint64_t> marks[] = {
+        {"cache_hit", plan.hits},
+        {"cache_miss", plan.misses},
+        {"cache_readahead", plan.readahead_blocks},
+        {"cache_flush", plan.flushed_bytes}};
+    for (const auto& [name, n] : marks) {
+      if (n > 0) {
+        instant(name, static_cast<std::int64_t>(n), req_span_, req_trace_);
+      }
     }
   }
 
@@ -2010,9 +1854,9 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
        {&plan.sync_reads, &plan.sync_writes}) {
     for (const cache::IoSeg& seg : *segs) sync_bytes += seg.bytes;
   }
+  stats_.disk_bytes += static_cast<std::uint64_t>(sync_bytes);
   obs::SpanId disk_span = 0;
   if (obs_ != nullptr && sync_bytes > 0) {
-    obs_disk_bytes_->add(static_cast<std::uint64_t>(sync_bytes));
     // Typed kServerCache (not kServerDisk): this is the cache-mediated
     // portion — miss fills and write-through stores the reply waited on.
     disk_span = obs_->spans.begin("disk", server_index_, sched_->now(),
@@ -2048,9 +1892,7 @@ sim::Task<void> IOServer::charge_cache_plan(cache::AccessPlan plan) {
        {&plan.async_reads, &plan.async_writes}) {
     for (const cache::IoSeg& seg : *segs) {
       ++stats_.disk_accesses;
-      if (obs_ != nullptr) {
-        obs_disk_bytes_->add(static_cast<std::uint64_t>(seg.bytes));
-      }
+      stats_.disk_bytes += static_cast<std::uint64_t>(seg.bytes);
       sched_->start(disk_drain(
           scaled(config_->server.disk_access_overhead +
                  transfer_time(static_cast<std::uint64_t>(seg.bytes),

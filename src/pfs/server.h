@@ -16,7 +16,9 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,11 +39,11 @@
 #include "pfs/protocol.h"
 #include "sim/resource.h"
 #include "sim/scheduler.h"
-#include "sim/tracer.h"
 
 namespace dtio::pfs {
 
-/// Per-server instrumentation, inspected by benches and tests.
+/// Per-server instrumentation, inspected by benches and tests and
+/// published as registry counters through IOServer::counter_table().
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t regions_walked = 0;   ///< offset-length regions processed
@@ -50,6 +52,7 @@ struct ServerStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t dataloops_decoded = 0;
   std::uint64_t dataloop_cache_hits = 0;
+  std::uint64_t dataloop_cache_misses = 0;  ///< decodes with the cache on
   std::uint64_t bad_requests = 0;     ///< malformed requests answered with errors
   std::uint64_t subtrees_skipped = 0; ///< dataloop subtrees pruned (span missed
                                       ///< this server's strips; each charged
@@ -68,6 +71,9 @@ struct ServerStats {
   std::uint64_t replays_expired = 0;    ///< replay acks evicted by age
   std::uint64_t disk_accesses = 0;      ///< disk ops charged (each pays one
                                         ///< disk_access_overhead)
+  std::uint64_t disk_bytes = 0;         ///< bytes request handling moved
+                                        ///< through the disk (cache segments
+                                        ///< included)
   std::uint64_t cache_hits = 0;         ///< buffer-cache block hits
   std::uint64_t cache_misses = 0;       ///< buffer-cache block miss fills
   std::uint64_t cache_readahead_issued = 0;  ///< blocks prefetched
@@ -99,9 +105,21 @@ struct ServerStats {
   std::uint64_t scrub_errors = 0;           ///< bad pages it could not repair
   // ---- Metadata shard service (this server's slice of the namespace and
   // lock space; nonzero only on servers with index < meta_shards).
-  std::uint64_t meta_ops = 0;          ///< metadata + lock requests served
+  // Metadata + lock requests served, by op.
+  std::uint64_t meta_creates = 0;
+  std::uint64_t meta_opens = 0;
+  std::uint64_t meta_removes = 0;
+  std::uint64_t meta_stats = 0;
+  std::uint64_t meta_locks = 0;
+  std::uint64_t meta_unlocks = 0;
   std::uint64_t lock_waits = 0;        ///< lock requests parked behind a holder
   std::uint64_t lock_regrants = 0;     ///< parked waiters re-granted at restart
+
+  /// Metadata + lock requests served, all ops.
+  [[nodiscard]] std::uint64_t meta_ops() const noexcept {
+    return meta_creates + meta_opens + meta_removes + meta_stats + meta_locks +
+           meta_unlocks;
+  }
 };
 
 class IOServer {
@@ -118,7 +136,6 @@ class IOServer {
   [[nodiscard]] const Bstream* find_bstream(std::uint64_t handle) const;
   [[nodiscard]] sim::Resource& disk() noexcept { return disk_; }
   [[nodiscard]] sim::Resource& cpu() noexcept { return cpu_; }
-  void set_tracer(sim::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Fault injection: crash this server at simulated time `at` and bring
   /// it back `restart_delay` later. A crashed server loses its mailbox
@@ -154,9 +171,16 @@ class IOServer {
                                                     int primary) const;
 
   /// Attach the observability context (nullptr detaches). Not owned.
-  /// Request counters are resolved once here; the request loop then pays
-  /// one pointer test when detached.
-  void set_observability(obs::Observability* obs);
+  /// Spans and instants are recorded while attached; detached, the request
+  /// loop pays one pointer test.
+  void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }
+
+  /// The counters every server publishes (server_requests_total,
+  /// meta_ops_total{op}, ...), each read from one ServerStats field and
+  /// labelled with this server's index.
+  static std::span<const obs::CounterRow<ServerStats>> counter_table();
+  /// Sets every counter_table() row in `registry` from stats().
+  void publish_metrics(obs::MetricsRegistry& registry) const;
 
   /// The buffer cache, or nullptr when disabled (tests/benches).
   [[nodiscard]] const cache::BlockCache* block_cache() const noexcept {
@@ -265,9 +289,10 @@ class IOServer {
   };
   [[nodiscard]] MediaCheck check_media(
       const Bstream& target, const std::vector<Region>& visited) const;
-  /// Count + export one access's detected media errors ("media_error"
-  /// trace; `origin` tags who found them: a read path or the scrubber).
-  void note_media_errors(const MediaCheck& bad, const char* origin);
+  /// Count one access's detected media errors and mark them with a
+  /// "media_error" instant, under the request being handled when
+  /// `in_request` (a read path), else a node-level root (the scrubber).
+  void note_media_errors(const MediaCheck& bad, bool in_request);
   /// Post-walk verification for a data read: verify the visited extents
   /// of `target` (acting as `primary`), repair in-line from ring peers at
   /// replication > 1, and re-gather clean reply bytes. Returns true when
@@ -281,9 +306,11 @@ class IOServer {
   /// Pull verified-clean copies of `strips` of (`handle`, `primary`) from
   /// the replica ring via scoped kResyncPull and rewrite them with
   /// repair_write (no fault draws — repairs converge). Returns the number
-  /// of strips a peer served.
+  /// of strips a peer served. `in_request` parents the "repair" instants
+  /// as in note_media_errors.
   sim::Task<std::uint64_t> repair_strips(std::uint64_t handle, int primary,
-                                         std::vector<std::int64_t> strips);
+                                         std::vector<std::int64_t> strips,
+                                         bool in_request);
   /// Spawn the scrub loop when scrubbing is configured, the store has
   /// writes the last clean cycle has not seen, and no loop is alive. The
   /// loop is a regular simulation task, so it parks itself when the store
@@ -309,8 +336,8 @@ class IOServer {
   /// Charge the disk work a cached access generated: sync segments (miss
   /// fills, write-through stores) block the handler with the same
   /// pipelined shape as charge_disk; async segments (readahead, write-back
-  /// flushes) drain on the disk resource in the background. Also mirrors
-  /// the plan's cache counters into stats/obs/trace.
+  /// flushes) drain on the disk resource in the background. Also counts
+  /// the plan's cache traffic into stats and marks it with cache_* instants.
   sim::Task<void> charge_cache_plan(cache::AccessPlan plan);
   sim::Fire disk_drain(SimTime hold);
   /// Region-processing CPU: the handler blocks only for a prime batch of
@@ -327,9 +354,15 @@ class IOServer {
   /// utilization from busy_integral deltas), taken at request entry.
   void sample_counters();
 
-  /// Bumps the per-shard metadata instrumentation for a meta/lock request
-  /// (stats always; labelled counters only when registered).
+  /// Bumps the per-op metadata counter for a meta/lock request.
   void count_meta_op(OpKind op) noexcept;
+
+  /// Records a zero-length instant span ("crash", "shed", ...) at now() on
+  /// this node, with `value` as its payload: a child of `parent` when one
+  /// is given, else a node-level root on trace 0 (the phase analyzer skips
+  /// those). No-op when observability is detached.
+  void instant(std::string_view name, std::int64_t value,
+               obs::SpanId parent = 0, std::uint64_t trace = 0);
 
   /// Emits the retroactive, typed "server_queue" span covering
   /// [request.delivered_at, now) — the time the request sat in the mailbox
@@ -343,44 +376,9 @@ class IOServer {
   FileLayout layout_;
   sim::Resource disk_;
   sim::Resource cpu_;
-  sim::Tracer* tracer_ = nullptr;
   ServerStats stats_;
 
   obs::Observability* obs_ = nullptr;
-  obs::Counter* obs_requests_ = nullptr;    ///< server_requests_total
-  obs::Counter* obs_disk_bytes_ = nullptr;  ///< server_disk_bytes_total
-  obs::Counter* obs_subtrees_skipped_ = nullptr;  ///< server_subtrees_skipped_total
-  obs::Counter* obs_pieces_pruned_ = nullptr;     ///< server_pieces_pruned_total
-  obs::Counter* obs_replays_ = nullptr;     ///< server_replays_suppressed_total
-  obs::Counter* obs_crashes_ = nullptr;     ///< server_crashes_total
-  obs::Counter* obs_crc_rejects_ = nullptr; ///< server_crc_rejects_total
-  obs::Counter* obs_shed_depth_ = nullptr;  ///< server_shed_total{reason=depth}
-  obs::Counter* obs_shed_bytes_ = nullptr;  ///< server_shed_total{reason=bytes}
-  obs::Counter* obs_cache_hits_ = nullptr;     ///< server_cache_hits_total
-  obs::Counter* obs_cache_misses_ = nullptr;   ///< server_cache_misses_total
-  obs::Counter* obs_cache_readahead_ = nullptr;  ///< server_cache_readahead_issued_total
-  obs::Counter* obs_cache_evictions_ = nullptr;  ///< server_cache_evictions_total
-  obs::Counter* obs_cache_flushed_ = nullptr;  ///< server_cache_dirty_flushed_bytes_total
-  obs::Counter* obs_dl_cache_hits_ = nullptr;  ///< server_dataloop_cache_hits_total
-  obs::Counter* obs_dl_cache_misses_ = nullptr;  ///< server_dataloop_cache_misses_total
-  obs::Counter* obs_crash_discarded_ = nullptr;  ///< server_crash_discarded_total
-  // Registered only at replication > 1 (the subsystem is otherwise inert).
-  obs::Counter* obs_resync_strips_ = nullptr;  ///< server_resync_strips_pulled_total
-  obs::Counter* obs_resync_bytes_ = nullptr;   ///< server_resync_bytes_pulled_total
-  // Registered only when ServerConfig::block_checksums is on (default
-  // metric exports stay byte-identical).
-  obs::Counter* obs_media_sector_ = nullptr;   ///< server_media_errors_total{kind=sector}
-  obs::Counter* obs_media_rot_ = nullptr;      ///< server_media_errors_total{kind=bit_rot}
-  obs::Counter* obs_media_torn_ = nullptr;     ///< server_media_errors_total{kind=torn}
-  obs::Counter* obs_checksum_mismatch_ = nullptr;  ///< server_checksum_mismatches_total
-  obs::Counter* obs_scrub_blocks_ = nullptr;   ///< server_scrub_blocks_total
-  obs::Counter* obs_scrub_repairs_ = nullptr;  ///< server_scrub_repairs_total
-  obs::Counter* obs_scrub_errors_ = nullptr;   ///< server_scrub_errors_total
-  // Registered only at meta_shards > 1 and on shard servers (the legacy
-  // single-shard metric exports stay byte-identical). Indexed by
-  // OpKind - kMetaCreate: create, open, remove, stat, lock, unlock.
-  obs::Counter* obs_meta_ops_[6] = {};         ///< meta_ops_total{op,shard}
-  obs::Counter* obs_meta_lock_waits_ = nullptr;  ///< meta_lock_waits_total
   // Trace context of the request currently being handled (requests are
   // handled sequentially, so plain members suffice).
   std::uint64_t req_trace_ = 0;

@@ -443,6 +443,7 @@ TEST(CacheCluster, WarmReadsHitAndObsCountersFlow) {
   EXPECT_GT(static_cast<std::uint64_t>(staged) +
                 total.cache_dirty_flushed_bytes,
             0u);
+  cluster.publish_metrics();
   EXPECT_EQ(obs.metrics.counter_total("server_cache_hits_total"),
             total.cache_hits);
   EXPECT_EQ(obs.metrics.counter_total("server_cache_misses_total"),

@@ -151,6 +151,7 @@ TEST(MediaFaults, ReadDetectsBitRotAndRepairsFromReplica) {
   ASSERT_NE(bs, nullptr);
   EXPECT_TRUE(bs->verify_range(0, 1024).empty());
   // And the detection/repair surfaced through the metrics registry.
+  cluster.publish_metrics();
   EXPECT_GT(obs.metrics.counter_total("server_media_errors_total"), 0u);
   EXPECT_GT(obs.metrics.counter_total("server_checksum_mismatches_total"),
             0u);
@@ -262,6 +263,7 @@ TEST(MediaFaults, ScrubberRepairsRotWithoutAnyReads) {
       cluster.server(0).find_replica_bstream(handle, /*primary=*/2);
   ASSERT_NE(mirror, nullptr);
   EXPECT_TRUE(mirror->verify_range(0, mirror->size()).empty());
+  cluster.publish_metrics();
   EXPECT_GT(obs.metrics.counter_total("server_scrub_repairs_total"), 0u);
   EXPECT_GT(obs.metrics.counter_total("server_scrub_blocks_total"), 0u);
   // The sampler recorded the srv_scrubbing series (gated on the knobs).

@@ -274,7 +274,7 @@ TEST(MetaSharding, NamespaceSpreadsAndRoutesConsistently) {
 
   // Every shard served namespace traffic; data-only servers none.
   for (int s = 0; s < 4; ++s) {
-    EXPECT_GT(cluster.server(s).stats().meta_ops, 0u) << "shard " << s;
+    EXPECT_GT(cluster.server(s).stats().meta_ops(), 0u) << "shard " << s;
   }
 }
 
@@ -610,16 +610,17 @@ TEST(MetaObs, PerShardCountersOnlyWhenSharded) {
     EXPECT_TRUE(done);
 
     std::uint64_t stats_total = 0;
+    std::uint64_t waits_total = 0;
     for (int s = 0; s < 4; ++s) {
-      stats_total += cluster.server(s).stats().meta_ops;
+      stats_total += cluster.server(s).stats().meta_ops();
+      waits_total += cluster.server(s).stats().lock_waits;
     }
+    cluster.publish_metrics();
+    EXPECT_EQ(obs.metrics.counter_total("meta_ops_total"), stats_total);
+    EXPECT_EQ(obs.metrics.counter_total("meta_lock_waits_total"), waits_total);
     if (shards == 1) {
-      // Default config exports no meta metrics at all — the legacy
-      // metric set stays byte-identical.
-      EXPECT_EQ(obs.metrics.counter_total("meta_ops_total"), 0u);
-      EXPECT_EQ(obs.metrics.counter_total("meta_lock_waits_total"), 0u);
-    } else {
-      EXPECT_EQ(obs.metrics.counter_total("meta_ops_total"), stats_total);
+      // Only server 0 serves metadata; the others publish zero rows.
+      EXPECT_EQ(stats_total, cluster.server(0).stats().meta_ops());
     }
   }
 }

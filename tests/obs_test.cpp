@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "obs/phase.h"
 #include "obs/run_report.h"
 #include "obs/span.h"
+#include "net/fault.h"
 #include "pfs/cluster.h"
 
 namespace dtio::obs {
@@ -218,6 +222,8 @@ TEST(Observability, ClusterRunLinksSpansAcrossLayers) {
   }
   const Histogram lat = obs.metrics.merged_histogram("client_op_latency_ns");
   EXPECT_GE(lat.count(), 2u);
+  cluster.publish_metrics();
+  EXPECT_GT(obs.metrics.counter_total("server_requests_total"), 0u);
   EXPECT_EQ(obs.metrics.counter_total("server_requests_total"),
             obs.metrics.counter_total("net_messages_total") / 2);
 }
@@ -656,6 +662,292 @@ TEST(RunReport, TimelineAndPhasesSections) {
   ASSERT_NE(read, nullptr);
   EXPECT_DOUBLE_EQ(read->num("ops"), 1.0);
   EXPECT_DOUBLE_EQ(read->num("mean_coverage"), 0.8);
+}
+
+TEST(Observability, CapturesClusterProtocolActivity) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 2;
+  cfg.num_clients = 1;
+  pfs::Cluster cluster(cfg);
+  Observability obs;
+  cluster.set_observability(&obs);
+
+  auto client = cluster.make_client(0);
+  cluster.scheduler().spawn([](pfs::Client& c) -> Task<void> {
+    pfs::MetaResult f = co_await c.create("/traced");
+    std::vector<std::uint8_t> data(1000, 1);
+    (void)co_await c.write_contig(f.handle, 0, data.data(), 1000);
+  }(*client));
+  cluster.run();
+
+  // A meta and a data request were each handled at a server, on the trace
+  // of the client op that sent them.
+  std::map<std::uint64_t, std::string> root_of_trace;
+  for (const Span& s : obs.spans.spans()) {
+    if (s.parent == 0 && s.trace != 0) root_of_trace[s.trace] = s.name;
+  }
+  bool saw_meta = false, saw_write = false;
+  SimTime last = 0;
+  std::size_t in_order = 0;
+  for (const Span& s : obs.spans.spans()) {
+    if (s.name == "server_handle" && s.node < cfg.num_servers) {
+      saw_meta |= root_of_trace[s.trace] == "meta_create";
+      saw_write |= root_of_trace[s.trace] == "contig_write";
+    }
+    if (s.start >= last) ++in_order;
+    last = s.start;
+  }
+  EXPECT_TRUE(saw_meta);
+  EXPECT_TRUE(saw_write);
+  EXPECT_EQ(in_order, obs.spans.spans().size());  // chronological
+
+  // Detach: no further recording.
+  const std::size_t before = obs.spans.spans().size();
+  cluster.set_observability(nullptr);
+  client->set_observability(nullptr);
+  cluster.scheduler().spawn([](pfs::Client& c) -> Task<void> {
+    (void)co_await c.stat("/traced");
+  }(*client));
+  cluster.run();
+  EXPECT_EQ(obs.spans.spans().size(), before);
+}
+
+TEST(Observability, CrashAndRestartAreInstantsOnTheServerNode) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 2;
+  cfg.num_clients = 1;
+  pfs::Cluster cluster(cfg);
+  Observability obs;
+  cluster.set_observability(&obs);
+  cluster.schedule_server_crash(1, 5 * kMillisecond, 10 * kMillisecond);
+  cluster.run();
+
+  const Span* crash = find_span(obs, "crash");
+  const Span* restart = find_span(obs, "restart");
+  ASSERT_NE(crash, nullptr);
+  ASSERT_NE(restart, nullptr);
+  for (const Span* s : {crash, restart}) {
+    EXPECT_EQ(s->node, 1);
+    EXPECT_EQ(s->end, s->start);  // zero-length
+    EXPECT_EQ(s->parent, 0u);     // node-level root...
+    EXPECT_EQ(s->trace, 0u);      // ...that the phase analyzer skips
+    EXPECT_EQ(s->phase, Phase::kNone);
+  }
+  EXPECT_EQ(crash->start, 5 * kMillisecond);
+  EXPECT_EQ(restart->start, 15 * kMillisecond);
+  EXPECT_TRUE(decompose_ops(obs.spans).empty());
+}
+
+// ---- Counter tables --------------------------------------------------------
+
+/// Every counter name in the four owners' tables.
+std::set<std::string> table_counter_names() {
+  std::set<std::string> names;
+  for (const auto& row : pfs::IOServer::counter_table()) names.insert(row.name);
+  for (const auto& row : pfs::Client::counter_table()) names.insert(row.name);
+  for (const auto& row : net::Network::counter_table()) names.insert(row.name);
+  for (const auto& row : net::FaultPlan::counter_table()) {
+    names.insert(row.name);
+  }
+  return names;
+}
+
+TEST(PublishMetrics, EveryRowMatchesItsOwnerWithAllSubsystemsOn) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = 2;
+  cfg.strip_size = 1024;
+  cfg.replication = 2;
+  cfg.meta_shards = 2;
+  cfg.lock_stripe_bytes = 4 * kKiB;
+  cfg.file_locking = true;
+  cfg.server.block_checksums = true;
+  cfg.server.scrub_interval = 5 * kMillisecond;
+  cfg.server.scrub_bytes_per_pass = 64 * kKiB;
+  cfg.server.cache_block_bytes = 1024;
+  cfg.server.cache_capacity_bytes = 64 * kKiB;
+  cfg.server.dataloop_cache = true;
+  cfg.client.write_behind_bytes = 8 * kKiB;
+  cfg.client.rpc_timeout = 20 * kMillisecond;
+  cfg.client.rpc_max_attempts = 8;
+  cfg.client.hedge_quantile = 90;
+  cfg.client.hedge_min_samples = 4;
+  cfg.client.breaker_failures = 3;
+  pfs::Cluster cluster(cfg);
+  Observability obs;
+  cluster.set_observability(&obs);
+  std::vector<std::unique_ptr<pfs::Client>> clients;
+  for (int r = 0; r < cfg.num_clients; ++r) {
+    clients.push_back(cluster.make_client(r));
+  }
+  constexpr std::int64_t kBytes = 16 * kKiB;
+
+  // Clean phase: the lock path has no retry layer, so locks run before
+  // the wire faults are attached.
+  std::vector<std::uint64_t> handles(clients.size());
+  const std::vector<std::string> paths = {"/combo0", "/combo1"};
+  for (std::size_t r = 0; r < clients.size(); ++r) {
+    cluster.scheduler().spawn(
+        [](pfs::Client& c, const std::string& path, std::uint64_t& h)
+            -> Task<void> {
+          pfs::MetaResult f = co_await c.create(path);
+          EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+          h = f.handle;
+          std::vector<std::uint8_t> data(kBytes, 7);
+          EXPECT_TRUE((co_await c.lock_range(h, 0, kBytes)).is_ok());
+          EXPECT_TRUE((co_await c.write_contig(h, 0, data.data(), kBytes))
+                          .is_ok());
+          EXPECT_TRUE((co_await c.unlock_range(h, 0, kBytes)).is_ok());
+          EXPECT_TRUE((co_await c.stat_handle(h)).status.is_ok());
+        }(*clients[r], paths[r], handles[r]));
+  }
+  cluster.run();
+
+  // Faulty phase: wire drops and duplicates on client-server links plus
+  // bit rot on every disk, under reads and staged rewrites.
+  net::FaultPlan plan(11);
+  net::FaultSpec wire;
+  wire.drop = 0.03;
+  wire.duplicate = 0.03;
+  plan.set_default_spec(wire);
+  plan.set_scope_max_node(cfg.num_servers);
+  net::DiskFaultSpec rot;
+  rot.bit_rot = 0.02;
+  for (int s = 0; s < cfg.num_servers; ++s) plan.set_disk_spec(s, rot);
+  cluster.set_fault_plan(&plan);
+  int finished = 0;
+  for (std::size_t r = 0; r < clients.size(); ++r) {
+    cluster.scheduler().spawn(
+        [](pfs::Client& c, std::uint64_t h, int& done) -> Task<void> {
+          std::vector<std::uint8_t> data(kBytes, 9);
+          std::vector<std::uint8_t> back(kBytes);
+          for (int round = 0; round < 4; ++round) {
+            (void)co_await c.write_contig(h, 0, data.data(), kBytes);
+            (void)co_await c.flush_write_behind();
+            (void)co_await c.read_contig(h, 0, back.data(), kBytes);
+          }
+          ++done;
+        }(*clients[r], handles[r], finished));
+  }
+  cluster.run();
+  EXPECT_EQ(finished, cfg.num_clients);
+
+  cluster.publish_metrics();
+
+  // Expected value of every counter, summed over its label sets, read
+  // straight from the owners' stats and accessors.
+  std::map<std::string, std::uint64_t> want;
+  for (int s = 0; s < cfg.num_servers; ++s) {
+    const pfs::ServerStats& st = cluster.server(s).stats();
+    want["server_requests_total"] += st.requests;
+    want["server_disk_bytes_total"] += st.disk_bytes;
+    want["server_subtrees_skipped_total"] += st.subtrees_skipped;
+    want["server_pieces_pruned_total"] += st.pieces_pruned;
+    want["server_replays_suppressed_total"] += st.replays_suppressed;
+    want["server_crashes_total"] += st.crashes;
+    want["server_crash_discarded_total"] += st.crash_discarded;
+    want["server_crc_rejects_total"] += st.crc_rejects;
+    want["server_shed_total"] += st.sheds_depth + st.sheds_bytes;
+    want["server_cache_hits_total"] += st.cache_hits;
+    want["server_cache_misses_total"] += st.cache_misses;
+    want["server_cache_readahead_issued_total"] += st.cache_readahead_issued;
+    want["server_cache_evictions_total"] += st.cache_evictions;
+    want["server_cache_dirty_flushed_bytes_total"] +=
+        st.cache_dirty_flushed_bytes;
+    want["server_dataloop_cache_hits_total"] += st.dataloop_cache_hits;
+    want["server_dataloop_cache_misses_total"] += st.dataloop_cache_misses;
+    want["server_resync_strips_pulled_total"] += st.resync_strips_pulled;
+    want["server_resync_bytes_pulled_total"] += st.resync_bytes_pulled;
+    want["server_media_errors_total"] += st.media_sector_errors +
+                                         st.media_bit_rot_detected +
+                                         st.media_torn_detected;
+    want["server_checksum_mismatches_total"] += st.checksum_mismatches;
+    want["server_scrub_blocks_total"] += st.scrub_blocks;
+    want["server_scrub_repairs_total"] += st.scrub_repairs;
+    want["server_scrub_errors_total"] += st.scrub_errors;
+    want["meta_ops_total"] += st.meta_ops();
+    want["meta_lock_waits_total"] += st.lock_waits;
+  }
+  for (const auto& c : clients) {
+    want["client_retries_total"] += c->rpc_retries();
+    want["client_rpc_timeouts_total"] += c->rpc_timeouts();
+    want["client_hedges_issued_total"] += c->hedges_issued();
+    want["client_hedges_won_total"] += c->hedges_won();
+    want["client_hedges_suppressed_total"] += c->hedges_suppressed();
+    want["client_overloaded_total"] += c->overloads_seen();
+    want["client_breaker_fast_fails_total"] += c->breaker_fast_fails();
+    want["client_read_failovers_total"] += c->read_failovers();
+    want["client_quorum_writes_total"] += c->quorum_writes();
+    want["client_data_loss_total"] += c->data_loss_surfaced();
+    want["client_wb_staged_bytes_total"] += c->wb_staged_bytes();
+    want["client_wb_coalesced_ops_total"] += c->wb_coalesced_ops();
+    want["client_wb_flushes_total"] += c->wb_flushes();
+  }
+  want["net_messages_total"] = cluster.network().total_messages();
+  want["net_wire_bytes_total"] = cluster.network().total_wire_bytes();
+  want["faults_injected_total"] = plan.counters().total();
+
+  for (const std::string& name : table_counter_names()) {
+    ASSERT_TRUE(want.contains(name)) << name << " has no expectation";
+    EXPECT_EQ(obs.metrics.counter_total(name), want[name]) << name;
+  }
+  EXPECT_EQ(want.size(), table_counter_names().size());
+
+  // Every subsystem actually ran.
+  for (const char* name :
+       {"server_cache_hits_total", "server_scrub_blocks_total",
+        "server_checksum_mismatches_total", "meta_ops_total",
+        "client_quorum_writes_total", "client_retries_total",
+        "client_wb_staged_bytes_total", "client_wb_flushes_total",
+        "faults_injected_total"}) {
+    EXPECT_GT(want[name], 0u) << name;
+  }
+
+  // Publishing sets rather than adds: a second call changes nothing.
+  cluster.publish_metrics();
+  for (const std::string& name : table_counter_names()) {
+    EXPECT_EQ(obs.metrics.counter_total(name), want[name]) << name;
+  }
+}
+
+TEST(PublishMetrics, CatalogueListsEveryCounter) {
+  // Counters registered directly by the access methods and two-phase
+  // collective I/O; every other counter comes from a counter table.
+  std::set<std::string> expected = table_counter_names();
+  for (const char* name :
+       {"io_posix_pieces_total", "io_list_batches_total",
+        "io_sieve_windows_total", "io_datatype_ops_total", "tp_rounds_total"}) {
+    expected.insert(name);
+  }
+
+  // Counter rows of the metric table in docs/observability.md:
+  // "| `a` / `b` | counter | labels | meaning |".
+  std::ifstream doc(DTIO_OBSERVABILITY_DOC);
+  ASSERT_TRUE(doc.is_open()) << DTIO_OBSERVABILITY_DOC;
+  std::set<std::string> documented;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t bar = line.find('|', 1);
+    if (bar == std::string::npos ||
+        line.compare(bar, 12, "| counter | ") != 0) {
+      continue;
+    }
+    const std::string names = line.substr(1, bar - 1);
+    for (std::size_t at = names.find('`'); at != std::string::npos;) {
+      const std::size_t close = names.find('`', at + 1);
+      documented.insert(names.substr(at + 1, close - at - 1));
+      at = names.find('`', close + 1);
+    }
+  }
+
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(documented.contains(name)) << name << " is not documented";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_TRUE(expected.contains(name)) << name << " is documented but "
+                                         << "not published";
+  }
 }
 
 }  // namespace

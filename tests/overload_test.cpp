@@ -18,11 +18,11 @@
 #include "common/units.h"
 #include "net/fault.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/run_report.h"
 #include "pfs/cluster.h"
 #include "sim/mailbox.h"
 #include "sim/scheduler.h"
-#include "sim/tracer.h"
 
 namespace dtio {
 namespace {
@@ -51,9 +51,10 @@ net::ClusterConfig overload_config(int servers = 1, int clients = 1) {
   return cfg;
 }
 
-bool trace_has(const sim::Tracer& tracer, std::string_view kind) {
-  for (const auto& e : tracer.events()) {
-    if (e.kind == kind) return true;
+/// True when the run recorded a zero-length instant span named `name`.
+bool instant_recorded(const obs::Observability& obs, std::string_view name) {
+  for (const obs::Span& s : obs.spans.spans()) {
+    if (s.name == name && s.end == s.start) return true;
   }
   return false;
 }
@@ -277,8 +278,8 @@ TEST(Admission, DepthBoundShedsAndRetriesRecover) {
   auto cfg = overload_config();
   cfg.server.max_queue_depth = 1;
   pfs::Cluster cluster(cfg);
-  sim::Tracer tracer;
-  cluster.set_tracer(&tracer);
+  obs::Observability obs;
+  cluster.set_observability(&obs);
   auto client = cluster.make_client(0);
   const auto data = pattern_bytes(6 * 2048, 52);
 
@@ -322,7 +323,7 @@ TEST(Admission, DepthBoundShedsAndRetriesRecover) {
   EXPECT_GT(cluster.server(0).stats().max_backlog, 1u);
   EXPECT_GT(client->overloads_seen(), 0u);
   EXPECT_GT(client->rpc_retries(), 0u);
-  EXPECT_TRUE(trace_has(tracer, "shed"));
+  EXPECT_TRUE(instant_recorded(obs, "shed"));
 }
 
 TEST(Admission, ByteBoundShedsAndRetriesRecover) {
@@ -597,8 +598,8 @@ TEST(Breaker, HalfOpenProbeRecoversAfterOutageEnds) {
   cfg.client.breaker_failures = 2;
   cfg.client.breaker_open_duration = 20 * kMillisecond;
   pfs::Cluster cluster(cfg);
-  sim::Tracer tracer;
-  cluster.set_tracer(&tracer);
+  obs::Observability obs;
+  cluster.set_observability(&obs);
   FaultPlan plan(5);
   plan.add_outage(/*node=*/0, 5 * kMillisecond, 60 * kMillisecond);
   cluster.set_fault_plan(&plan);
@@ -631,9 +632,9 @@ TEST(Breaker, HalfOpenProbeRecoversAfterOutageEnds) {
   EXPECT_TRUE(finished);
   EXPECT_GE(client->breaker_fast_fails(), 1u);
   EXPECT_EQ(client->lane_health(0).breaker, 0);  // closed again
-  EXPECT_TRUE(trace_has(tracer, "breaker_open"));
-  EXPECT_TRUE(trace_has(tracer, "breaker_half_open"));
-  EXPECT_TRUE(trace_has(tracer, "breaker_close"));
+  EXPECT_TRUE(instant_recorded(obs, "breaker_open"));
+  EXPECT_TRUE(instant_recorded(obs, "breaker_half_open"));
+  EXPECT_TRUE(instant_recorded(obs, "breaker_close"));
 }
 
 // A half-open probe answered with a definitive application-level error
