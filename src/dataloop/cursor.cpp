@@ -381,6 +381,44 @@ void Cursor::advance(std::int64_t len) {
   }
 }
 
+bool Cursor::peek_run(Region& out, std::int64_t& stride, std::int64_t& n) {
+  stride = 0;
+  n = 1;
+  if (!peek(out)) return false;
+  if (filter_ != nullptr || region_consumed_ != 0 || stack_.size() < 2) {
+    return true;
+  }
+  const Dataloop& L = *stack_.back().loop;
+  const Frame& parent = stack_[stack_.size() - 2];
+  if ((L.kind != Kind::kLeaf && !L.solid) ||
+      parent.loop->kind != Kind::kContig) {
+    return true;
+  }
+  // Under no filter, settle() steps a contig frame to its next child with
+  // no probe, so the siblings come out extent apart, each L.size long.
+  n = std::min(parent.loop->count - parent.block, (limit_ - pos_) / L.size);
+  n = std::max<std::int64_t>(n, 1);
+  stride = L.extent;
+  return true;
+}
+
+void Cursor::advance_run(std::int64_t k) {
+  assert(!done_ && !stack_.empty() && k >= 1);
+  if (k == 1) {
+    advance(std::min(current_region().length, limit_ - pos_));
+    return;
+  }
+  // Only a contig run has k > 1, and its regions are whole solid
+  // children: step the parent past k of them and pop the solid frame, as
+  // advance() does after the last.
+  Frame& parent = stack_[stack_.size() - 2];
+  assert(parent.loop->kind == Kind::kContig && region_consumed_ == 0 &&
+         parent.block + k <= parent.loop->count);
+  parent.block += k - 1;
+  pos_ += k * stack_.back().loop->size;
+  pop_and_advance();
+}
+
 void Cursor::seek(std::int64_t stream_pos) {
   if (stream_pos < 0 || stream_pos > total_bytes()) {
     throw std::out_of_range("Cursor::seek: position outside stream");

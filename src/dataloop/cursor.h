@@ -139,6 +139,19 @@ class Cursor {
   /// Consume `len` bytes (len <= the length peek() reported).
   void advance(std::int64_t len);
 
+  /// peek() plus the arithmetic run the region starts: `n` regions of
+  /// out.length bytes at out.offset + i * stride (i < n), the same ones
+  /// the next n peek()/advance() steps would report. A run is the
+  /// remaining solid children under a contig parent, cut at the stream
+  /// limit, such as FLASH's 8-byte cells 192 bytes apart. Everywhere else,
+  /// and always with a filter set or a partly consumed region, n = 1.
+  bool peek_run(Region& out, std::int64_t& stride, std::int64_t& n);
+
+  /// Consume the first k (1 <= k <= n) regions of the run peek_run()
+  /// reported, leaving the cursor exactly where k peek()/advance() steps
+  /// would.
+  void advance_run(std::int64_t k);
+
  private:
   struct Frame {
     const Dataloop* loop;

@@ -3,6 +3,7 @@
 // request, paper §2.4). The batches keep request sizes bounded but leave a
 // linear relationship between pieces and requests — the deficiency
 // datatype I/O removes.
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -20,7 +21,9 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   const std::int64_t total = count * memtype.size();
   ctx.client.stats().desired_bytes += static_cast<std::uint64_t>(total);
   const StreamWindow window = make_window(view, offset, total);
-  const auto cap = static_cast<std::size_t>(ctx.config.list_io_max_regions);
+  // A batch holds at least one piece, whatever the region limit says.
+  const auto cap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(ctx.config.list_io_max_regions));
   const bool transfer = ctx.client.transfer_data();
   const obs::SpanId span = detail::begin_method_span(
       ctx, is_write ? "list_write" : "list_read", total);
@@ -35,19 +38,13 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   file_batch.reserve(cap);
   mem_offsets.reserve(cap);
 
-  JointWalker::Piece piece;
-  bool more = walker.next(piece);
-  while (more) {
-    ++batches;
+  while (true) {
     file_batch.clear();
     mem_offsets.clear();
     std::int64_t batch_bytes = 0;
-    do {
-      file_batch.push_back(Region{piece.file_offset, piece.length});
-      mem_offsets.push_back(piece.mem_offset);
-      batch_bytes += piece.length;
-      more = walker.next(piece);
-    } while (more && file_batch.size() < cap);
+    walker.fill(file_batch, mem_offsets, cap, batch_bytes);
+    if (file_batch.empty()) break;
+    ++batches;
 
     // Flattening both types into this batch of joint pieces is the
     // client-side cost list I/O pays on every request.

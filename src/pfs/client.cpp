@@ -1,6 +1,7 @@
 #include "pfs/client.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -903,11 +904,18 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
 std::int64_t Client::build_access(const FileLayout& layout,
                                   std::span<const Region> logical,
                                   std::vector<ServerAccess>& out) const {
-  out.assign(static_cast<std::size_t>(config_->num_servers), ServerAccess{});
+  assert(out.empty());
+  out.resize(static_cast<std::size_t>(config_->num_servers));
   std::int64_t pieces = 0;
   layout.map_regions(logical,
                      [&](int server, Region phys, std::int64_t stream_pos) {
                        auto& acc = out[static_cast<std::size_t>(server)];
+                       // A list request's pieces mostly land on one or two
+                       // servers: size for all of them up front.
+                       if (acc.pieces.empty()) {
+                         acc.pieces.reserve(logical.size());
+                         acc.stream_at.reserve(logical.size());
+                       }
                        acc.pieces.push_back(phys);
                        acc.stream_at.push_back(stream_pos);
                        acc.total_bytes += phys.length;
@@ -920,7 +928,8 @@ std::int64_t Client::build_access_datatype(
     const FileLayout& layout, const dl::DataloopPtr& filetype,
     std::int64_t displacement, std::int64_t count, std::int64_t stream_offset,
     std::int64_t stream_length, std::vector<ServerAccess>& out) const {
-  out.assign(static_cast<std::size_t>(config_->num_servers), ServerAccess{});
+  assert(out.empty());
+  out.resize(static_cast<std::size_t>(config_->num_servers));
   std::int64_t pieces = 0;
   StripMapper mapper(layout);  // stream positions run within the window
   dl::Cursor cursor(filetype, displacement, count);

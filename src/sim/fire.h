@@ -10,6 +10,8 @@
 #include <coroutine>
 #include <exception>
 
+#include "sim/frame_pool.h"
+
 namespace dtio::sim {
 
 namespace detail {
@@ -20,7 +22,7 @@ inline thread_local std::exception_ptr g_fire_exception;
 
 class Fire {
  public:
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     Fire get_return_object() noexcept {
       return Fire{std::coroutine_handle<promise_type>::from_promise(*this)};
     }

@@ -3,6 +3,8 @@
 // A Resource with capacity 1 serializes its users in simulated time; the
 // `use(hold)` helper models the common "occupy the device for a duration"
 // pattern (e.g. a 64 KiB packet occupies a link for bytes/bandwidth).
+// use(hold) is a plain awaiter, not a coroutine: every link, fabric, CPU
+// and disk hold would otherwise allocate a frame of its own.
 #pragma once
 
 #include <cassert>
@@ -12,7 +14,6 @@
 
 #include "common/units.h"
 #include "sim/scheduler.h"
-#include "sim/task.h"
 
 namespace dtio::sim {
 
@@ -35,7 +36,7 @@ class Resource {
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      res->waiters_.push_back(h);
+      res->waiters_.push_back(Waiter{h, kNoHold});
     }
     void await_resume() const noexcept {}
   };
@@ -44,25 +45,43 @@ class Resource {
   [[nodiscard]] AcquireAwaiter acquire() noexcept { return {this}; }
 
   /// Release one unit. If a waiter exists, ownership transfers to it (the
-  /// waiter resumes through the event queue at the current time).
+  /// waiter resumes through the event queue at the current time; a
+  /// use(hold) waiter's resumption re-queues it `hold` later).
   void release() {
     assert(in_use_ > 0);
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
+      const Waiter w = waiters_.front();
       waiters_.pop_front();
       // in_use_ stays constant: the unit moves straight to the waiter.
-      sched_->schedule_at(sched_->now(), h);
+      if (w.hold == kNoHold) {
+        sched_->schedule_at(sched_->now(), w.handle);
+      } else {
+        sched_->schedule_grant(sched_->now(), w.handle, w.hold);
+      }
     } else {
       note_usage_change(-1);
     }
   }
 
-  /// Acquire, hold for `hold` simulated time, release.
-  Task<void> use(SimTime hold) {
-    co_await acquire();
-    co_await sched_->delay(hold);
-    release();
-  }
+  /// Acquire, hold for `hold` simulated time, release. The events are
+  /// those of acquire(), then delay(hold), then release(): one at the end
+  /// of the hold when the unit is free, and when it is not, one more at
+  /// the hand-over (Scheduler::schedule_grant).
+  struct UseAwaiter {
+    Resource* res;
+    SimTime hold;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (res->in_use_ < res->capacity_ && res->waiters_.empty()) {
+        res->note_usage_change(+1);
+        res->sched_->schedule_at(res->sched_->now() + hold, h);
+      } else {
+        res->waiters_.push_back(Waiter{h, hold});
+      }
+    }
+    void await_resume() const { res->release(); }
+  };
+  [[nodiscard]] UseAwaiter use(SimTime hold) noexcept { return {this, hold}; }
 
   [[nodiscard]] std::size_t in_use() const noexcept { return in_use_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -86,10 +105,17 @@ class Resource {
                                        delta);
   }
 
+  /// A queued acquire() (hold == kNoHold) or use(hold).
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    SimTime hold;
+  };
+  static constexpr SimTime kNoHold = -1;
+
   Scheduler* sched_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
   double busy_integral_ = 0.0;
   SimTime last_change_ = 0;
 };

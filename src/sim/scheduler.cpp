@@ -1,5 +1,6 @@
 #include "sim/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -13,14 +14,41 @@ Scheduler::~Scheduler() {
   }
 }
 
-void Scheduler::schedule_at(SimTime t, std::coroutine_handle<> h) {
+void Scheduler::push(SimTime t, void* frame, std::uint64_t aux) {
   assert(t >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{t, next_seq_++, h, nullptr});
+  queue_.push_back(Event{t, next_seq_++, frame, aux});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+}
+
+void Scheduler::schedule_at(SimTime t, std::coroutine_handle<> h) {
+  push(t, h.address(), 0);
+}
+
+void Scheduler::schedule_grant(SimTime t, std::coroutine_handle<> h,
+                               SimTime hold) {
+  assert(hold >= 0);
+  push(t, h.address(), static_cast<std::uint64_t>(hold) + 1);
 }
 
 void Scheduler::schedule_call(SimTime t, std::function<void()> fn) {
-  assert(t >= now_ && "cannot schedule into the simulated past");
-  queue_.push(Event{t, next_seq_++, nullptr, std::move(fn)});
+  std::uint64_t slot = calls_.size();
+  if (free_calls_.empty()) {
+    calls_.push_back(std::move(fn));
+  } else {
+    slot = free_calls_.back();
+    free_calls_.pop_back();
+    calls_[slot] = std::move(fn);
+  }
+  push(t, nullptr, slot);
+}
+
+void Scheduler::run_call(std::uint64_t slot) {
+  // Free the slot before the call: the callback may schedule another one,
+  // which can take this slot or grow calls_ under our feet.
+  std::function<void()> fn = std::move(calls_[slot]);
+  calls_[slot] = nullptr;
+  free_calls_.push_back(slot);
+  fn();
 }
 
 void Scheduler::schedule_telemetry(SimTime t, std::function<void()> fn) {
@@ -45,7 +73,7 @@ void Scheduler::run() {
     // is identical with or without telemetry attached. A telemetry
     // callback may schedule the next sample (periodic samplers), which
     // the loop picks up immediately if still due.
-    const SimTime next_time = queue_.top().time;
+    const SimTime next_time = queue_.front().time;
     while (!telemetry_.empty() && telemetry_.top().time <= next_time) {
       TelemetryEvent t = std::move(const_cast<TelemetryEvent&>(
           telemetry_.top()));
@@ -53,14 +81,17 @@ void Scheduler::run() {
       now_ = t.time;
       t.fn();
     }
-    Event ev = queue_.top();
-    queue_.pop();
+    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+    const Event ev = queue_.back();
+    queue_.pop_back();
     now_ = ev.time;
     ++events_processed_;
-    if (ev.handle) {
-      ev.handle.resume();
+    if (ev.frame == nullptr) {
+      run_call(ev.aux);
+    } else if (ev.aux == 0) {
+      std::coroutine_handle<>::from_address(ev.frame).resume();
     } else {
-      ev.fn();
+      push(now_ + static_cast<SimTime>(ev.aux - 1), ev.frame, 0);
     }
   }
   check_process_exceptions();

@@ -15,6 +15,8 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_pool.h"
+
 namespace dtio::sim {
 
 namespace detail {
@@ -34,7 +36,7 @@ struct FinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 

@@ -1007,5 +1007,210 @@ TEST_P(DataloopProperty, SeekEquivalentToSkip) {
 INSTANTIATE_TEST_SUITE_P(RandomTypes, DataloopProperty,
                          ::testing::Range(0, 40));
 
+// ---- Run-length walk (peek_run / advance_run) ---------------------------------
+
+/// A random type whose innermost level is often a contig of spaced-out
+/// solid children (a resized leaf or packed contig), the shape peek_run
+/// reports as runs, nested under up to two more levels.
+DataloopPtr random_run_type(Rng& rng) {
+  DataloopPtr solid = make_leaf(rng.next_range(1, 8));
+  if (rng.next_below(3) == 0) solid = make_contig(rng.next_range(2, 3), solid);
+  solid = make_resized(solid, 0, solid->size + rng.next_range(0, 12));
+  DataloopPtr loop = make_contig(rng.next_range(1, 9), solid);
+  const std::int64_t levels = rng.next_range(0, 2);
+  for (std::int64_t i = 0; i < levels; ++i) {
+    switch (rng.next_below(3)) {
+      case 0:
+        loop = make_contig(rng.next_range(2, 4), loop);
+        break;
+      case 1: {
+        const std::int64_t blocklen = rng.next_range(1, 3);
+        loop = make_vector(rng.next_range(2, 4), blocklen,
+                           blocklen * loop->extent + rng.next_range(0, 40),
+                           loop);
+        break;
+      }
+      default: {
+        const DataloopPtr other = random_type(rng, 1);
+        const std::int64_t lens[] = {rng.next_range(1, 2), 1};
+        const std::int64_t offs[] = {
+            0, lens[0] * loop->extent + rng.next_range(0, 16) - other->lb};
+        const DataloopPtr kids[] = {loop, other};
+        loop = make_struct(lens, offs, kids);
+        break;
+      }
+    }
+  }
+  return loop;
+}
+
+struct Step {
+  Region region;
+  std::int64_t pos_after;  ///< position() once the region is consumed
+};
+
+std::vector<Step> walk_steps(Cursor& c) {
+  std::vector<Step> steps;
+  Region r;
+  while (c.peek(r)) {
+    c.advance(r.length);
+    steps.push_back({r, c.position()});
+  }
+  return steps;
+}
+
+/// Walks `run` with peek_run/advance_run, taking a random prefix of each
+/// run, and checks it against the peek/advance steps of an identically
+/// set up cursor. Returns the largest n reported.
+std::int64_t check_run_walk(Rng& rng, Cursor& run,
+                            const std::vector<Step>& steps,
+                            std::int64_t& partial_takes) {
+  std::size_t at = 0;
+  std::int64_t max_n = 0;
+  Region r;
+  std::int64_t stride = 0;
+  std::int64_t n = 0;
+  while (run.peek_run(r, stride, n)) {
+    EXPECT_GE(n, 1);
+    if (at + static_cast<std::size_t>(n) > steps.size()) {
+      ADD_FAILURE() << "run of " << n << " past the end of the walk";
+      return max_n;
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+      const Region want = steps[at + static_cast<std::size_t>(i)].region;
+      if (want != Region{r.offset + i * stride, r.length}) {
+        ADD_FAILURE() << "region " << at + static_cast<std::size_t>(i)
+                      << " of a run differs";
+        return max_n;
+      }
+    }
+    max_n = std::max(max_n, n);
+    const std::int64_t k = rng.next_range(1, n);
+    if (k < n) ++partial_takes;
+    run.advance_run(k);
+    at += static_cast<std::size_t>(k);
+    EXPECT_EQ(run.position(), steps[at - 1].pos_after);
+  }
+  EXPECT_EQ(at, steps.size());
+  EXPECT_TRUE(run.done());
+  return max_n;
+}
+
+TEST(RunWalk, MatchesPeekAdvanceOnRandomTypes) {
+  Rng rng(2718);
+  std::int64_t with_runs = 0;
+  std::int64_t partial_takes = 0;
+  std::int64_t mid_region_seeks = 0;
+  std::int64_t limits_inside_runs = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const DataloopPtr loop =
+        rng.next_below(4) == 0
+            ? random_type(rng, static_cast<int>(rng.next_range(1, 3)))
+            : random_run_type(rng);
+    const std::int64_t count = rng.next_range(1, 3);
+    const std::int64_t base = rng.next_range(0, 512);
+
+    // Seek to the start, anywhere, or strictly inside some region.
+    Cursor probe(loop, base, count);
+    const auto full = walk_steps(probe);
+    const std::int64_t total = probe.total_bytes();
+    std::int64_t seek = 0;
+    switch (rng.next_below(3)) {
+      case 0:
+        break;
+      case 1:
+        seek = rng.next_range(0, total);
+        break;
+      default: {
+        if (full.empty()) break;
+        const Step& s = full[static_cast<std::size_t>(
+            rng.next_below(static_cast<std::uint64_t>(full.size())))];
+        if (s.region.length > 1) {
+          seek = s.pos_after - s.region.length +
+                 rng.next_range(1, s.region.length - 1);
+          ++mid_region_seeks;
+        }
+      }
+    }
+    std::int64_t limit = total;
+    if (rng.next_below(2) == 0) limit = rng.next_range(seek, total);
+
+    Cursor ref(loop, base, count);
+    Cursor run(loop, base, count);
+    for (Cursor* c : {&ref, &run}) {
+      c->seek(seek);
+      c->set_stream_limit(limit);
+    }
+    const auto steps = walk_steps(ref);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << "\n" << loop->to_string()
+                 << "base=" << base << " count=" << count << " seek=" << seek
+                 << " limit=" << limit);
+    const std::int64_t max_n = check_run_walk(rng, run, steps, partial_takes);
+    EXPECT_EQ(run.position(), ref.position());
+    if (max_n > 1) ++with_runs;
+    // The limit cuts a run when it falls between two regions of one
+    // contig parent: the unlimited walk has a region starting right there
+    // that is a stride away from the one before it.
+    if (max_n > 1 && limit < total && !steps.empty() &&
+        steps.back().pos_after == limit && steps.size() >= 2 &&
+        steps.back().region.length == steps[steps.size() - 2].region.length) {
+      ++limits_inside_runs;
+    }
+  }
+  EXPECT_GT(with_runs, 1000);
+  EXPECT_GT(partial_takes, 100);
+  EXPECT_GT(mid_region_seeks, 100);
+  EXPECT_GT(limits_inside_runs, 50);
+}
+
+TEST(RunWalk, FilterForcesSingleRegions) {
+  Rng rng(3141);
+  for (int trial = 0; trial < 500; ++trial) {
+    const DataloopPtr loop = random_run_type(rng);
+    const std::int64_t count = rng.next_range(1, 3);
+    Cursor ref(loop, 0, count);
+    Cursor run(loop, 0, count);
+    // Keep-all, or a window that rejects some subtrees.
+    const std::int64_t span = count * loop->extent;
+    Window w{std::numeric_limits<std::int64_t>::min() / 2,
+             std::numeric_limits<std::int64_t>::max() / 2};
+    if (rng.next_below(2) == 0) {
+      w.lo = rng.next_range(0, span);
+      w.hi = rng.next_range(w.lo, span + 1);
+    }
+    for (Cursor* c : {&ref, &run}) c->set_filter(window_filter, &w);
+    const auto steps = walk_steps(ref);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << "\n"
+                                      << loop->to_string());
+    std::int64_t partial_takes = 0;
+    EXPECT_LE(check_run_walk(rng, run, steps, partial_takes), 1);
+    EXPECT_EQ(run.position(), ref.position());
+    EXPECT_EQ(run.subtrees_skipped(), ref.subtrees_skipped());
+  }
+}
+
+TEST(RunWalk, FlashInnermostRowIsOneRun) {
+  // FLASH's innermost level: 8 cells of one 8-byte variable, 192 apart.
+  const DataloopPtr row = make_contig(8, make_resized(make_leaf(8), 0, 192));
+  Cursor c(make_vector(4, 1, 16 * 192, row), 0, 1);
+  Region r;
+  std::int64_t stride = 0;
+  std::int64_t n = 0;
+  ASSERT_TRUE(c.peek_run(r, stride, n));
+  EXPECT_EQ(r, (Region{0, 8}));
+  EXPECT_EQ(stride, 192);
+  EXPECT_EQ(n, 8);
+  c.advance_run(3);
+  ASSERT_TRUE(c.peek_run(r, stride, n));
+  EXPECT_EQ(r, (Region{3 * 192, 8}));
+  EXPECT_EQ(n, 5);
+  c.advance_run(5);
+  ASSERT_TRUE(c.peek_run(r, stride, n));
+  EXPECT_EQ(r, (Region{16 * 192, 8}));
+  EXPECT_EQ(n, 8);
+  EXPECT_EQ(c.position(), 64);
+}
+
 }  // namespace
 }  // namespace dtio::dl

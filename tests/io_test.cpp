@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "collective/comm.h"
@@ -15,6 +17,9 @@
 #include "mpiio/file.h"
 #include "pfs/cluster.h"
 #include "types/datatype.h"
+#include "workloads/block3d.h"
+#include "workloads/flash.h"
+#include "workloads/tile.h"
 
 namespace dtio {
 namespace {
@@ -486,6 +491,151 @@ TEST(Joint, WindowSeekAlignsFileSide) {
   EXPECT_EQ(pieces[0].length, 4);
   EXPECT_EQ(pieces[1].file_offset, 100 + 64);
   EXPECT_EQ(pieces[1].length, 4);
+}
+
+// ---- JointWalker::fill ----------------------------------------------------------
+
+using PieceTuple = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+using Batches = std::vector<std::vector<PieceTuple>>;
+
+/// List I/O's batching before fill(): `cap` pieces per batch from
+/// repeated next().
+Batches batches_by_next(io::JointWalker walker, std::size_t cap) {
+  Batches out;
+  io::JointWalker::Piece p;
+  while (walker.next(p)) {
+    if (out.empty() || out.back().size() == cap) out.emplace_back();
+    out.back().emplace_back(p.mem_offset, p.file_offset, p.length);
+  }
+  return out;
+}
+
+Batches batches_by_fill(io::JointWalker walker, std::size_t cap) {
+  Batches out;
+  std::vector<Region> file;
+  std::vector<std::int64_t> mem;
+  while (true) {
+    file.clear();
+    mem.clear();
+    std::int64_t bytes = 0;
+    walker.fill(file, mem, cap, bytes);
+    if (file.empty()) break;
+    EXPECT_EQ(mem.size(), file.size());
+    std::vector<PieceTuple> batch;
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < file.size(); ++i) {
+      batch.emplace_back(mem[i], file[i].offset, file[i].length);
+      sum += file[i].length;
+    }
+    EXPECT_EQ(bytes, sum);
+    out.push_back(std::move(batch));
+  }
+  return out;
+}
+
+/// fill() at caps 1, 7 and 64 against next(); returns the piece count.
+std::size_t expect_fill_matches_next(const dl::Cursor& mem,
+                                     const dl::Cursor& file) {
+  std::size_t pieces = 0;
+  for (const std::size_t cap : {1u, 7u, 64u}) {
+    SCOPED_TRACE(::testing::Message() << "cap " << cap);
+    const Batches want = batches_by_next(io::JointWalker(mem, file), cap);
+    const Batches got = batches_by_fill(io::JointWalker(mem, file), cap);
+    EXPECT_EQ(got, want);
+    pieces = 0;
+    for (const auto& b : want) pieces += b.size();
+  }
+  return pieces;
+}
+
+/// Cursors for `count` memtypes through `view` at view offset `offset`.
+std::pair<dl::Cursor, dl::Cursor> joint_cursors(const io::FileView& view,
+                                                const types::Datatype& memtype,
+                                                std::int64_t count,
+                                                std::int64_t offset) {
+  const io::StreamWindow window =
+      io::make_window(view, offset, count * memtype.size());
+  return {io::make_mem_cursor(memtype, count),
+          io::make_file_cursor(view, window)};
+}
+
+TEST(JointFill, FlashPiecesAndBatchesMatchNext) {
+  workloads::FlashConfig flash;
+  flash.blocks_per_proc = 2;
+  const io::FileView view{flash.displacement(1), types::byte_t(),
+                          flash.filetype(4)};
+  const auto [mem, file] = joint_cursors(view, flash.memtype(), 1, 0);
+  EXPECT_EQ(expect_fill_matches_next(mem, file),
+            static_cast<std::size_t>(flash.joint_pieces()));
+}
+
+TEST(JointFill, TilePiecesAndBatchesMatchNext) {
+  workloads::TileConfig tile;
+  tile.tile_width = 40;
+  tile.tile_height = 12;
+  tile.overlap_x = 6;
+  tile.overlap_y = 4;
+  for (int rank = 0; rank < tile.num_clients(); ++rank) {
+    const io::FileView view{0, types::byte_t(), tile.tile_filetype(rank)};
+    // Two frames, starting one frame in.
+    const auto [mem, file] =
+        joint_cursors(view, tile.memtype(), 2, tile.tile_bytes());
+    EXPECT_EQ(expect_fill_matches_next(mem, file),
+              static_cast<std::size_t>(2 * tile.rows_per_tile()));
+  }
+}
+
+TEST(JointFill, Block3dPiecesAndBatchesMatchNext) {
+  workloads::Block3dConfig block;
+  block.dim = 12;
+  for (int rank = 0; rank < block.num_clients(); ++rank) {
+    const io::FileView view{0, types::byte_t(), block.block_filetype(rank)};
+    const auto [mem, file] = joint_cursors(view, block.memtype(), 1, 0);
+    EXPECT_EQ(expect_fill_matches_next(mem, file),
+              static_cast<std::size_t>(block.rows_per_block()));
+  }
+}
+
+/// A side of a random joint pair: runs of spaced-out leaves, sometimes
+/// under a vector, or plain strided blocks.
+dl::DataloopPtr random_joint_side(Rng& rng) {
+  if (rng.next_below(3) == 0) {
+    const std::int64_t len = rng.next_range(1, 64);
+    return dl::make_vector(rng.next_range(2, 8), 1, len + rng.next_range(1, 64),
+                           dl::make_leaf(len));
+  }
+  auto solid = dl::make_leaf(rng.next_range(1, 8));
+  solid = dl::make_resized(solid, 0, solid->size + rng.next_range(0, 24));
+  auto loop = dl::make_contig(rng.next_range(1, 12), solid);
+  if (rng.next_below(2) == 0) {
+    const std::int64_t bl = rng.next_range(1, 3);
+    loop = dl::make_vector(rng.next_range(2, 6), bl,
+                           bl * loop->extent + rng.next_range(0, 64), loop);
+  }
+  return loop;
+}
+
+TEST(JointFill, RandomPairsMatchNext) {
+  Rng rng(1618);
+  std::size_t pieces = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const dl::DataloopPtr mem_loop = random_joint_side(rng);
+    const dl::DataloopPtr file_loop = random_joint_side(rng);
+    const std::int64_t mem_count = rng.next_range(1, 4);
+    const std::int64_t bytes = mem_count * mem_loop->size;
+    // The file side starts anywhere in its stream and covers the bytes.
+    const std::int64_t start = rng.next_range(0, 2 * file_loop->size);
+    dl::Cursor file(file_loop, rng.next_range(0, 100),
+                    (start + bytes + file_loop->size - 1) / file_loop->size);
+    file.seek(start);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << "\nmem x" << mem_count << "\n"
+                 << mem_loop->to_string() << "file from " << start << "\n"
+                 << file_loop->to_string());
+    pieces += expect_fill_matches_next(dl::Cursor(mem_loop, 0, mem_count),
+                                       file);
+  }
+  EXPECT_GT(pieces, 10000u);
 }
 
 }  // namespace
