@@ -156,6 +156,8 @@ struct ChaosRun {
   std::uint64_t sheds = 0;
   std::uint64_t hedges_issued = 0;
   std::uint64_t hedges_won = 0;
+  std::uint64_t replies_dropped = 0;   ///< stale replies dropped at mailboxes
+  std::uint64_t mailbox_residual = 0;  ///< messages still queued at the end
   net::FaultCounters faults;
 };
 
@@ -242,6 +244,11 @@ ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
     out.crc_rejects += st.crc_rejects;
     out.crashes += st.crashes;
     out.sheds += st.sheds_depth + st.sheds_bytes;
+  }
+  for (int node = 0; node < cluster.network().num_nodes(); ++node) {
+    const sim::Mailbox& mb = cluster.network().mailbox(node);
+    out.replies_dropped += mb.stats().replies_dropped;
+    out.mailbox_residual += mb.queued();
   }
   out.faults = plan.counters();
   return out;
@@ -888,10 +895,13 @@ int tile_main(int argc, char** argv) {
                 static_cast<unsigned long long>(faulty.crashes),
                 static_cast<unsigned long long>(faulty.faults.total()));
     std::printf("               sheds=%llu hedges_issued=%llu "
-                "hedges_won=%llu\n",
+                "hedges_won=%llu replies_dropped=%llu "
+                "mailbox_residual=%llu\n",
                 static_cast<unsigned long long>(faulty.sheds),
                 static_cast<unsigned long long>(faulty.hedges_issued),
-                static_cast<unsigned long long>(faulty.hedges_won));
+                static_cast<unsigned long long>(faulty.hedges_won),
+                static_cast<unsigned long long>(faulty.replies_dropped),
+                static_cast<unsigned long long>(faulty.mailbox_residual));
     std::printf("  retries off: sim=%.3fs failures=%d/%d (every fault that "
                 "hits a request is terminal)\n",
                 noretry.seconds, noretry.failures, reads_total);
@@ -915,6 +925,10 @@ int tile_main(int argc, char** argv) {
         static_cast<double>(faulty.hedges_issued);
     report.scalars["chaos_hedges_won"] =
         static_cast<double>(faulty.hedges_won);
+    report.scalars["chaos_replies_dropped"] =
+        static_cast<double>(faulty.replies_dropped);
+    report.scalars["chaos_mailbox_residual"] =
+        static_cast<double>(faulty.mailbox_residual);
   }
 
   // Tail-latency ablation (--overload): the same degraded-server scenario

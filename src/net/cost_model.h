@@ -282,8 +282,9 @@ struct ClientConfig {
 
   /// Hedged reads: percentile of the per-server observed attempt-latency
   /// distribution after which a read-class RPC issues one hedge to the
-  /// same server on a fresh reply tag (first reply wins; the loser parks
-  /// unclaimed, exactly like a stale retry reply). 0 = hedging off.
+  /// same server on a fresh reply tag (first reply wins; the loser is
+  /// dropped at delivery and counted, exactly like a stale retry reply).
+  /// 0 = hedging off.
   /// The hedge extends the attempt's wait by a fresh rpc_timeout (no
   /// deadline at 0), so a slow-but-alive primary still counts — the
   /// mechanism that beats timeout-and-discard under a degraded server.

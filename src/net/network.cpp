@@ -30,8 +30,22 @@ std::span<const obs::CounterRow<Network>> Network::counter_table() {
   return kRows;
 }
 
+std::span<const obs::CounterRow<sim::MailboxStats>>
+Network::mailbox_counter_table() {
+  static constexpr obs::CounterRow<sim::MailboxStats> kRows[] = {
+      {"net_replies_dropped_total", "node",
+       &sim::MailboxStats::replies_dropped},
+  };
+  return kRows;
+}
+
 void Network::publish_metrics(obs::MetricsRegistry& registry) const {
   obs::publish_counters(registry, counter_table(), *this);
+  for (std::size_t node = 0; node < endpoints_.size(); ++node) {
+    obs::publish_counters(registry, mailbox_counter_table(),
+                          endpoints_[node]->mailbox.stats(),
+                          static_cast<int>(node));
+  }
 }
 
 // Non-coroutine entry point: boxes the message before the coroutine frame

@@ -53,7 +53,12 @@ class Network {
   /// The counters this network publishes (net_messages_total, ...), each
   /// read from one of its totals below.
   static std::span<const obs::CounterRow<Network>> counter_table();
-  /// Sets every counter_table() row in `registry`.
+  /// The counters each node's mailbox publishes under a `node=<id>` label
+  /// (net_replies_dropped_total), read from its sim::MailboxStats.
+  static std::span<const obs::CounterRow<sim::MailboxStats>>
+  mailbox_counter_table();
+  /// Sets every counter_table() row, and every mailbox_counter_table() row
+  /// once per node, in `registry`.
   void publish_metrics(obs::MetricsRegistry& registry) const;
   [[nodiscard]] sim::Resource& tx_link(int node) { return endpoint(node).tx; }
   [[nodiscard]] sim::Resource& rx_link(int node) { return endpoint(node).rx; }

@@ -159,8 +159,11 @@ sim::Task<Status> Client::lock_op(OpKind op, std::uint64_t handle,
     wait_span = obs_->spans.begin("lock_wait", node_, sched_->now(), t.span,
                                   t.trace, obs::Phase::kClientLockWait);
   }
+  sim::Mailbox& mailbox = network_->mailbox(node_);
+  mailbox.claim(tag);
   co_await network_->send(node_, shard, std::move(msg));
-  (void)co_await network_->mailbox(node_).recv(shard, tag);  // grant / ack
+  (void)co_await mailbox.recv(shard, tag);  // grant / ack
+  mailbox.retire(tag);
   if (wait_span != 0) obs_->spans.end(wait_span, sched_->now());
   finish_op(op, t);
   co_return Status::ok();
@@ -514,6 +517,8 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     out.trace = slot->request.trace_id;
     out.span = attempt_span;
     out.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
+    sim::Mailbox& mailbox = network_->mailbox(node_);
+    mailbox.claim(tag);
     co_await network_->send(node_, slot->server, std::move(out));
 
     std::optional<sim::Message> maybe;
@@ -540,7 +545,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
           (1.0 + 1.0 / obs::Histogram::kSubBuckets));
       if (deadline > 0 && hedge_delay >= deadline) hedge_delay = 0;
     }
-    sim::Mailbox& mailbox = network_->mailbox(node_);
+    std::uint64_t hedge_tag = 0;
     if (hedge_delay > 0) {
       maybe = co_await mailbox.recv(slot->server, tag, hedge_delay);
       if (!maybe.has_value() && ln.breaker != Lane::Breaker::kClosed) {
@@ -555,7 +560,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       } else if (!maybe.has_value()) {
         Request hedge = slot->request;
         hedge.reply_tag = next_reply_tag();
-        const std::uint64_t hedge_tag = hedge.reply_tag;
+        hedge_tag = hedge.reply_tag;
         hedge.parent_span = attempt_span;
         hedge_sent = true;
         ++hedges_issued_;
@@ -566,6 +571,9 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         out2.trace = slot->request.trace_id;
         out2.span = attempt_span;
         out2.phase = static_cast<std::uint8_t>(obs::Phase::kNetRequest);
+        // The primary stays claimed across this send: its reply may land
+        // while the hedge is on the wire, and the receive below takes it.
+        mailbox.claim(hedge_tag);
         co_await network_->send(node_, slot->server, std::move(out2));
         maybe = co_await mailbox.recv(slot->server, tag, deadline, hedge_tag);
         if (maybe.has_value() && maybe->tag == hedge_tag) hedge_won = true;
@@ -573,6 +581,10 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     } else {
       maybe = co_await mailbox.recv(slot->server, tag, deadline);
     }
+    // No receive can accept either tag any more: from here on their
+    // replies (late, duplicated or the hedge loser) drop at delivery.
+    mailbox.retire(tag);
+    if (hedge_sent) mailbox.retire(hedge_tag);
     if (!maybe.has_value()) {
       ++rpc_timeouts_;
       health_note(ln, 0, /*failed=*/true);

@@ -359,11 +359,14 @@ sim::Task<void> IOServer::resync() {
       const std::uint64_t wire =
           config_->net.per_message_overhead_bytes +
           request_descriptor_bytes(req, config_->list_io_bytes_per_region);
+      sim::Mailbox& mailbox = network_->mailbox(server_index_);
+      mailbox.claim(tag);
       co_await network_->send(
           server_index_, peer,
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      auto maybe = co_await network_->mailbox(server_index_).recv(
-          peer, tag, config_->server.resync_pull_timeout);
+      auto maybe = co_await mailbox.recv(peer, tag,
+                                         config_->server.resync_pull_timeout);
+      mailbox.retire(tag);
       if (crashed_ || epoch_ != my_epoch) {
         // Crashed again mid-resync: the next restart owns recovery.
         if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
@@ -1605,12 +1608,18 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
       const std::uint64_t wire =
           config_->net.per_message_overhead_bytes +
           request_descriptor_bytes(req, config_->list_io_bytes_per_region);
+      sim::Mailbox& mailbox = network_->mailbox(server_index_);
+      mailbox.claim(tag);
       co_await network_->send(
           server_index_, peer,
           sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      if (crashed_ || epoch_ != my_epoch) co_return repaired;
-      auto maybe = co_await network_->mailbox(server_index_).recv(
-          peer, tag, config_->server.resync_pull_timeout);
+      if (crashed_ || epoch_ != my_epoch) {
+        mailbox.retire(tag);
+        co_return repaired;
+      }
+      auto maybe = co_await mailbox.recv(peer, tag,
+                                         config_->server.resync_pull_timeout);
+      mailbox.retire(tag);
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
       if (!maybe.has_value()) continue;  // pull timed out; retry this peer
       Reply reply = maybe->take<Reply>();
@@ -1932,6 +1941,8 @@ void IOServer::send_reply(int dst, std::uint64_t tag, Reply reply,
   msg.trace = req_trace_;
   msg.span = req_span_;
   msg.phase = static_cast<std::uint8_t>(obs::Phase::kNetReply);
+  // Queued at `dst` only while the requester's claim on `tag` is live.
+  msg.reply = true;
   // Replies stream in the background so the server can start the next
   // request while its tx link drains (PVFS iod overlapped I/O behaviour).
   sched_->start(send_reply_fire(dst, Box<sim::Message>(std::move(msg))));

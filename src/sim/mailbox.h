@@ -6,8 +6,17 @@
 // the network layer calls deliver() when the last packet of a message
 // arrives; receivers park in recv() until a match exists or their
 // deadline, if they set one, expires.
+//
+// Replies have a lifetime. A requester claim()s its reply tag before the
+// request goes out and retire()s it once the last receive that could
+// accept it has returned, with a reply or on timeout. A reply delivered
+// for a tag with no live claim (a late reply to an abandoned attempt, a
+// duplicate, a losing hedge) is dropped and counted, never queued, and
+// retiring a tag drops any copy already queued. Non-reply messages
+// (requests, collective traffic) are never claimed and always queue.
 #pragma once
 
+#include <algorithm>
 #include <any>
 #include <cassert>
 #include <coroutine>
@@ -16,6 +25,7 @@
 #include <limits>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sim/scheduler.h"
 
@@ -43,6 +53,9 @@ struct Message {
   /// by the sender so the network can type its transmission span without a
   /// net -> pfs dependency. No semantic effect.
   std::uint8_t phase = 0;
+  /// An RPC reply, set by the replying server: deliver() queues it only
+  /// while its tag is claimed at the destination mailbox.
+  bool reply = false;
   /// Simulated time this message reached the destination mailbox, stamped
   /// by Mailbox::deliver(); -1 until delivered. Receivers use it to measure
   /// queue-wait. No semantic effect.
@@ -65,6 +78,7 @@ struct Message {
         trace(other.trace),
         span(other.span),
         phase(other.phase),
+        reply(other.reply),
         delivered_at(other.delivered_at),
         body(std::move(other.body)) {}
   Message& operator=(Message&& other) noexcept {
@@ -74,6 +88,7 @@ struct Message {
     trace = other.trace;
     span = other.span;
     phase = other.phase;
+    reply = other.reply;
     delivered_at = other.delivered_at;
     body = std::move(other.body);
     return *this;
@@ -94,6 +109,13 @@ struct Message {
     assert(p != nullptr && "message body type mismatch");
     return std::move(*p);
   }
+};
+
+/// What a mailbox counts; net::Network publishes it per node.
+struct MailboxStats {
+  /// Replies discarded because no live claim awaited their tag: dropped
+  /// at delivery, or purged from the queue when their tag retired.
+  std::uint64_t replies_dropped = 0;
 };
 
 class Mailbox {
@@ -143,8 +165,8 @@ class Mailbox {
   /// `tag_alt` also accepts a second tag from `src` — first delivery wins;
   /// inspect the returned Message's `tag` to see which. Built for hedged
   /// requests: the primary and the hedge carry distinct reply tags and one
-  /// receive awaits both, so the losing reply parks unclaimed instead of
-  /// being mistaken for anything.
+  /// receive awaits both; once the requester retires both tags the losing
+  /// reply is dropped at delivery and counted, never mistaken for anything.
   [[nodiscard]] RecvAwaiter recv(
       int src = kAnySource, std::uint64_t tag = kAnyTag,
       SimTime timeout = kNoDeadline,
@@ -152,9 +174,14 @@ class Mailbox {
     return RecvAwaiter{this, src, tag, timeout, tag_alt, {}, false};
   }
 
-  /// Hand a fully-arrived message to this mailbox. If a parked receiver
+  /// Hand a fully-arrived message to this mailbox. A reply whose tag has
+  /// no live claim is dropped and counted. Otherwise, if a parked receiver
   /// matches, it is resumed through the event queue at the current time.
   void deliver(Message msg) {
+    if (msg.reply && !claimed(msg.tag)) {
+      ++stats_.replies_dropped;
+      return;
+    }
     msg.delivered_at = sched_->now();
     for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
       if (matches(msg, it->src_filter, it->tag_filter) ||
@@ -169,6 +196,38 @@ class Mailbox {
     queued_bytes_ += msg.wire_bytes;
     queue_.push_back(std::move(msg));
   }
+
+  /// Open the lifetime of reply tag `tag`: replies carrying it queue or
+  /// match from now on. Claim before the request goes out, so a reply that
+  /// lands before its receive is posted still waits in the queue.
+  void claim(std::uint64_t tag) {
+    assert(!claimed(tag) && "reply tag claimed twice");
+    claims_.push_back(tag);
+  }
+  /// Close the lifetime of `tag` once the last receive that could accept
+  /// it has returned: later replies carrying it are dropped at delivery,
+  /// and any copy already queued (a duplicate, or the hedge loser that
+  /// landed before the receiver resumed) is dropped now.
+  void retire(std::uint64_t tag) {
+    const auto it = std::find(claims_.begin(), claims_.end(), tag);
+    assert(it != claims_.end() && "retiring an unclaimed reply tag");
+    if (it != claims_.end()) {
+      *it = claims_.back();
+      claims_.pop_back();
+    }
+    for (auto q = queue_.begin(); q != queue_.end();) {
+      if (q->reply && q->tag == tag) {
+        queued_bytes_ -= q->wire_bytes;
+        ++stats_.replies_dropped;
+        q = queue_.erase(q);
+      } else {
+        ++q;
+      }
+    }
+  }
+  /// Reply tags currently claimed: bounded by the RPCs in flight.
+  [[nodiscard]] std::size_t claims() const noexcept { return claims_.size(); }
+  [[nodiscard]] const MailboxStats& stats() const noexcept { return stats_; }
 
   [[nodiscard]] std::size_t queued() const noexcept { return queue_.size(); }
   /// Wire bytes of the queued (undelivered) backlog — what a server's
@@ -212,6 +271,10 @@ class Mailbox {
     }
   }
 
+  bool claimed(std::uint64_t tag) const noexcept {
+    return std::find(claims_.begin(), claims_.end(), tag) != claims_.end();
+  }
+
   static bool matches(const Message& m, int src_filter,
                       std::uint64_t tag_filter) noexcept {
     return (src_filter == kAnySource || src_filter == m.src) &&
@@ -233,8 +296,10 @@ class Mailbox {
   Scheduler* sched_;
   std::deque<Message> queue_;
   std::deque<Waiter> waiters_;
+  std::vector<std::uint64_t> claims_;  ///< live reply tags, unordered
   std::uint64_t next_waiter_id_ = 0;
   std::uint64_t queued_bytes_ = 0;
+  MailboxStats stats_;
 };
 
 }  // namespace dtio::sim

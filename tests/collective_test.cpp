@@ -338,11 +338,15 @@ TEST(ServerRobustness, MalformedDataloopGetsErrorReply) {
         p.count = 1;
         p.stream_length = 8;
         request.payload = std::move(p);
+        // A requester claims its reply tag before sending; an unclaimed
+        // reply is dropped at delivery.
+        net.mailbox(node).claim(pfs::kTagReplyBase + 999);
         co_await net.send(node, 0,
                           sim::Message(node, pfs::kTagRequest, 64,
                                        std::move(request)));
         sim::Message msg =
             *co_await net.mailbox(node).recv(0, pfs::kTagReplyBase + 999);
+        net.mailbox(node).retire(pfs::kTagReplyBase + 999);
         pfs::Reply reply = msg.take<pfs::Reply>();
         out = reply.ok ? Status::ok() : internal_error(reply.error);
         (void)c;

@@ -402,6 +402,12 @@ TEST(Reliability, StaleReplyFromAbandonedAttemptIsIgnored) {
   EXPECT_NE(handle_b, handle_a);  // the stale reply did not leak into op B
   EXPECT_EQ(reopened, handle_a);
   EXPECT_EQ(plan.counters().delayed, 1u);
+  // The stale reply was dropped at delivery, not parked in the mailbox.
+  const sim::Mailbox& mb =
+      cluster.network().mailbox(cluster.config().client_node(0));
+  EXPECT_EQ(mb.stats().replies_dropped, 1u);
+  EXPECT_EQ(mb.queued(), 0u);
+  EXPECT_EQ(mb.claims(), 0u);
 }
 
 TEST(Reliability, SameSeedSameChaosRun) {
@@ -865,6 +871,135 @@ TEST(TileChaos, CorruptionWithoutDeadlineRetriesToExactBytes) {
           << "method " << m << " rank " << r;
     }
   }
+}
+
+// ---- Reply-tag lifetime under chaos -----------------------------------------
+//
+// Independent datatype tile reads under drops, duplicates, corruption,
+// hedging and one server crash: every late retry reply, duplicate and
+// hedge loser is dropped at its mailbox, so nothing is left queued and no
+// claim outlives its RPC. The fault-free twin times out, hedges and drops
+// nothing.
+
+struct ReplyLifetimeRun {
+  int failures = 0;
+  std::uint64_t replies_dropped = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t hedges_issued = 0;
+  std::uint64_t crashes = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t residual = 0;  ///< messages queued in any mailbox at the end
+  std::uint64_t claims = 0;    ///< reply tags still claimed at the end
+  SimTime end = 0;
+
+  bool operator==(const ReplyLifetimeRun&) const = default;
+};
+
+ReplyLifetimeRun run_reply_lifetime(bool with_faults) {
+  workloads::TileConfig tc;
+  tc.tiles_x = 2;
+  tc.tiles_y = 2;
+  tc.tile_width = 48;
+  tc.tile_height = 16;
+  tc.overlap_x = 8;
+  tc.overlap_y = 4;
+  net::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = tc.num_clients();
+  cfg.strip_size = 256;
+  cfg.seed = 7;
+  cfg.client.rpc_timeout = 200 * kMillisecond;
+  cfg.client.rpc_max_attempts = 12;
+  cfg.client.rpc_backoff_base = 10 * kMillisecond;
+  cfg.client.hedge_quantile = 95;
+  cfg.client.hedge_min_samples = 8;
+  cfg.server.max_queue_depth = 8;
+  pfs::Cluster cluster(cfg);
+  FaultPlan plan(mix_seed(cfg.seed, /*salt=*/0xC4A05));
+  plan.set_default_spec(
+      FaultSpec{.drop = 0.05, .duplicate = 0.02, .corrupt = 0.01});
+  plan.set_scope_max_node(cfg.num_servers);
+
+  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::unique_ptr<io::Context>> ctxs;
+  std::vector<std::unique_ptr<mpiio::File>> files;
+  for (int r = 0; r < tc.num_clients(); ++r) {
+    clients.push_back(cluster.make_client(r));
+    clients.back()->set_transfer_data(false);
+    ctxs.push_back(std::make_unique<io::Context>(
+        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
+    files.push_back(std::make_unique<mpiio::File>(*ctxs.back()));
+  }
+  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
+    EXPECT_TRUE((co_await f.open("/frames", true)).is_ok());
+  }(*files[0]));
+  cluster.run();
+
+  if (with_faults) {
+    cluster.set_fault_plan(&plan);
+    cluster.schedule_server_crash(
+        /*index=*/3, cluster.scheduler().now() + 2 * kMillisecond,
+        /*restart_delay=*/40 * kMillisecond);
+  }
+  ReplyLifetimeRun run;
+  constexpr int kFrames = 60;
+  for (int r = 0; r < tc.num_clients(); ++r) {
+    cluster.scheduler().spawn(
+        [](mpiio::File& f, const workloads::TileConfig& tc, int rank,
+           int& failures) -> Task<void> {
+          if (rank != 0) (void)co_await f.open("/frames", false);
+          f.set_view(0, types::byte_t(), tc.tile_filetype(rank));
+          for (int frame = 0; frame < kFrames; ++frame) {
+            const Status st = co_await f.read_at(
+                static_cast<std::int64_t>(frame) * tc.tile_bytes(), nullptr,
+                1, tc.memtype(), mpiio::Method::kDatatype);
+            if (!st.is_ok()) ++failures;
+          }
+        }(*files[static_cast<std::size_t>(r)], tc, r, run.failures));
+  }
+  cluster.run();
+
+  for (const auto& c : clients) {
+    run.timeouts += c->rpc_timeouts();
+    run.retries += c->rpc_retries();
+    run.hedges_issued += c->hedges_issued();
+  }
+  for (int node = 0; node < cluster.network().num_nodes(); ++node) {
+    const sim::Mailbox& mb = cluster.network().mailbox(node);
+    run.replies_dropped += mb.stats().replies_dropped;
+    run.residual += mb.queued();
+    run.claims += mb.claims();
+  }
+  run.crashes = cluster.server(3).stats().crashes;
+  run.faults = plan.counters().total();
+  run.end = cluster.scheduler().now();
+  return run;
+}
+
+TEST(ReplyLifetime, ChaosRunLeavesNoQueuedReplyOrLiveClaim) {
+  const ReplyLifetimeRun a = run_reply_lifetime(/*with_faults=*/true);
+  EXPECT_EQ(a.failures, 0);
+  EXPECT_EQ(a.residual, 0u);
+  EXPECT_EQ(a.claims, 0u);
+  EXPECT_EQ(a.crashes, 1u);
+  // The mechanisms that make stale replies all ran.
+  EXPECT_GT(a.faults, 0u);
+  EXPECT_GT(a.timeouts, 0u);
+  EXPECT_GT(a.hedges_issued, 0u);
+  EXPECT_GT(a.replies_dropped, 0u);
+  // Same seed, same counters.
+  EXPECT_EQ(run_reply_lifetime(/*with_faults=*/true), a);
+}
+
+TEST(ReplyLifetime, FaultFreeRunDropsNoReply) {
+  const ReplyLifetimeRun clean = run_reply_lifetime(/*with_faults=*/false);
+  EXPECT_EQ(clean.failures, 0);
+  EXPECT_EQ(clean.timeouts, 0u);
+  EXPECT_EQ(clean.hedges_issued, 0u);
+  EXPECT_EQ(clean.replies_dropped, 0u);
+  EXPECT_EQ(clean.residual, 0u);
+  EXPECT_EQ(clean.claims, 0u);
 }
 
 // ---- Write-behind batch reliability ----------------------------------------

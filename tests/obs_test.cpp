@@ -746,6 +746,9 @@ std::set<std::string> table_counter_names() {
   for (const auto& row : pfs::IOServer::counter_table()) names.insert(row.name);
   for (const auto& row : pfs::Client::counter_table()) names.insert(row.name);
   for (const auto& row : net::Network::counter_table()) names.insert(row.name);
+  for (const auto& row : net::Network::mailbox_counter_table()) {
+    names.insert(row.name);
+  }
   for (const auto& row : net::FaultPlan::counter_table()) {
     names.insert(row.name);
   }
@@ -885,6 +888,10 @@ TEST(PublishMetrics, EveryRowMatchesItsOwnerWithAllSubsystemsOn) {
   }
   want["net_messages_total"] = cluster.network().total_messages();
   want["net_wire_bytes_total"] = cluster.network().total_wire_bytes();
+  for (int node = 0; node < cluster.network().num_nodes(); ++node) {
+    want["net_replies_dropped_total"] +=
+        cluster.network().mailbox(node).stats().replies_dropped;
+  }
   want["faults_injected_total"] = plan.counters().total();
 
   for (const std::string& name : table_counter_names()) {
@@ -899,7 +906,7 @@ TEST(PublishMetrics, EveryRowMatchesItsOwnerWithAllSubsystemsOn) {
         "server_checksum_mismatches_total", "meta_ops_total",
         "client_quorum_writes_total", "client_retries_total",
         "client_wb_staged_bytes_total", "client_wb_flushes_total",
-        "faults_injected_total"}) {
+        "net_replies_dropped_total", "faults_injected_total"}) {
     EXPECT_GT(want[name], 0u) << name;
   }
 

@@ -200,7 +200,8 @@ TEST(MailboxRecv2, FirstDeliveryWinsByTag) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->tag, 9u);
   EXPECT_EQ(got->take<int>(), 90);
-  // The losing reply parks unclaimed instead of being mistaken for anything.
+  // The losing message (not a reply, so never claimed) stays queued
+  // instead of being mistaken for anything.
   EXPECT_EQ(mailbox.queued(), 1u);
 }
 

@@ -5,6 +5,7 @@
 #include <coroutine>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -337,6 +338,128 @@ TEST(Mailbox, SourceFilterMatchesSpecificSender) {
   }(box, got));
   sched.run();
   EXPECT_EQ(got, 60);
+}
+
+// ---- Reply-tag lifetime ------------------------------------------------------
+
+Message reply_message(int src, std::uint64_t tag, int value) {
+  Message m(src, tag, 64, value);
+  m.reply = true;
+  return m;
+}
+
+TEST(MailboxReplyTags, ClaimedReplyArrivingBeforeRecvIsDelivered) {
+  Scheduler sched;
+  Mailbox box(sched);
+  box.claim(7);
+  box.deliver(reply_message(3, 7, 42));
+  EXPECT_EQ(box.queued(), 1u);
+  int got = 0;
+  sched.spawn([](Mailbox& mb, int& out) -> Task<void> {
+    Message m = *co_await mb.recv(3, 7);
+    mb.retire(7);
+    out = m.as<int>();
+  }(box, got));
+  sched.run();
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(box.claims(), 0u);
+  EXPECT_EQ(box.queued(), 0u);
+  EXPECT_EQ(box.stats().replies_dropped, 0u);
+}
+
+TEST(MailboxReplyTags, ReplyForRetiredOrUnclaimedTagIsDroppedAndCounted) {
+  Scheduler sched;
+  Mailbox box(sched);
+  box.claim(7);
+  box.retire(7);
+  box.deliver(reply_message(3, 7, 42));  // late: its tag has retired
+  box.deliver(reply_message(3, 8, 43));  // never claimed at all
+  EXPECT_EQ(box.queued(), 0u);
+  EXPECT_EQ(box.queued_bytes(), 0u);
+  EXPECT_EQ(box.claims(), 0u);
+  EXPECT_EQ(box.stats().replies_dropped, 2u);
+}
+
+TEST(MailboxReplyTags, RetirePurgesQueuedCopies) {
+  Scheduler sched;
+  Mailbox box(sched);
+  box.claim(7);
+  box.claim(8);
+  box.deliver(reply_message(3, 7, 1));
+  box.deliver(reply_message(3, 7, 2));  // a duplicate of the same reply
+  box.deliver(reply_message(3, 8, 3));
+  std::vector<int> got;
+  sched.spawn([](Mailbox& mb, std::vector<int>& out) -> Task<void> {
+    out.push_back((*co_await mb.recv(3, 7)).as<int>());
+    mb.retire(7);  // drops the queued duplicate, leaves tag 8 alone
+    EXPECT_EQ(mb.queued(), 1u);
+    EXPECT_EQ(mb.queued_bytes(), 64u);
+    out.push_back((*co_await mb.recv(3, 8)).as<int>());
+    mb.retire(8);
+  }(box, got));
+  sched.run();
+  EXPECT_EQ(got, (std::vector<int>{1, 3}));
+  EXPECT_EQ(box.queued(), 0u);
+  EXPECT_EQ(box.queued_bytes(), 0u);
+  EXPECT_EQ(box.stats().replies_dropped, 1u);
+}
+
+TEST(MailboxReplyTags, UnclaimedNonReplyStillQueuesAndMatches) {
+  // Collective blocks and requests are never claimed and must queue as
+  // before, even when their tag equals a retired reply tag.
+  Scheduler sched;
+  Mailbox box(sched);
+  box.claim(5);
+  box.retire(5);
+  box.deliver(Message(2, 5, 16, 50));
+  box.deliver(Message(4, 9, 16, 90));
+  EXPECT_EQ(box.queued(), 2u);
+  std::vector<int> got;
+  sched.spawn([](Mailbox& mb, std::vector<int>& out) -> Task<void> {
+    out.push_back((*co_await mb.recv(4, 9)).as<int>());
+    out.push_back((*co_await mb.recv(2, 5)).as<int>());
+  }(box, got));
+  sched.run();
+  EXPECT_EQ(got, (std::vector<int>{90, 50}));
+  EXPECT_EQ(box.stats().replies_dropped, 0u);
+}
+
+TEST(MailboxReplyTags, HedgeAcceptsPrimaryLandingDuringHedgeSendDropsLoser) {
+  // The client's hedge sequence: the primary (tag 7) is claimed before
+  // its send and outlives the hedge-delay receive; the hedge (tag 9) is
+  // claimed before its own send. The primary reply lands while the hedge
+  // is still on the wire, waits in the queue, and the two-tag receive
+  // takes it at once. The hedge reply, arriving after both tags retired,
+  // is dropped.
+  Scheduler sched;
+  Mailbox box(sched);
+  std::optional<Message> got;
+  SimTime got_at = -1;
+  sched.spawn([](Scheduler& s, Mailbox& mb, std::optional<Message>& out,
+                 SimTime& at) -> Task<void> {
+    mb.claim(7);
+    std::optional<Message> first = co_await mb.recv(1, 7, kMillisecond);
+    EXPECT_FALSE(first.has_value());
+    mb.claim(9);
+    EXPECT_EQ(mb.claims(), 2u);
+    co_await s.delay(kMillisecond);  // the hedge's send
+    out = co_await mb.recv(1, 7, 10 * kMillisecond, 9);
+    at = s.now();
+    mb.retire(7);
+    mb.retire(9);
+  }(sched, box, got, got_at));
+  sched.schedule_call(1500 * kMicrosecond,
+                      [&] { box.deliver(reply_message(1, 7, 70)); });
+  sched.schedule_call(3 * kMillisecond,
+                      [&] { box.deliver(reply_message(1, 9, 90)); });
+  sched.run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tag, 7u);
+  EXPECT_EQ(got->as<int>(), 70);
+  EXPECT_EQ(got_at, 2 * kMillisecond);  // ready path, no second wait
+  EXPECT_EQ(box.claims(), 0u);
+  EXPECT_EQ(box.queued(), 0u);
+  EXPECT_EQ(box.stats().replies_dropped, 1u);
 }
 
 TEST(Barrier, ReleasesAllAtLastArrival) {
