@@ -883,13 +883,15 @@ int tile_main(int argc, char** argv) {
     std::printf("\nchaos ablation: datatype reads, %d frames x %d clients, "
                 "5%% drop + 2%% dup + 1%% corrupt + server 3 crash\n",
                 frames, tile.num_clients());
-    std::printf("  fault-free : sim=%.3fs\n", clean.seconds);
+    std::printf("  fault-free : sim=%.3fs timeouts=%llu\n", clean.seconds,
+                static_cast<unsigned long long>(clean.client_timeouts));
     std::printf("  retries on : sim=%.3fs (%.2fx) failures=%d/%d "
-                "retries=%llu timeouts=%llu replays=%llu crc_rejects=%llu "
-                "crashes=%llu faults=%llu\n",
+                "retries=%llu timeouts=%llu dropped=%llu replays=%llu "
+                "crc_rejects=%llu crashes=%llu faults=%llu\n",
                 faulty.seconds, slowdown, faulty.failures, reads_total,
                 static_cast<unsigned long long>(faulty.client_retries),
                 static_cast<unsigned long long>(faulty.client_timeouts),
+                static_cast<unsigned long long>(faulty.faults.dropped),
                 static_cast<unsigned long long>(faulty.replays),
                 static_cast<unsigned long long>(faulty.crc_rejects),
                 static_cast<unsigned long long>(faulty.crashes),
@@ -906,6 +908,8 @@ int tile_main(int argc, char** argv) {
                 "hits a request is terminal)\n",
                 noretry.seconds, noretry.failures, reads_total);
     report.scalars["chaos_clean_sim_seconds"] = clean.seconds;
+    report.scalars["chaos_clean_timeouts"] =
+        static_cast<double>(clean.client_timeouts);
     report.scalars["chaos_sim_seconds"] = faulty.seconds;
     report.scalars["chaos_slowdown"] = slowdown;
     report.scalars["chaos_failures"] = faulty.failures;
@@ -919,6 +923,8 @@ int tile_main(int argc, char** argv) {
     report.scalars["chaos_crashes"] = static_cast<double>(faulty.crashes);
     report.scalars["chaos_faults_injected"] =
         static_cast<double>(faulty.faults.total());
+    report.scalars["chaos_dropped"] =
+        static_cast<double>(faulty.faults.dropped);
     report.scalars["chaos_noretry_failures"] = noretry.failures;
     report.scalars["chaos_sheds"] = static_cast<double>(faulty.sheds);
     report.scalars["chaos_hedges_issued"] =

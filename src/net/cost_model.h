@@ -234,14 +234,19 @@ struct ClientConfig {
   /// surface at the flush that carries them.
   std::int64_t write_behind_bytes = 0;
 
-  /// Per-attempt reply deadline in simulated time. 0 (the default) means
-  /// no deadline: an attempt waits for its reply however long it takes,
-  /// the behaviour PVFS offers — a lost reply hangs the client. Set
-  /// nonzero to time out and retry lost attempts; it must comfortably
-  /// exceed the worst-case service time or false timeouts will inflate
-  /// traffic (retries stay correct either way, via fresh reply tags and
-  /// the server replay window). Replication needs a deadline (failover
-  /// must detect a dead primary); lock/unlock never use one.
+  /// Per-attempt reply deadline in simulated time, on top of the reply
+  /// allowance: each receive waits rpc_timeout plus the wire time, at
+  /// NetConfig::bandwidth_bytes_per_s, of the expected reply bytes of
+  /// every RPC the client has in flight, since those replies drain
+  /// through its one link. So rpc_timeout covers request, queue and
+  /// service time only, not the reply's drain. 0 (the default) means no
+  /// deadline: an attempt waits for its reply however long it takes, the
+  /// behaviour PVFS offers — a lost reply hangs the client. Set nonzero
+  /// to time out and retry lost attempts; it must comfortably exceed the
+  /// worst-case service time or false timeouts will inflate traffic
+  /// (retries stay correct either way, via fresh reply tags and the
+  /// server replay window). Replication needs a deadline (failover must
+  /// detect a dead primary); lock/unlock never use one.
   dtio::SimTime rpc_timeout = 0;
 
   /// Total attempts per request (1 = no retries). Error replies
@@ -280,13 +285,16 @@ struct ClientConfig {
   /// (diagnostics; breaker trips on the consecutive-failure count).
   double health_ewma_alpha = 0.2;
 
-  /// Hedged reads: percentile of the per-server observed attempt-latency
+  /// Hedged reads: percentile of the per-server attempt-latency
   /// distribution after which a read-class RPC issues one hedge to the
   /// same server on a fresh reply tag (first reply wins; the loser is
   /// dropped at delivery and counted, exactly like a stale retry reply).
-  /// 0 = hedging off.
-  /// The hedge extends the attempt's wait by a fresh rpc_timeout (no
-  /// deadline at 0), so a slow-but-alive primary still counts — the
+  /// 0 = hedging off. Latency is size-normalised: each sample is the
+  /// attempt's latency minus its reply allowance (see rpc_timeout), and
+  /// the hedge fires at the quantile plus the current attempt's
+  /// allowance, so a large healthy reply is not taken for a straggler.
+  /// The hedge extends the attempt's wait by a fresh deadline (none at
+  /// rpc_timeout 0), so a slow-but-alive primary still counts — the
   /// mechanism that beats timeout-and-discard under a degraded server.
   double hedge_quantile = 0;
   /// Successful samples required on a lane before hedging arms (a

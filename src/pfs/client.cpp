@@ -255,6 +255,7 @@ sim::Task<MetaResult> Client::meta_op(OpKind op, Box<std::string> path,
   }
   slot.wire_bytes = request_descriptor_bytes(slot.request,
                                              config_->list_io_bytes_per_region);
+  slot.reply_bytes = expected_reply_bytes(0);
   co_await sched_->delay(config_->client.issue_overhead);
   co_await rpc_attempts(&slot);
 
@@ -344,7 +345,8 @@ void Client::note_window_decrease(Lane& l) {
   l.window_credit = 0;
 }
 
-void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged) {
+void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged,
+                         SimTime allowance) {
   const double a = config_->client.health_ewma_alpha;
   l.failure_rate = a * (failed ? 1.0 : 0.0) + (1.0 - a) * l.failure_rate;
   if (failed) return;
@@ -353,7 +355,7 @@ void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged) {
           ? static_cast<double>(latency)
           : a * static_cast<double>(latency) + (1.0 - a) * l.ewma_latency_ns;
   if (hedged) return;  // keep the deadline quantile on the healthy baseline
-  l.attempt_latency.record(latency);
+  l.attempt_latency.record(std::max<SimTime>(0, latency - allowance));
   ++l.samples;
 }
 
@@ -420,10 +422,15 @@ SimTime Client::retry_backoff(int retry) const {
 
 sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
-  // rpc_timeout bounds each attempt's wait; 0 means wait for the reply
-  // with no deadline (a lost reply then hangs the op, as in PVFS).
-  const SimTime deadline = cc.rpc_timeout > 0 ? cc.rpc_timeout
-                                              : sim::kNoDeadline;
+  // Each receive waits rpc_timeout plus the wire time of every reply the
+  // client has in flight, taken when the receive is posted: those replies
+  // share this client's one link, so a healthy reply can take that long
+  // to drain. rpc_timeout 0 means wait with no deadline (a lost reply then
+  // hangs the op, as in PVFS).
+  const auto deadline = [&] {
+    return cc.rpc_timeout > 0 ? cc.rpc_timeout + reply_allowance()
+                              : sim::kNoDeadline;
+  };
   const int max_attempts = slot->max_attempts_override > 0
                                ? slot->max_attempts_override
                                : std::max(1, cc.rpc_max_attempts);
@@ -467,6 +474,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     window_slot.client = this;
     window_slot.server = slot->server;
   }
+  const ReplyBytesHold reply_hold(this, slot->reply_bytes);
   const bool data_read = is_data_read(slot->request.op);
 
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -520,13 +528,17 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     sim::Mailbox& mailbox = network_->mailbox(node_);
     mailbox.claim(tag);
     co_await network_->send(node_, slot->server, std::move(out));
+    // Counted after the send returns, so every sibling RPC of the op that
+    // is still in flight is in it.
+    const SimTime allowance = reply_allowance();
 
     std::optional<sim::Message> maybe;
     bool hedge_sent = false;
     bool hedge_won = false;
     // Hedged reads: once this lane has enough latency samples, wait only
-    // to the configured latency quantile; if the primary reply has not
-    // arrived by then, issue one hedge (fresh reply tag, same op_seq) and
+    // to the configured quantile of allowance-normalised latency plus this
+    // attempt's allowance; if the primary reply has not arrived by then,
+    // issue one hedge (fresh reply tag, same op_seq) and
     // await BOTH tags for a fresh full deadline — first reply wins, and a
     // slow-but-alive primary still counts. Reads only: hedging a write
     // would double-apply without replay protection, and read hedges are
@@ -540,10 +552,12 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       // just below the true quantile sample — close enough for a healthy
       // reply to race its own hedge. One bucket width of headroom makes
       // the estimate an upper bound on the bucketed sample.
-      hedge_delay = static_cast<SimTime>(
+      const auto quantile = static_cast<SimTime>(
           ln.attempt_latency.percentile(cc.hedge_quantile) *
           (1.0 + 1.0 / obs::Histogram::kSubBuckets));
-      if (deadline > 0 && hedge_delay >= deadline) hedge_delay = 0;
+      if (cc.rpc_timeout <= 0 || quantile < cc.rpc_timeout) {
+        hedge_delay = quantile + allowance;
+      }
     }
     std::uint64_t hedge_tag = 0;
     if (hedge_delay > 0) {
@@ -556,7 +570,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // primary reply the full deadline instead.
         ++hedges_suppressed_;
         instant("hedge_suppressed", *slot);
-        maybe = co_await mailbox.recv(slot->server, tag, deadline);
+        maybe = co_await mailbox.recv(slot->server, tag, deadline());
       } else if (!maybe.has_value()) {
         Request hedge = slot->request;
         hedge.reply_tag = next_reply_tag();
@@ -575,11 +589,12 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
         // while the hedge is on the wire, and the receive below takes it.
         mailbox.claim(hedge_tag);
         co_await network_->send(node_, slot->server, std::move(out2));
-        maybe = co_await mailbox.recv(slot->server, tag, deadline, hedge_tag);
+        maybe =
+            co_await mailbox.recv(slot->server, tag, deadline(), hedge_tag);
         if (maybe.has_value() && maybe->tag == hedge_tag) hedge_won = true;
       }
     } else {
-      maybe = co_await mailbox.recv(slot->server, tag, deadline);
+      maybe = co_await mailbox.recv(slot->server, tag, deadline());
     }
     // No receive can accept either tag any more: from here on their
     // replies (late, duplicated or the hedge loser) drop at delivery.
@@ -682,7 +697,7 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
       co_return;
     }
     health_note(ln, sched_->now() - attempt_start, /*failed=*/false,
-                hedge_sent);
+                hedge_sent, allowance);
     note_window_increase(ln);
     slot->status = Status::ok();
     slot->reply = std::move(reply);
@@ -788,6 +803,7 @@ std::shared_ptr<Client::QuorumGroup> Client::quorum_spawn(
     slot->request = base.request;
     if (k > 0) slot->request.replica_of = base.home;
     slot->wire_bytes = base.wire_bytes;
+    slot->reply_bytes = base.reply_bytes;
     if (k == 0) {
       slot->rpc_span = base.rpc_span;
     } else if (obs_ != nullptr) {
@@ -889,6 +905,7 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
     slot.request.parent_span = t.span;
     slot.wire_bytes = request_descriptor_bytes(
         slot.request, config_->list_io_bytes_per_region);
+    slot.reply_bytes = expected_reply_bytes(0);
   }
   co_await rpc_all(slots.get());
   MetaResult result;
@@ -1253,6 +1270,7 @@ sim::Task<Status> Client::run_requests(
     slot.wire_bytes =
         descriptor + (is_write ? static_cast<std::uint64_t>(acc.total_bytes)
                                : 0);
+    slot.reply_bytes = expected_reply_bytes(is_write ? 0 : acc.total_bytes);
     ++stats_.requests_sent;
     stats_.request_bytes += descriptor;
     stats_.accessed_bytes += static_cast<std::uint64_t>(acc.total_bytes);
@@ -1475,6 +1493,7 @@ sim::Task<Status> Client::wb_flush_server(int server, FlushReason reason,
   const std::uint64_t descriptor = request_descriptor_bytes(
       slot.request, config_->list_io_bytes_per_region);
   slot.wire_bytes = descriptor + static_cast<std::uint64_t>(flush_bytes);
+  slot.reply_bytes = expected_reply_bytes(0);
   ++stats_.requests_sent;
   stats_.request_bytes += descriptor;
 

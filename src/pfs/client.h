@@ -73,6 +73,13 @@ class Client {
   [[nodiscard]] std::uint64_t rpc_timeouts() const noexcept {
     return rpc_timeouts_;
   }
+  /// Expected reply wire bytes of every RPC this client has in flight:
+  /// what its one link still has to drain before the last of those
+  /// replies lands. Each attempt's deadline and hedge delay add the wire
+  /// time of this much data; 0 whenever no RPC is in flight.
+  [[nodiscard]] std::uint64_t reply_bytes_outstanding() const noexcept {
+    return reply_bytes_outstanding_;
+  }
 
   /// Overload-protection counters (all zero unless the corresponding
   /// mechanism is enabled in ClientConfig).
@@ -302,6 +309,9 @@ class Client {
     int home = 0;
     Request request;
     std::uint64_t wire_bytes = 0;
+    /// Expected reply wire bytes (expected_reply_bytes()), held in
+    /// reply_bytes_outstanding() while rpc_attempts drives the slot.
+    std::uint64_t reply_bytes = 0;
     obs::SpanId rpc_span = 0;
     int attempts = 0;
     /// The span this RPC's attempts and instants hang under.
@@ -317,8 +327,12 @@ class Client {
 
   /// Drive one RPC to completion: every data, stat and metadata RPC goes
   /// through here. Each attempt gets a fresh reply tag and waits up to
-  /// rpc_timeout for its reply — 0 (the default) means no deadline, so a
-  /// lost reply hangs the op, as in PVFS. CRC-mismatched read replies and
+  /// rpc_timeout plus reply_allowance() for its reply: the client's one
+  /// link drains the replies of all its in-flight RPCs, so a healthy
+  /// reply can take that long to land. rpc_timeout 0 (the default) means
+  /// no deadline, so a lost reply hangs the op, as in PVFS. The slot's
+  /// reply_bytes count as outstanding from window acquisition to return.
+  /// CRC-mismatched read replies and
   /// kDataLoss / kOverloaded rejections are retried up to rpc_max_attempts
   /// with exponential backoff + deterministic jitter; kUnavailable /
   /// kTimedOut / kDataLoss surface through slot->status.
@@ -327,6 +341,19 @@ class Client {
   /// off): circuit-breaker fail-fast, AIMD per-server window acquisition,
   /// hedged reads, and the server's retry_after hint on kOverloaded.
   sim::Task<void> rpc_attempts(RpcSlot* slot);
+  /// Wire bytes of a reply carrying `data_bytes` of read data: the reply
+  /// header plus the network's per-message framing.
+  [[nodiscard]] std::uint64_t expected_reply_bytes(
+      std::int64_t data_bytes) const noexcept {
+    return kReplyHeaderBytes + config_->net.per_message_overhead_bytes +
+           static_cast<std::uint64_t>(data_bytes);
+  }
+  /// Time the client link needs to drain reply_bytes_outstanding() at the
+  /// link bandwidth; added to every deadline and hedge delay.
+  [[nodiscard]] SimTime reply_allowance() const noexcept {
+    return transfer_time(reply_bytes_outstanding_,
+                         config_->net.bandwidth_bytes_per_s);
+  }
   /// Backoff before retry number `retry` (1 = the first retry), without
   /// jitter: rpc_backoff_base * rpc_backoff_multiplier^(retry - 1).
   [[nodiscard]] SimTime retry_backoff(int retry) const;
@@ -417,6 +444,19 @@ class Client {
     }
   };
 
+  /// RAII hold on reply_bytes_outstanding_ for one RPC; lives in the
+  /// rpc_attempts frame so every exit path releases exactly once.
+  struct ReplyBytesHold {
+    Client* client;
+    std::uint64_t bytes;
+    ReplyBytesHold(Client* c, std::uint64_t b) : client(c), bytes(b) {
+      client->reply_bytes_outstanding_ += bytes;
+    }
+    ReplyBytesHold(const ReplyBytesHold&) = delete;
+    ReplyBytesHold& operator=(const ReplyBytesHold&) = delete;
+    ~ReplyBytesHold() { client->reply_bytes_outstanding_ -= bytes; }
+  };
+
   [[nodiscard]] Lane& lane(int server);
   void lane_release(int server);
   /// Resume parked waiters while the window has room.
@@ -426,11 +466,14 @@ class Client {
   /// …halve (floor 1) on timeout or kOverloaded.
   void note_window_decrease(Lane& l);
   /// EWMA latency / failure-rate update. Successful attempts also feed the
-  /// hedging histogram — unless the attempt issued a hedge: a straggling
-  /// server would otherwise inflate the deadline quantile past rpc_timeout
-  /// and disable the very mechanism masking it, so the histogram tracks
-  /// the healthy baseline only.
-  void health_note(Lane& l, SimTime latency, bool failed, bool hedged = false);
+  /// hedging histogram with their latency minus `allowance`, the reply
+  /// drain time added to that attempt's waits, so a large healthy reply
+  /// does not read as a straggler — unless the attempt issued a hedge: a
+  /// straggling server would otherwise inflate the deadline quantile past
+  /// rpc_timeout and disable the very mechanism masking it, so the
+  /// histogram tracks the healthy baseline only.
+  void health_note(Lane& l, SimTime latency, bool failed, bool hedged = false,
+                   SimTime allowance = 0);
   /// Circuit breaker: false = fail fast (open, or half-open probe taken).
   /// Transitions are marked with breaker_* instants under `slot`'s RPC.
   [[nodiscard]] bool breaker_try_pass(Lane& l, const RpcSlot& slot);
@@ -533,6 +576,7 @@ class Client {
   Rng rng_;
   std::uint64_t rpc_retries_ = 0;
   std::uint64_t rpc_timeouts_ = 0;
+  std::uint64_t reply_bytes_outstanding_ = 0;
   std::uint64_t hedges_issued_ = 0;
   std::uint64_t hedges_won_ = 0;
   std::uint64_t hedges_suppressed_ = 0;

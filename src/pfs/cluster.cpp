@@ -1,6 +1,8 @@
 #include "pfs/cluster.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdio>
 
 #include "obs/chrome_trace.h"
@@ -28,36 +30,22 @@ std::vector<std::string> Cluster::node_names() const {
 }
 
 ServerStats Cluster::cache_stats_total() const {
-  ServerStats total;
+  // Every field is a std::uint64_t counter, so the total is a word-wise
+  // sum. A field of any other type, or a new one, trips the assert.
+  constexpr std::size_t kFields = 56;
+  static_assert(sizeof(ServerStats) == kFields * sizeof(std::uint64_t),
+                "ServerStats must stay all std::uint64_t; update kFields");
+  using Words = std::array<std::uint64_t, kFields>;
+  Words total{};
+  std::uint64_t max_backlog = 0;
   for (const auto& server : servers_) {
-    const ServerStats& s = server->stats();
-    total.disk_accesses += s.disk_accesses;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_readahead_issued += s.cache_readahead_issued;
-    total.cache_evictions += s.cache_evictions;
-    total.cache_dirty_flushed_bytes += s.cache_dirty_flushed_bytes;
-    total.cache_dirty_lost_bytes += s.cache_dirty_lost_bytes;
-    total.crash_discarded += s.crash_discarded;
-    total.resyncs += s.resyncs;
-    total.resync_strips_pulled += s.resync_strips_pulled;
-    total.resync_bytes_pulled += s.resync_bytes_pulled;
-    total.resync_peers_skipped += s.resync_peers_skipped;
-    total.resync_served += s.resync_served;
-    total.resync_refused += s.resync_refused;
-    total.media_sector_errors += s.media_sector_errors;
-    total.media_bit_rot_detected += s.media_bit_rot_detected;
-    total.media_torn_detected += s.media_torn_detected;
-    total.checksum_mismatches += s.checksum_mismatches;
-    total.media_repairs += s.media_repairs;
-    total.media_repair_failures += s.media_repair_failures;
-    total.media_data_loss += s.media_data_loss;
-    total.scrub_passes += s.scrub_passes;
-    total.scrub_blocks += s.scrub_blocks;
-    total.scrub_repairs += s.scrub_repairs;
-    total.scrub_errors += s.scrub_errors;
+    const Words words = std::bit_cast<Words>(server->stats());
+    for (std::size_t i = 0; i < kFields; ++i) total[i] += words[i];
+    max_backlog = std::max(max_backlog, server->stats().max_backlog);
   }
-  return total;
+  ServerStats sum = std::bit_cast<ServerStats>(total);
+  sum.max_backlog = max_backlog;  // a high-water mark, not a count
+  return sum;
 }
 
 void Cluster::publish_metrics() {

@@ -119,7 +119,8 @@ class Cluster {
     for (auto& server : servers_) server->flush_cache();
   }
 
-  /// Fleet-wide buffer-cache stats summed over all servers.
+  /// Every ServerStats field summed over all servers (max_backlog is the
+  /// deepest backlog any server saw).
   [[nodiscard]] ServerStats cache_stats_total() const;
 
   /// Display names for the trace exporter: "srv<k>" for I/O servers,

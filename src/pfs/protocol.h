@@ -34,6 +34,8 @@ namespace dtio::pfs {
 inline constexpr std::uint64_t kTagRequest = 0x5046'5301;
 /// Reply tags are allocated per client request: kTagReplyBase + sequence.
 inline constexpr std::uint64_t kTagReplyBase = 0x5046'5400'0000'0000ULL;
+/// Wire bytes of every reply's fixed header; a read reply adds its data.
+inline constexpr std::uint64_t kReplyHeaderBytes = 64;
 
 enum class OpKind : std::uint8_t {
   kContigRead,

@@ -1935,7 +1935,8 @@ sim::Fire IOServer::cpu_drain(SimTime hold) { co_await cpu_.use(hold); }
 void IOServer::send_reply(int dst, std::uint64_t tag, Reply reply,
                           std::uint64_t wire_data_bytes) {
   if (crashed_ || req_epoch_ != epoch_) return;  // died mid-request: no reply
-  sim::Message msg(server_index_, tag, 64 + wire_data_bytes, std::move(reply));
+  sim::Message msg(server_index_, tag, kReplyHeaderBytes + wire_data_bytes,
+                   std::move(reply));
   // Stamp the current request's trace so the reply's transmission span
   // parents under this server's handling span.
   msg.trace = req_trace_;

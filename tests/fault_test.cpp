@@ -5,6 +5,7 @@
 // abandoned attempt must never satisfy a later attempt or a later op).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -13,6 +14,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "dataloop/dataloop.h"
 #include "io/methods.h"
 #include "mpiio/file.h"
 #include "net/fault.h"
@@ -889,6 +891,7 @@ struct ReplyLifetimeRun {
   std::uint64_t hedges_issued = 0;
   std::uint64_t crashes = 0;
   std::uint64_t faults = 0;
+  std::uint64_t dropped = 0;   ///< messages the plan dropped
   std::uint64_t residual = 0;  ///< messages queued in any mailbox at the end
   std::uint64_t claims = 0;    ///< reply tags still claimed at the end
   SimTime end = 0;
@@ -896,7 +899,7 @@ struct ReplyLifetimeRun {
   bool operator==(const ReplyLifetimeRun&) const = default;
 };
 
-ReplyLifetimeRun run_reply_lifetime(bool with_faults) {
+ReplyLifetimeRun run_reply_lifetime(bool with_faults, std::uint64_t seed = 7) {
   workloads::TileConfig tc;
   tc.tiles_x = 2;
   tc.tiles_y = 2;
@@ -908,7 +911,7 @@ ReplyLifetimeRun run_reply_lifetime(bool with_faults) {
   cfg.num_servers = 4;
   cfg.num_clients = tc.num_clients();
   cfg.strip_size = 256;
-  cfg.seed = 7;
+  cfg.seed = seed;
   cfg.client.rpc_timeout = 200 * kMillisecond;
   cfg.client.rpc_max_attempts = 12;
   cfg.client.rpc_backoff_base = 10 * kMillisecond;
@@ -973,6 +976,7 @@ ReplyLifetimeRun run_reply_lifetime(bool with_faults) {
   }
   run.crashes = cluster.server(3).stats().crashes;
   run.faults = plan.counters().total();
+  run.dropped = plan.counters().dropped;
   run.end = cluster.scheduler().now();
   return run;
 }
@@ -1000,6 +1004,264 @@ TEST(ReplyLifetime, FaultFreeRunDropsNoReply) {
   EXPECT_EQ(clean.replies_dropped, 0u);
   EXPECT_EQ(clean.residual, 0u);
   EXPECT_EQ(clean.claims, 0u);
+}
+
+// ---- Deadlines that count the reply's wire time ----------------------------
+//
+// Every reply of one op drains through the client's one link, so an
+// attempt's deadline is rpc_timeout plus the wire time of the reply bytes
+// the client has in flight. A wide fault-free read whose drain alone
+// exceeds rpc_timeout must not time out; a lost reply still must, after
+// the allowance; and every exit path hands its bytes back.
+
+constexpr int kWideServers = 8;
+constexpr std::int64_t kWideStrip = 64 * 1024;
+constexpr int kWideStripsPerServer = 8;
+/// Reply wire bytes of one wide-read RPC: the first half of each strip it
+/// holds, plus the reply header and per-message framing.
+constexpr std::uint64_t kWideReplyBytes =
+    kWideStripsPerServer * (kWideStrip / 2) + 64 + 64;
+
+net::ClusterConfig wide_config(SimTime rpc_timeout) {
+  net::ClusterConfig cfg;
+  cfg.num_servers = kWideServers;
+  cfg.num_clients = 1;
+  cfg.strip_size = static_cast<std::uint64_t>(kWideStrip);
+  cfg.client.rpc_timeout = rpc_timeout;
+  cfg.client.rpc_max_attempts = 5;
+  cfg.client.rpc_backoff_base = 2 * kMillisecond;
+  return cfg;
+}
+
+struct WideRead {
+  bool ok = false;
+  SimTime start = 0;
+  SimTime end = 0;
+  std::uint64_t requests = 0;         ///< requests the read sent
+  std::uint64_t outstanding_mid = 0;  ///< reply_bytes_outstanding at 20 ms
+  std::uint64_t outstanding_end = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t retries = 0;
+};
+
+/// One timing-only datatype read of the first half of every strip of a
+/// 4 MiB file: 2 MiB, 256 KiB from each of 8 servers, about 174 ms of
+/// drain at 11.5 MiB/s. `drop_reply_from` >= 0 drops that server's reply:
+/// a drop window on its node opens as soon as the server has taken the
+/// request, before it replies, and closes 100 ms later, before the retry.
+WideRead run_wide_read(SimTime rpc_timeout, int drop_reply_from = -1,
+                       FaultPlan* plan = nullptr) {
+  pfs::Cluster cluster(wide_config(rpc_timeout));
+  if (plan != nullptr) cluster.set_fault_plan(plan);
+  auto client = cluster.make_client(0);
+  client->set_transfer_data(false);
+  WideRead out;
+  cluster.scheduler().spawn(
+      [](sim::Scheduler& sched, Client& c, WideRead& out) -> Task<void> {
+        MetaResult f = co_await c.create("/wide");
+        EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+        constexpr std::int64_t kStrips = kWideServers * kWideStripsPerServer;
+        auto loop = dl::make_vector(kStrips, kWideStrip / 2, kWideStrip,
+                                    dl::make_leaf(1));
+        out.start = sched.now();
+        const std::uint64_t sent = c.stats().requests_sent;
+        const Status st = co_await c.read_datatype(
+            f.handle, loop, 0, 1, 0, kStrips * kWideStrip / 2, nullptr);
+        EXPECT_TRUE(st.is_ok()) << st.to_string();
+        out.ok = st.is_ok();
+        out.end = sched.now();
+        out.requests = c.stats().requests_sent - sent;
+      }(cluster.scheduler(), *client, out));
+  if (drop_reply_from >= 0) {
+    cluster.scheduler().spawn(
+        [](sim::Scheduler& sched, const pfs::IOServer& server, int node,
+           FaultPlan& plan) -> Task<void> {
+          while (server.stats().requests == 0) {
+            co_await sched.delay(50 * kMicrosecond);
+          }
+          plan.add_window(node, sched.now(), sched.now() + 100 * kMillisecond,
+                          FaultSpec{.drop = 1.0});
+        }(cluster.scheduler(), cluster.server(drop_reply_from),
+          drop_reply_from, *plan));
+  }
+  cluster.scheduler().spawn(
+      [](sim::Scheduler& sched, Client& c, WideRead& out) -> Task<void> {
+        // By 20 ms every RPC of the read is in flight (the client's own
+        // dataloop processing takes ~5 ms) and no reply has drained yet.
+        co_await sched.delay(20 * kMillisecond);
+        out.outstanding_mid = c.reply_bytes_outstanding();
+      }(cluster.scheduler(), *client, out));
+  cluster.run();
+  out.outstanding_end = client->reply_bytes_outstanding();
+  out.timeouts = client->rpc_timeouts();
+  out.retries = client->rpc_retries();
+  return out;
+}
+
+TEST(ReplyDeadline, WideFaultFreeReadDrainsPastTimeoutWithoutRetry) {
+  constexpr SimTime kTimeout = 50 * kMillisecond;
+  const WideRead timed = run_wide_read(kTimeout);
+  ASSERT_TRUE(timed.ok);
+  // The drain alone outlasts rpc_timeout...
+  ASSERT_GT(timed.end - timed.start, 3 * kTimeout);
+  // ...yet no attempt timed out or retried: one request per server.
+  EXPECT_EQ(timed.timeouts, 0u);
+  EXPECT_EQ(timed.retries, 0u);
+  EXPECT_EQ(timed.requests, static_cast<std::uint64_t>(kWideServers));
+  EXPECT_EQ(timed.outstanding_mid, kWideServers * kWideReplyBytes);
+  EXPECT_EQ(timed.outstanding_end, 0u);
+  // Same events as the run with no deadline at all.
+  const WideRead untimed = run_wide_read(/*rpc_timeout=*/0);
+  ASSERT_TRUE(untimed.ok);
+  EXPECT_EQ(timed.start, untimed.start);
+  EXPECT_EQ(timed.end, untimed.end);
+}
+
+TEST(ReplyDeadline, DroppedReplyTimesOutOnceAfterTheAllowance) {
+  constexpr SimTime kTimeout = 50 * kMillisecond;
+  FaultPlan plan(5);
+  plan.set_log_events(true);
+  const WideRead run = run_wide_read(kTimeout, /*drop_reply_from=*/5, &plan);
+  EXPECT_TRUE(run.ok);
+  ASSERT_EQ(plan.counters().dropped, 1u);
+  ASSERT_EQ(plan.events().size(), 1u);
+  EXPECT_EQ(plan.events()[0].src, 5);  // the reply, not the request
+  EXPECT_EQ(run.timeouts, 1u);
+  EXPECT_EQ(run.retries, 1u);
+  EXPECT_EQ(run.requests, static_cast<std::uint64_t>(kWideServers) + 1);
+  // The lost attempt's deadline counted all 8 replies' wire time, so the
+  // timeout (and the retry that completed the read after it) came no
+  // earlier than rpc_timeout plus that allowance.
+  const SimTime allowance = transfer_time(
+      kWideServers * kWideReplyBytes, net::NetConfig{}.bandwidth_bytes_per_s);
+  EXPECT_GE(run.end - run.start, kTimeout + allowance);
+  EXPECT_EQ(run.outstanding_end, 0u);
+}
+
+TEST(ReplyDeadline, LargeHealthyRepliesIssueNoHedge) {
+  // 4 servers, 64 KiB strips, hedging at p95 after 8 samples. Small reads
+  // (64 KiB per server) arm every lane; then 1 MiB-per-server reads take
+  // ~350 ms to drain, far past the small reads' raw p95 and past
+  // rpc_timeout, yet their allowance-normalised latency is the same, so
+  // none hedges or times out. A straggler after that still gets hedged:
+  // the lanes really were armed.
+  net::ClusterConfig cfg;
+  cfg.num_servers = 4;
+  cfg.num_clients = 1;
+  cfg.strip_size = 64 * 1024;
+  cfg.client.rpc_timeout = 100 * kMillisecond;
+  cfg.client.rpc_max_attempts = 5;
+  cfg.client.rpc_backoff_base = 2 * kMillisecond;
+  cfg.client.hedge_quantile = 95;
+  cfg.client.hedge_min_samples = 8;
+  pfs::Cluster cluster(cfg);
+  FaultPlan plan(5);
+  cluster.set_fault_plan(&plan);
+  auto client = cluster.make_client(0);
+  client->set_transfer_data(false);
+
+  std::uint64_t large_hedges = 0;
+  SimTime large_latency = 0;
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](sim::Scheduler& sched, FaultPlan& plan, Client& c,
+         std::uint64_t& large_hedges, SimTime& large_latency,
+         bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/large");
+        EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+        for (int i = 0; i < 20; ++i) {
+          const Status r = co_await c.read_contig(f.handle, 0, nullptr,
+                                                  4 * 64 * 1024);
+          EXPECT_TRUE(r.is_ok()) << r.to_string();
+        }
+        for (int i = 0; i < 5; ++i) {
+          const SimTime t0 = sched.now();
+          const Status r = co_await c.read_contig(f.handle, 0, nullptr,
+                                                  4 * 1024 * 1024);
+          EXPECT_TRUE(r.is_ok()) << r.to_string();
+          large_latency = std::max(large_latency, sched.now() - t0);
+        }
+        large_hedges = c.hedges_issued();
+        // Server 2 turns 20x slower: its small reply now lags the rest.
+        plan.add_degraded(/*node=*/2, sched.now(),
+                          sched.now() + 200 * kMillisecond, 20.0);
+        const Status r =
+            co_await c.read_contig(f.handle, 0, nullptr, 4 * 64 * 1024);
+        EXPECT_TRUE(r.is_ok()) << r.to_string();
+        done = true;
+      }(cluster.scheduler(), plan, *client, large_hedges, large_latency,
+        finished));
+  cluster.run();
+  ASSERT_TRUE(finished);
+  EXPECT_GT(large_latency, 3 * cfg.client.rpc_timeout);
+  EXPECT_EQ(large_hedges, 0u);
+  EXPECT_GE(client->hedges_issued(), 1u);
+  EXPECT_EQ(client->rpc_timeouts(), 0u);
+  EXPECT_EQ(client->reply_bytes_outstanding(), 0u);
+}
+
+TEST(ReplyDeadline, OutstandingBytesDrainAfterFailoverAndQuorumWrite) {
+  // r = 2 over 3 servers with 1 KiB strips; server 1 is down for 300 ms.
+  // A w = 1 write completes on the primary while its mirror to server 1
+  // keeps timing out in the background, and reads of server 1's strip
+  // fail over to server 2. Every one of those RPCs hands its reply bytes
+  // back.
+  net::ClusterConfig cfg;
+  cfg.num_servers = 3;
+  cfg.num_clients = 1;
+  cfg.strip_size = 1024;
+  cfg.replication = 2;
+  cfg.client.write_quorum = 1;
+  cfg.client.rpc_timeout = 20 * kMillisecond;
+  cfg.client.rpc_max_attempts = 5;
+  cfg.client.rpc_backoff_base = 2 * kMillisecond;
+  pfs::Cluster cluster(cfg);
+  auto client = cluster.make_client(0);
+  const auto data = pattern_bytes(3 * 1024, 85);
+  cluster.schedule_server_crash(/*index=*/1, /*at=*/kMillisecond,
+                                /*restart_delay=*/300 * kMillisecond);
+
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](sim::Scheduler& sched, Client& c,
+         const std::vector<std::uint8_t>& src, bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/drain");
+        EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+        co_await sched.delay(5 * kMillisecond);
+        // Strip 0: primary server 0, mirror on the crashed server 1.
+        Status w = co_await c.write_contig(f.handle, 0, src.data(), 1024);
+        EXPECT_TRUE(w.is_ok()) << w.to_string();
+        // Strip 1: primary server 1 (down), replica server 2.
+        std::vector<std::uint8_t> back(1024);
+        for (int i = 0; i < 3; ++i) {
+          Status r = co_await c.read_contig(f.handle, 1024, back.data(), 1024);
+          EXPECT_TRUE(r.is_ok()) << r.to_string();
+        }
+        done = true;
+      }(cluster.scheduler(), *client, data, finished));
+  cluster.run();
+  ASSERT_TRUE(finished);
+  EXPECT_GT(client->quorum_writes(), 0u);
+  EXPECT_GT(client->read_failovers(), 0u);
+  EXPECT_GT(client->rpc_timeouts(), 0u);
+  EXPECT_EQ(client->reply_bytes_outstanding(), 0u);
+}
+
+TEST(ReplyDeadline, ChaosSeedSweepTimeoutsTrackDrops) {
+  // The small chaos cluster of ReplyLifetime (4 servers, 2x2 tiles, 5%
+  // drop + 2% dup + 1% corrupt, one crash) at five seeds: no op fails,
+  // and timeouts stay within 1.5x of the messages actually dropped.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const ReplyLifetimeRun run = run_reply_lifetime(/*with_faults=*/true, seed);
+    EXPECT_EQ(run.failures, 0) << "seed " << seed;
+    EXPECT_GT(run.dropped, 0u) << "seed " << seed;
+    EXPECT_LE(static_cast<double>(run.timeouts),
+              1.5 * static_cast<double>(run.dropped))
+        << "seed " << seed << ": " << run.timeouts << " timeouts vs "
+        << run.dropped << " drops";
+    EXPECT_EQ(run.residual, 0u) << "seed " << seed;
+    EXPECT_EQ(run.claims, 0u) << "seed " << seed;
+  }
 }
 
 // ---- Write-behind batch reliability ----------------------------------------

@@ -570,6 +570,17 @@ TEST(EndToEnd, ServerStatsTrackProcessing) {
   EXPECT_EQ(cluster.server(2).stats().bytes_written, 0u);
   // Metadata + its data request.
   EXPECT_GE(cluster.server(0).stats().requests, 2u);
+  // The fleet total sums every field; max_backlog is the deepest backlog.
+  const ServerStats total = cluster.cache_stats_total();
+  EXPECT_EQ(total.bytes_written, 2048u);
+  std::uint64_t requests = 0;
+  std::uint64_t max_backlog = 0;
+  for (int s = 0; s < cluster.config().num_servers; ++s) {
+    requests += cluster.server(s).stats().requests;
+    max_backlog = std::max(max_backlog, cluster.server(s).stats().max_backlog);
+  }
+  EXPECT_EQ(total.requests, requests);
+  EXPECT_EQ(total.max_backlog, max_backlog);
 }
 
 // ---- Pruned dataloop expansion ------------------------------------------------
