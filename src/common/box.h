@@ -19,18 +19,36 @@
 // is destroyed before its first resume the boxed object leaks — the
 // simulator never abandons started coroutines, and tests run the scheduler
 // to completion, so this is acceptable for the failure mode it replaces.
+//
+// Boxes are made and taken once per request and per message, so their
+// slots come from the coroutine frame pool's size classes, not malloc
+// (sim/frame_pool.h; compiled out under AddressSanitizer like frames).
 #pragma once
 
 #include <cassert>
+#include <new>
 #include <utility>
+
+#include "sim/frame_pool.h"
 
 namespace dtio {
 
 template <typename T>
 class Box {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "pool slots carry operator new's default alignment");
+
  public:
   Box() noexcept : ptr_(nullptr) {}
-  explicit Box(T value) : ptr_(new T(std::move(value))) {}
+  explicit Box(T value) : ptr_(nullptr) {
+    void* slot = sim::detail::frame_pool().allocate(sizeof(T));
+    try {
+      ptr_ = new (slot) T(std::move(value));
+    } catch (...) {
+      sim::detail::frame_pool().deallocate(slot, sizeof(T));
+      throw;
+    }
+  }
 
   // Intentionally no destructor: triviality is the whole point.
   // Copying shares the raw pointer; exactly one copy may call take().
@@ -42,7 +60,8 @@ class Box {
   [[nodiscard]] T take() {
     if (ptr_ == nullptr) return T{};
     T value = std::move(*ptr_);
-    delete ptr_;
+    ptr_->~T();
+    sim::detail::frame_pool().deallocate(ptr_, sizeof(T));
     ptr_ = nullptr;
     return value;
   }

@@ -10,6 +10,28 @@ std::int64_t total_length(std::span<const Region> regions) noexcept {
   return total;
 }
 
+void append_run(std::vector<RegionRun>& runs, std::int64_t offset,
+                std::int64_t length, std::int64_t count) {
+  if (!runs.empty() && runs.back().length == length &&
+      runs.back().end() == offset) {
+    runs.back().count += count;
+    return;
+  }
+  runs.push_back(RegionRun{offset, length, count});
+}
+
+std::vector<RegionRun> runs_of(std::span<const Region> regions) {
+  std::vector<RegionRun> runs;
+  for (const Region& r : regions) append_run(runs, r.offset, r.length, 1);
+  return runs;
+}
+
+std::int64_t region_count(std::span<const RegionRun> runs) noexcept {
+  std::int64_t n = 0;
+  for (const RegionRun& r : runs) n += r.count;
+  return n;
+}
+
 bool regions_sorted_disjoint(std::span<const Region> regions) noexcept {
   for (std::size_t i = 1; i < regions.size(); ++i) {
     if (regions[i].offset < regions[i - 1].end()) return false;

@@ -19,6 +19,34 @@ struct Region {
   friend bool operator==(const Region&, const Region&) = default;
 };
 
+/// `count` back-to-back regions of `length` bytes from `offset`: region i
+/// is [offset + i * length, offset + (i + 1) * length). List I/O carries
+/// its region lists in runs: a FLASH batch of 64 eight-byte cells that lie
+/// back to back in the file is one run, not 64 regions.
+struct RegionRun {
+  std::int64_t offset = 0;
+  std::int64_t length = 0;
+  std::int64_t count = 1;
+
+  [[nodiscard]] std::int64_t end() const noexcept {
+    return offset + length * count;
+  }
+
+  friend bool operator==(const RegionRun&, const RegionRun&) = default;
+};
+
+/// Append `count` regions of `length` bytes from `offset`, extending the
+/// last run when they continue it back to back at the same length.
+void append_run(std::vector<RegionRun>& runs, std::int64_t offset,
+                std::int64_t length, std::int64_t count);
+
+/// Run-length encode `regions` (in order; nothing is reordered).
+[[nodiscard]] std::vector<RegionRun> runs_of(std::span<const Region> regions);
+
+/// Regions the runs stand for (sum of counts).
+[[nodiscard]] std::int64_t region_count(
+    std::span<const RegionRun> runs) noexcept;
+
 /// Sum of region lengths.
 std::int64_t total_length(std::span<const Region> regions) noexcept;
 

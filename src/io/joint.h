@@ -43,41 +43,46 @@ class JointWalker {
     return true;
   }
 
-  /// Append pieces until `file` holds `cap` of them or the stream ends:
-  /// each piece's file region to `file`, its memory offset to `mem`, and
-  /// its length to `bytes`. The pieces are the ones repeated next() calls
-  /// give, but the file region is peeked once for all the pieces it
-  /// holds, and a run of memory regions (Cursor::peek_run) that fits in
-  /// it is taken in one step, so FLASH's 8-byte cells cost a cursor step
-  /// per row instead of two per cell.
-  void fill(std::vector<Region>& file, std::vector<std::int64_t>& mem,
-            std::size_t cap, std::int64_t& bytes) {
+  /// `count` memory regions of `length` bytes at offset + i * stride: the
+  /// memory side of a run of joint pieces.
+  struct MemRun {
+    std::int64_t offset = 0;
+    std::int64_t stride = 0;
+    std::int64_t length = 0;
+    std::int64_t count = 1;
+  };
+
+  /// Append pieces until `pieces` reaches `cap` or the stream ends: their
+  /// file regions to `file` and their memory regions to `mem`, both run-
+  /// length encoded in stream order, and their bytes to `bytes`. The
+  /// pieces are the ones repeated next() calls give, but the file region
+  /// is peeked once for all the pieces it holds, and a run of memory
+  /// regions (Cursor::peek_run) that fits in it is taken in one step, so
+  /// FLASH's 8-byte cells cost a cursor step per row instead of two per
+  /// cell, and a batch of them is one file run.
+  void fill(std::vector<RegionRun>& file, std::vector<MemRun>& mem,
+            std::int64_t cap, std::int64_t& pieces, std::int64_t& bytes) {
     Region f;
-    while (file.size() < cap && file_.peek(f)) {
+    while (pieces < cap && file_.peek(f)) {
       std::int64_t used = 0;  // bytes of f paired so far
       Region m;
       std::int64_t stride = 0;
       std::int64_t n = 1;
-      while (used < f.length && file.size() < cap &&
-             mem_.peek_run(m, stride, n)) {
+      while (used < f.length && pieces < cap && mem_.peek_run(m, stride, n)) {
         const std::int64_t room = f.length - used;
+        std::int64_t k = 1;
+        std::int64_t len = std::min(m.length, room);
         if (n > 1 && m.length <= room) {
-          const std::int64_t k =
-              std::min({n, room / m.length,
-                        static_cast<std::int64_t>(cap - file.size())});
-          for (std::int64_t i = 0; i < k; ++i) {
-            file.push_back(Region{f.offset + used + i * m.length, m.length});
-            mem.push_back(m.offset + i * stride);
-          }
+          k = std::min({n, room / m.length, cap - pieces});
           mem_.advance_run(k);
-          used += k * m.length;
-          continue;
+        } else {
+          stride = 0;
+          mem_.advance(len);
         }
-        const std::int64_t len = std::min(m.length, room);
-        file.push_back(Region{f.offset + used, len});
-        mem.push_back(m.offset);
-        mem_.advance(len);
-        used += len;
+        append_run(file, f.offset + used, len, k);
+        append_mem(mem, MemRun{m.offset, stride, len, k});
+        used += k * len;
+        pieces += k;
       }
       if (used == 0) break;  // the memory stream has ended
       file_.advance(used);
@@ -86,6 +91,24 @@ class JointWalker {
   }
 
  private:
+  /// Extend the last memory run when `r` continues its arithmetic
+  /// sequence at the same length; otherwise start a new run.
+  static void append_mem(std::vector<MemRun>& mem, MemRun r) {
+    if (!mem.empty()) {
+      MemRun& last = mem.back();
+      const std::int64_t step =
+          last.count > 1 ? last.stride
+                         : (r.count > 1 ? r.stride : r.offset - last.offset);
+      if (last.length == r.length && (r.count == 1 || r.stride == step) &&
+          r.offset == last.offset + last.count * step) {
+        last.stride = step;
+        last.count += r.count;
+        return;
+      }
+    }
+    mem.push_back(r);
+  }
+
   dl::Cursor mem_;
   dl::Cursor file_;
 };

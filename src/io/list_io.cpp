@@ -5,6 +5,8 @@
 // datatype I/O removes.
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "io/joint.h"
@@ -22,8 +24,9 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   ctx.client.stats().desired_bytes += static_cast<std::uint64_t>(total);
   const StreamWindow window = make_window(view, offset, total);
   // A batch holds at least one piece, whatever the region limit says.
-  const auto cap = std::max<std::size_t>(
-      1, static_cast<std::size_t>(ctx.config.list_io_max_regions));
+  const auto cap = static_cast<std::int64_t>(std::clamp<std::uint64_t>(
+      ctx.config.list_io_max_regions, 1,
+      std::numeric_limits<std::int64_t>::max()));
   const bool transfer = ctx.client.transfer_data();
   const obs::SpanId span = detail::begin_method_span(
       ctx, is_write ? "list_write" : "list_read", total);
@@ -32,59 +35,70 @@ sim::Task<Status> list_rw(Context& ctx, bool is_write, std::uint64_t handle,
   JointWalker walker(make_mem_cursor(memtype, count),
                      make_file_cursor(view, window));
 
-  std::vector<Region> file_batch;
-  std::vector<std::int64_t> mem_offsets;
+  // The file runs ride in the requests, which share them across servers
+  // and retry attempts; a batch reuses the list once no request holds it.
+  auto file_runs = std::make_shared<std::vector<RegionRun>>();
+  std::vector<JointWalker::MemRun> mem_runs;
   std::vector<std::uint8_t> stage;
-  file_batch.reserve(cap);
-  mem_offsets.reserve(cap);
 
   while (true) {
-    file_batch.clear();
-    mem_offsets.clear();
+    if (file_runs.use_count() > 1) {
+      file_runs = std::make_shared<std::vector<RegionRun>>();
+    }
+    file_runs->clear();
+    mem_runs.clear();
+    std::int64_t pieces = 0;
     std::int64_t batch_bytes = 0;
-    walker.fill(file_batch, mem_offsets, cap, batch_bytes);
-    if (file_batch.empty()) break;
+    walker.fill(*file_runs, mem_runs, cap, pieces, batch_bytes);
+    if (pieces == 0) break;
     ++batches;
 
     // Flattening both types into this batch of joint pieces is the
     // client-side cost list I/O pays on every request.
     co_await ctx.sched.delay(ctx.config.client.flatten_cost_per_region *
-                             static_cast<std::int64_t>(file_batch.size()));
+                             pieces);
+
+    // Visit the batch's memory regions in stream order as (memory offset,
+    // stream offset, bytes); a run with stride == length is one region.
+    auto for_each_mem = [&](auto&& copy) {
+      std::size_t at = 0;
+      for (const JointWalker::MemRun& r : mem_runs) {
+        const std::int64_t step = r.stride == r.length ? r.count : 1;
+        const auto n = static_cast<std::size_t>(r.length * step);
+        for (std::int64_t i = 0; i < r.count; i += step) {
+          copy(r.offset + i * r.stride, at, n);
+          at += n;
+        }
+      }
+    };
 
     Status status;
     if (is_write) {
       const std::uint8_t* stream = nullptr;
       if (transfer && wbuf != nullptr) {
         stage.resize(static_cast<std::size_t>(batch_bytes));
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < file_batch.size(); ++i) {
-          const auto len = static_cast<std::size_t>(file_batch[i].length);
-          std::memcpy(stage.data() + at,
-                      static_cast<const std::uint8_t*>(wbuf) + mem_offsets[i],
-                      len);
-          at += len;
-        }
+        const auto* src = static_cast<const std::uint8_t*>(wbuf);
+        for_each_mem([&](std::int64_t mem, std::size_t at, std::size_t n) {
+          std::memcpy(stage.data() + at, src + mem, n);
+        });
         stream = stage.data();
       }
       co_await ctx.sched.delay(
           transfer_time(static_cast<std::uint64_t>(batch_bytes),
                         ctx.config.client.memcpy_bandwidth_bytes_per_s));
-      status = co_await ctx.client.write_list(handle, file_batch, stream);
+      status = co_await ctx.client.write_list(handle, file_runs, stream);
     } else {
       std::uint8_t* stream = nullptr;
       if (transfer && rbuf != nullptr) {
         stage.assign(static_cast<std::size_t>(batch_bytes), 0);
         stream = stage.data();
       }
-      status = co_await ctx.client.read_list(handle, file_batch, stream);
+      status = co_await ctx.client.read_list(handle, file_runs, stream);
       if (stream != nullptr) {
-        std::size_t at = 0;
-        for (std::size_t i = 0; i < file_batch.size(); ++i) {
-          const auto len = static_cast<std::size_t>(file_batch[i].length);
-          std::memcpy(static_cast<std::uint8_t*>(rbuf) + mem_offsets[i],
-                      stage.data() + at, len);
-          at += len;
-        }
+        auto* dst = static_cast<std::uint8_t*>(rbuf);
+        for_each_mem([&](std::int64_t mem, std::size_t at, std::size_t n) {
+          std::memcpy(dst + mem, stage.data() + at, n);
+        });
       }
       co_await ctx.sched.delay(
           transfer_time(static_cast<std::uint64_t>(batch_bytes),

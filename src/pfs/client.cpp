@@ -931,25 +931,21 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
 // ---- Access-list building ----------------------------------------------------
 
 std::int64_t Client::build_access(const FileLayout& layout,
-                                  std::span<const Region> logical,
+                                  std::span<const RegionRun> logical,
                                   std::vector<ServerAccess>& out) const {
   assert(out.empty());
   out.resize(static_cast<std::size_t>(config_->num_servers));
   std::int64_t pieces = 0;
-  layout.map_regions(logical,
-                     [&](int server, Region phys, std::int64_t stream_pos) {
-                       auto& acc = out[static_cast<std::size_t>(server)];
-                       // A list request's pieces mostly land on one or two
-                       // servers: size for all of them up front.
-                       if (acc.pieces.empty()) {
-                         acc.pieces.reserve(logical.size());
-                         acc.stream_at.reserve(logical.size());
-                       }
-                       acc.pieces.push_back(phys);
-                       acc.stream_at.push_back(stream_pos);
-                       acc.total_bytes += phys.length;
-                       ++pieces;
-                     });
+  StripMapper mapper(layout);
+  for (const RegionRun& run : logical) {
+    mapper.map_run(run, [&](int server, Region phys, std::int64_t stream_pos,
+                            std::int64_t n) {
+      auto& acc = out[static_cast<std::size_t>(server)];
+      acc.extents.push_back({phys, stream_pos, n});
+      acc.total_bytes += phys.length;
+      pieces += n;
+    });
+  }
   return pieces;
 }
 
@@ -969,8 +965,7 @@ std::int64_t Client::build_access_datatype(
         mapper.map(Region{off, len},
                    [&](int server, Region phys, std::int64_t stream_pos) {
                      auto& acc = out[static_cast<std::size_t>(server)];
-                     acc.pieces.push_back(phys);
-                     acc.stream_at.push_back(stream_pos);
+                     acc.extents.push_back({phys, stream_pos, 1});
                      acc.total_bytes += phys.length;
                      ++pieces;
                    });
@@ -985,11 +980,11 @@ sim::Task<Status> Client::write_contig(std::uint64_t handle,
                                        const std::uint8_t* data,
                                        std::int64_t length) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const Region region{offset, length};
+  std::vector<ServerAccess> access;
+  const RegionRun run{offset, length, 1};
   const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const Region>(&region, 1),
-                   *access);
+      build_access(layout_for(handle), std::span<const RegionRun>(&run, 1),
+                   access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
@@ -998,7 +993,7 @@ sim::Task<Status> Client::write_contig(std::uint64_t handle,
   prototype.carry_data = transfer_data_;
   prototype.payload = ContigPayload{offset, length, nullptr};
   return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)), data,
+                      Box<std::vector<ServerAccess>>(std::move(access)), data,
                       nullptr, Box<Request>(std::move(prototype)));
 }
 
@@ -1006,11 +1001,11 @@ sim::Task<Status> Client::read_contig(std::uint64_t handle,
                                       std::int64_t offset, std::uint8_t* out,
                                       std::int64_t length) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const Region region{offset, length};
+  std::vector<ServerAccess> access;
+  const RegionRun run{offset, length, 1};
   const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const Region>(&region, 1),
-                   *access);
+      build_access(layout_for(handle), std::span<const RegionRun>(&run, 1),
+                   access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
@@ -1019,46 +1014,54 @@ sim::Task<Status> Client::read_contig(std::uint64_t handle,
   prototype.carry_data = transfer_data_;
   prototype.payload = ContigPayload{offset, length, nullptr};
   return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
+                      Box<std::vector<ServerAccess>>(std::move(access)),
                       nullptr, out, Box<Request>(std::move(prototype)));
 }
 
-sim::Task<Status> Client::write_list(std::uint64_t handle,
-                                     std::vector<Region> regions,
+sim::Task<Status> Client::write_list(std::uint64_t handle, ListRuns runs,
                                      const std::uint8_t* stream) {
-  ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access(layout_for(handle), regions, *access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
+  return list_op(OpKind::kListWrite, handle, std::move(runs), stream, nullptr);
+}
 
-  Request prototype;
-  prototype.op = OpKind::kListWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ListPayload{std::move(regions), nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      stream, nullptr, Box<Request>(std::move(prototype)));
+sim::Task<Status> Client::read_list(std::uint64_t handle, ListRuns runs,
+                                    std::uint8_t* stream) {
+  return list_op(OpKind::kListRead, handle, std::move(runs), nullptr, stream);
+}
+
+sim::Task<Status> Client::write_list(std::uint64_t handle,
+                                     std::span<const Region> regions,
+                                     const std::uint8_t* stream) {
+  return write_list(
+      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
+      stream);
 }
 
 sim::Task<Status> Client::read_list(std::uint64_t handle,
-                                    std::vector<Region> regions,
+                                    std::span<const Region> regions,
                                     std::uint8_t* stream) {
+  return read_list(
+      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
+      stream);
+}
+
+sim::Task<Status> Client::list_op(OpKind op, std::uint64_t handle,
+                                  ListRuns runs,
+                                  const std::uint8_t* write_stream,
+                                  std::uint8_t* read_stream) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
-  const std::int64_t pieces =
-      build_access(layout_for(handle), regions, *access);
+  std::vector<ServerAccess> access;
+  const std::int64_t pieces = build_access(layout_for(handle), *runs, access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
-  prototype.op = OpKind::kListRead;
+  prototype.op = op;
   prototype.handle = handle;
   prototype.carry_data = transfer_data_;
-  prototype.payload = ListPayload{std::move(regions), nullptr};
+  prototype.payload = ListPayload{std::move(runs), nullptr};
   return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
-                      nullptr, stream, Box<Request>(std::move(prototype)));
+                      Box<std::vector<ServerAccess>>(std::move(access)),
+                      write_stream, read_stream,
+                      Box<Request>(std::move(prototype)));
 }
 
 namespace {
@@ -1087,10 +1090,10 @@ sim::Task<Status> Client::write_datatype(
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     const std::uint8_t* stream) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
+  std::vector<ServerAccess> access;
   const std::int64_t pieces =
       build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, *access);
+                            stream_offset, stream_length, access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
@@ -1100,7 +1103,7 @@ sim::Task<Status> Client::write_datatype(
   prototype.payload = make_datatype_payload(filetype, displacement, count,
                                             stream_offset, stream_length);
   return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
+                      Box<std::vector<ServerAccess>>(std::move(access)),
                       stream, nullptr, Box<Request>(std::move(prototype)));
 }
 
@@ -1109,10 +1112,10 @@ sim::Task<Status> Client::read_datatype(
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     std::uint8_t* stream) {
   ++stats_.io_ops;
-  auto access = std::make_unique<std::vector<ServerAccess>>();
+  std::vector<ServerAccess> access;
   const std::int64_t pieces =
       build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, *access);
+                            stream_offset, stream_length, access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
 
   Request prototype;
@@ -1122,7 +1125,7 @@ sim::Task<Status> Client::read_datatype(
   prototype.payload = make_datatype_payload(filetype, displacement, count,
                                             stream_offset, stream_length);
   return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(*access)),
+                      Box<std::vector<ServerAccess>>(std::move(access)),
                       nullptr, stream, Box<Request>(std::move(prototype)));
 }
 
@@ -1151,7 +1154,7 @@ sim::Task<Status> Client::run_requests(
     for (int s = 0; s < config_->num_servers; ++s) {
       const ServerAccess& acc = access[static_cast<std::size_t>(s)];
       if (acc.total_bytes == 0) continue;
-      if (!wb_read_overlaps(s, prototype.handle, acc.pieces)) continue;
+      if (!wb_read_overlaps(s, prototype.handle, acc)) continue;
       const Status flushed = co_await wb_flush_server(
           s, &Client::wb_flushes_read_overlap_, /*charge_prep=*/true);
       if (!flushed.is_ok()) co_return flushed;
@@ -1186,12 +1189,11 @@ sim::Task<Status> Client::run_requests(
     for (int s = 0; s < config_->num_servers; ++s) {
       const ServerAccess& acc = access[static_cast<std::size_t>(s)];
       if (acc.total_bytes == 0) continue;
-      for (std::size_t i = 0; i < acc.pieces.size(); ++i) {
-        const std::uint8_t* src =
-            (transfer_data_ && write_stream != nullptr)
-                ? write_stream + acc.stream_at[i]
-                : nullptr;
-        wb_stage_run(s, prototype.handle, acc.pieces[i], src);
+      for (const ServerAccess::Extent& e : acc.extents) {
+        const std::uint8_t* src = (transfer_data_ && write_stream != nullptr)
+                                      ? write_stream + e.stream_at
+                                      : nullptr;
+        wb_stage_run(s, prototype.handle, e.phys, src, e.pieces);
       }
       stats_.accessed_bytes += static_cast<std::uint64_t>(acc.total_bytes);
     }
@@ -1224,7 +1226,11 @@ sim::Task<Status> Client::run_requests(
   // links).
   const int nservers = config_->num_servers;
   auto slots = std::make_unique<std::vector<RpcSlot>>();
-  slots->reserve(static_cast<std::size_t>(nservers));
+  // One slot per touched server, reserved exactly: the drivers hold
+  // pointers into the vector, so it must never reallocate.
+  slots->reserve(static_cast<std::size_t>(
+      std::count_if(access.begin(), access.end(),
+                    [](const ServerAccess& a) { return a.total_bytes != 0; })));
   for (int i = 0; i < nservers; ++i) {
     const int s = (rank_ + i) % nservers;
     const ServerAccess& acc = access[static_cast<std::size_t>(s)];
@@ -1253,9 +1259,9 @@ sim::Task<Status> Client::run_requests(
       auto buffer = std::make_shared<std::vector<std::uint8_t>>(
           static_cast<std::size_t>(acc.total_bytes));
       std::size_t at = 0;
-      for (std::size_t i = 0; i < acc.pieces.size(); ++i) {
-        const auto len = static_cast<std::size_t>(acc.pieces[i].length);
-        std::memcpy(buffer->data() + at, write_stream + acc.stream_at[i], len);
+      for (const ServerAccess::Extent& e : acc.extents) {
+        const auto len = static_cast<std::size_t>(e.phys.length);
+        std::memcpy(buffer->data() + at, write_stream + e.stream_at, len);
         at += len;
       }
       slot.request.payload_crc = crc32(*buffer);
@@ -1283,10 +1289,9 @@ sim::Task<Status> Client::run_requests(
   auto scatter = [&](const RpcSlot& slot) {
     const ServerAccess& acc = access[static_cast<std::size_t>(slot.home)];
     std::size_t at = 0;
-    for (std::size_t i = 0; i < acc.pieces.size(); ++i) {
-      const auto len = static_cast<std::size_t>(acc.pieces[i].length);
-      std::memcpy(read_stream + acc.stream_at[i], slot.reply.data->data() + at,
-                  len);
+    for (const ServerAccess::Extent& e : acc.extents) {
+      const auto len = static_cast<std::size_t>(e.phys.length);
+      std::memcpy(read_stream + e.stream_at, slot.reply.data->data() + at, len);
       at += len;
     }
   };
@@ -1352,7 +1357,7 @@ sim::Task<Status> Client::flush_write_behind() {
 }
 
 void Client::wb_stage_run(int server, std::uint64_t handle, Region phys,
-                          const std::uint8_t* src) {
+                          const std::uint8_t* src, std::int64_t pieces) {
   if (phys.length <= 0) return;
   if (wb_.size() < static_cast<std::size_t>(config_->num_servers)) {
     wb_.resize(static_cast<std::size_t>(config_->num_servers));
@@ -1407,15 +1412,16 @@ void Client::wb_stage_run(int server, std::uint64_t handle, Region phys,
   wb_total_bytes_ += merged.length;
   buf.runs.emplace(std::make_pair(handle, new_lo), std::move(merged));
 
-  wb_coalesced_ += absorbed_ops;
+  wb_coalesced_ += absorbed_ops + static_cast<std::uint64_t>(pieces - 1);
 }
 
 bool Client::wb_read_overlaps(int server, std::uint64_t handle,
-                              const std::vector<Region>& pieces) const {
+                              const ServerAccess& acc) const {
   if (static_cast<std::size_t>(server) >= wb_.size()) return false;
   const WbServerBuf& buf = wb_[static_cast<std::size_t>(server)];
   if (buf.runs.empty()) return false;
-  for (const Region& piece : pieces) {
+  for (const ServerAccess::Extent& e : acc.extents) {
+    const Region& piece = e.phys;
     auto it = buf.runs.lower_bound({handle, piece.offset});
     if (it != buf.runs.begin()) {
       auto prev = std::prev(it);

@@ -237,13 +237,19 @@ class Client {
                                 std::uint8_t* out, std::int64_t length);
 
   // ---- List interface --------------------------------------------------------
-  // `regions` are logical file regions in access order; `stream` holds the
-  // concatenated data (write) or receives it (read).
+  // `runs` are logical file regions in access order, run-length encoded;
+  // every per-server request and retry attempt shares the one list.
+  // `stream` holds the concatenated data (write) or receives it (read).
+  sim::Task<Status> write_list(std::uint64_t handle, ListRuns runs,
+                               const std::uint8_t* stream);
+  sim::Task<Status> read_list(std::uint64_t handle, ListRuns runs,
+                              std::uint8_t* stream);
+  /// Same, from a plain region list (encoded with runs_of()).
   sim::Task<Status> write_list(std::uint64_t handle,
-                               std::vector<Region> regions,
+                               std::span<const Region> regions,
                                const std::uint8_t* stream);
   sim::Task<Status> read_list(std::uint64_t handle,
-                              std::vector<Region> regions,
+                              std::span<const Region> regions,
                               std::uint8_t* stream);
 
   // ---- Datatype interface -----------------------------------------------------
@@ -265,19 +271,25 @@ class Client {
                                   std::uint8_t* stream);
 
  private:
-  /// Per-server client-side access list: physical pieces in stream order
-  /// plus where each piece's data sits in the client's stream buffer.
+  /// Per-server client-side access list: physical extents in stream
+  /// order, each with where its data sits in the client's stream buffer.
+  /// An extent is `pieces` per-region pieces that lie back to back on the
+  /// server and in the stream (one list run within one strip).
   struct ServerAccess {
-    std::vector<Region> pieces;          ///< physical regions on the server
-    std::vector<std::int64_t> stream_at; ///< stream offset of each piece
+    struct Extent {
+      Region phys;                ///< physical bytes on the server
+      std::int64_t stream_at = 0; ///< stream offset of its first byte
+      std::int64_t pieces = 1;    ///< per-region pieces it stands for
+    };
+    std::vector<Extent> extents;
     std::int64_t total_bytes = 0;
   };
 
-  /// The client half of job building: map logical regions (or a dataloop
-  /// stream window) into per-server access lists using the file's layout.
-  /// Returns pieces walked.
+  /// The client half of job building: map logical region runs (or a
+  /// dataloop stream window) into per-server access lists using the
+  /// file's layout. Returns pieces walked, counted per region.
   std::int64_t build_access(const FileLayout& layout,
-                            std::span<const Region> logical,
+                            std::span<const RegionRun> logical,
                             std::vector<ServerAccess>& out) const;
   std::int64_t build_access_datatype(const FileLayout& layout,
                                      const dl::DataloopPtr& filetype,
@@ -286,6 +298,10 @@ class Client {
                                      std::int64_t stream_offset,
                                      std::int64_t stream_length,
                                      std::vector<ServerAccess>& out) const;
+  /// write_list/read_list once the runs are shared.
+  sim::Task<Status> list_op(OpKind op, std::uint64_t handle, ListRuns runs,
+                            const std::uint8_t* write_stream,
+                            std::uint8_t* read_stream);
 
   sim::Task<MetaResult> meta_op(OpKind op, Box<std::string> path,
                                 std::int64_t size_hint);
@@ -497,15 +513,18 @@ class Client {
     std::int64_t bytes = 0;
   };
 
-  /// Stage one physical run, merging with overlapping/adjacent staged runs
-  /// of the same handle (new data overwrites — arrival order). `src` null
-  /// in timing-only mode (extents are still tracked).
+  /// Stage one physical extent of `pieces` back-to-back pieces, merging
+  /// with overlapping/adjacent staged runs of the same handle (new data
+  /// overwrites — arrival order). Counts the runs merged away as if each
+  /// piece were staged alone: the pieces after the first each absorb
+  /// their predecessor. `src` null in timing-only mode (extents are still
+  /// tracked).
   void wb_stage_run(int server, std::uint64_t handle, Region phys,
-                    const std::uint8_t* src);
-  /// Any staged run of `handle` on `server` overlapping one of `pieces`?
-  [[nodiscard]] bool wb_read_overlaps(
-      int server, std::uint64_t handle,
-      const std::vector<Region>& pieces) const;
+                    const std::uint8_t* src, std::int64_t pieces);
+  /// Any staged run of `handle` on `server` overlapping one of `acc`'s
+  /// extents?
+  [[nodiscard]] bool wb_read_overlaps(int server, std::uint64_t handle,
+                                      const ServerAccess& acc) const;
   /// Why a flush happened, named by the per-reason counter it bumps (one
   /// of the wb_flushes_* members).
   using FlushReason = std::uint64_t Client::*;

@@ -162,14 +162,7 @@ class StripMapper {
     std::int64_t offset = region.offset;
     std::int64_t remaining = region.length;
     while (remaining > 0) {
-      if (offset < strip_lo_ || offset >= strip_hi_) {
-        const FileLayout::Placement p = layout_->place(offset);
-        strip_lo_ = offset;
-        strip_hi_ = offset + layout_->strip_size() -
-                    offset % layout_->strip_size();
-        server_ = p.server;
-        physical_lo_ = p.physical;
-      }
+      enter(offset);
       const std::int64_t run = std::min(remaining, strip_hi_ - offset);
       cb(server_, Region{physical_lo_ + (offset - strip_lo_), run},
          stream_pos_);
@@ -179,7 +172,41 @@ class StripMapper {
     }
   }
 
+  /// Map the run's regions one strip extent at a time, invoking
+  /// cb(server, physical_extent, stream_pos, pieces) per extent, where
+  /// `pieces` is how many pieces map() of the run's regions one by one
+  /// would give inside that extent: the regions that touch its strip. The
+  /// extents are those pieces merged, with the same bytes and stream
+  /// positions.
+  template <typename Callback>
+  void map_run(const RegionRun& run, Callback&& cb) {
+    if (run.length <= 0 || run.count <= 0) return;
+    const std::int64_t end = run.end();
+    std::int64_t offset = run.offset;
+    while (offset < end) {
+      enter(offset);
+      const std::int64_t hi = std::min(end, strip_hi_);
+      // Regions first_region..last_region of the run touch [offset, hi).
+      const std::int64_t first_region = (offset - run.offset) / run.length;
+      const std::int64_t last_region = (hi - 1 - run.offset) / run.length;
+      cb(server_, Region{physical_lo_ + (offset - strip_lo_), hi - offset},
+         stream_pos_, last_region - first_region + 1);
+      stream_pos_ += hi - offset;
+      offset = hi;
+    }
+  }
+
  private:
+  /// Make the strip holding logical byte `offset` the current one.
+  void enter(std::int64_t offset) noexcept {
+    if (offset >= strip_lo_ && offset < strip_hi_) return;
+    const FileLayout::Placement p = layout_->place(offset);
+    strip_lo_ = offset;
+    strip_hi_ = offset + layout_->strip_size() - offset % layout_->strip_size();
+    server_ = p.server;
+    physical_lo_ = p.physical;
+  }
+
   const FileLayout* layout_;
   /// Logical [strip_lo_, strip_hi_) is the rest of the last piece's strip,
   /// starting at the byte that place() mapped to (server_, physical_lo_).

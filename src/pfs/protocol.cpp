@@ -35,7 +35,9 @@ std::uint64_t request_descriptor_bytes(const Request& request,
     std::uint64_t bytes_per_region;
     std::uint64_t operator()(const ContigPayload&) const { return 16; }
     std::uint64_t operator()(const ListPayload& p) const {
-      return p.regions.size() * bytes_per_region;
+      if (!p.runs) return 0;
+      return static_cast<std::uint64_t>(region_count(*p.runs)) *
+             bytes_per_region;
     }
     std::uint64_t operator()(const DatatypePayload& p) const {
       return 40 + (p.encoded_loop ? p.encoded_loop->size() : 0);

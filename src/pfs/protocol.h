@@ -65,11 +65,16 @@ struct ContigPayload {
   DataBuffer data;
 };
 
+/// A list request's logical regions, run-length encoded and immutable
+/// once shipped: every per-server request and retry attempt shares it.
+using ListRuns = std::shared_ptr<const std::vector<RegionRun>>;
+
 /// List access: logical regions in access order (bounded by the list-I/O
 /// region cap at the I/O method layer). Every involved server receives the
-/// full list — shipping these lists is list I/O's documented overhead.
+/// full list — shipping these lists is list I/O's documented overhead, and
+/// the wire still pays for every region, however the runs encode them.
 struct ListPayload {
-  std::vector<Region> regions;
+  ListRuns runs;
   DataBuffer data;
 };
 

@@ -11,94 +11,9 @@
 #include "dataloop/cursor.h"
 #include "dataloop/serialize.h"
 #include "net/fault.h"
+#include "pfs/applier.h"
 
 namespace dtio::pfs {
-
-namespace {
-
-/// Shared region-application state for the three data interfaces: walks
-/// logical regions in stream order, clips them to this server's strips,
-/// and moves bytes between the bstream and the request/reply buffers.
-struct Applier {
-  const FileLayout& layout;
-  int my_server;
-  Bstream& bstream;
-  bool is_write;
-  bool carry_data;
-  const DataBuffer& request_data;  ///< write payload (may be null)
-  DataBuffer reply_data;           ///< read gather target (may be null)
-  /// When the buffer cache is on, all bstream traffic routes through it
-  /// (physical offsets are server-local and dense, so cache blocks map
-  /// directly onto disk adjacency); `plan` collects the disk work the
-  /// handler charges afterwards. Null = legacy direct path.
-  cache::BlockCache* cache = nullptr;
-  cache::AccessPlan* plan = nullptr;
-  std::uint64_t handle = 0;
-  /// When set (replicated writes), every applied physical region is
-  /// recorded so the handler can advance the covered strips' write epochs.
-  std::vector<Region>* applied_out = nullptr;
-  /// When set (reads with block checksums on), every physical region this
-  /// server read is recorded — in reply_data append order — so the handler
-  /// can verify the visited pages and re-gather after a repair.
-  std::vector<Region>* visited_out = nullptr;
-
-  /// One mapper per request: consecutive regions mostly share a strip.
-  StripMapper mapper{layout};
-  std::int64_t my_pos = 0;     ///< bytes of MY data consumed/produced
-  std::int64_t pieces = 0;     ///< every piece walked (all servers)
-  std::int64_t my_pieces = 0;  ///< pieces on this server
-  std::int64_t my_bytes = 0;
-
-  void apply(Region logical) {
-    mapper.map(logical, [&](int server, Region phys, std::int64_t) {
-      ++pieces;
-      if (server != my_server) return;
-      ++my_pieces;
-      my_bytes += phys.length;
-      if (is_write) {
-        if (cache != nullptr) {
-          cache->write(handle, phys.offset, phys.length,
-                       (carry_data && request_data)
-                           ? std::span<const std::uint8_t>(
-                                 request_data->data() + my_pos,
-                                 static_cast<std::size_t>(phys.length))
-                           : std::span<const std::uint8_t>{},
-                       *plan);
-        } else if (carry_data && request_data) {
-          bstream.write(phys.offset,
-                        std::span<const std::uint8_t>(
-                            request_data->data() + my_pos,
-                            static_cast<std::size_t>(phys.length)));
-        } else {
-          bstream.note_write(phys.offset, phys.length);
-        }
-        if (applied_out != nullptr) applied_out->push_back(phys);
-      } else if (cache != nullptr) {
-        std::span<std::uint8_t> out;
-        if (carry_data && reply_data) {
-          const std::size_t old = reply_data->size();
-          reply_data->resize(old + static_cast<std::size_t>(phys.length));
-          out = std::span<std::uint8_t>(
-              reply_data->data() + old, static_cast<std::size_t>(phys.length));
-        }
-        // Timing-only reads (empty out) still walk the cache: residency
-        // and readahead are what the timing model is here to capture.
-        cache->read(handle, phys.offset, phys.length, out, *plan);
-      } else if (carry_data && reply_data) {
-        const std::size_t old = reply_data->size();
-        reply_data->resize(old + static_cast<std::size_t>(phys.length));
-        bstream.read(phys.offset,
-                     std::span<std::uint8_t>(reply_data->data() + old,
-                                             static_cast<std::size_t>(
-                                                 phys.length)));
-      }
-      if (!is_write && visited_out != nullptr) visited_out->push_back(phys);
-      my_pos += phys.length;
-    });
-  }
-};
-
-}  // namespace
 
 IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
                    const net::ClusterConfig& config, int server_index)
@@ -109,6 +24,7 @@ IOServer::IOServer(sim::Scheduler& sched, net::Network& network,
       layout_(config.num_servers, static_cast<std::int64_t>(config.strip_size)),
       disk_(sched, 1),
       cpu_(sched, 1),
+      replay_(config.server.replay_window_entries),
       shards_(std::min(config.meta_shards, config.num_servers)) {
   store_adapter_.server = this;
   const net::ServerConfig& sc = config.server;
@@ -207,8 +123,7 @@ void IOServer::crash() {
   // model durable storage and survive.
   loop_cache_.clear();
   loop_cache_order_.clear();
-  replay_acks_.clear();
-  replay_order_.clear();
+  replay_.clear();
   // Lock state (whole-file and striped alike) is process state too:
   // holders evaporate, and the parked waiters are stashed for
   // deterministic re-grant at restart — dropping them would strand their
@@ -588,27 +503,13 @@ void IOServer::store_sub_ack(int client_node, std::uint64_t op_seq,
   if (op_seq == 0) return;
   if (crashed_ || req_epoch_ != epoch_) return;  // this request's epoch died
   expire_replay_acks();
-  const std::uint64_t key = replay_key(client_node, op_seq);
-  if (!replay_acks_.emplace(key, reply).second) return;
-  replay_order_.emplace_back(key, sched_->now());
-  if (replay_order_.size() > config_->server.replay_window_entries) {
-    replay_acks_.erase(replay_order_.front().first);
-    replay_order_.pop_front();
-  }
+  replay_.insert(replay_key(client_node, op_seq), sched_->now(), reply);
 }
 
 void IOServer::expire_replay_acks() {
   const SimTime max_age = config_->server.replay_window_max_age;
   if (max_age <= 0) return;
-  const SimTime now = sched_->now();
-  // Acks strictly older than max_age go; the deque is in store order, so
-  // time order, and expiry only ever pops from the front.
-  while (!replay_order_.empty() &&
-         now - replay_order_.front().second > max_age) {
-    replay_acks_.erase(replay_order_.front().first);
-    replay_order_.pop_front();
-    ++stats_.replays_expired;
-  }
+  stats_.replays_expired += replay_.expire(sched_->now(), max_age);
 }
 
 bool IOServer::over_admission_bounds(const char*& reason) const {
@@ -831,12 +732,12 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   // re-applying — the first execution's effects stand.
   if (request.op_seq != 0) {
     expire_replay_acks();
-    const auto it =
-        replay_acks_.find(replay_key(request.client_node, request.op_seq));
-    if (it != replay_acks_.end()) {
+    const Reply* ack =
+        replay_.find(replay_key(request.client_node, request.op_seq));
+    if (ack != nullptr) {
       ++stats_.replays_suppressed;
       instant("replay", request.client_node, req_span_, req_trace_);
-      send_reply(request.client_node, request.reply_tag, Reply(it->second), 0);
+      send_reply(request.client_node, request.reply_tag, Reply(*ack), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
       co_return;
     }
@@ -976,6 +877,24 @@ sim::Task<void> IOServer::handle_contig(Request& request) {
 sim::Task<void> IOServer::handle_list(Request& request) {
   const auto& p = std::get<ListPayload>(request.payload);
   const bool is_write = request.op == OpKind::kListWrite;
+  // Validate every run before touching data: a non-negative offset and
+  // length, a count of at least 1, and an end and a list total that fit in
+  // int64 (StripMapper computes offset + length * count).
+  if (!p.runs) {
+    reject_invalid(request, "list request without a region list");
+    co_return;
+  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::int64_t window = 0;
+  for (const RegionRun& r : *p.runs) {
+    if (r.offset < 0 || r.length < 0 || r.count < 1 ||
+        (r.length > 0 && r.count > (kMax - r.offset) / r.length) ||
+        r.length * r.count > kMax - window) {
+      reject_invalid(request, "list request region run out of range");
+      co_return;
+    }
+    window += r.length * r.count;
+  }
   const bool replica = request.replica_of >= 0;
   const int acting = replica ? request.replica_of : server_index_;
   cache::BlockCache* cache = replica ? nullptr : cache_.get();
@@ -1000,13 +919,14 @@ sim::Task<void> IOServer::handle_list(Request& request) {
                   request.handle,
                   (is_write && config_->replication > 1) ? &applied : nullptr,
                   (!is_write && media_verify_) ? &visited : nullptr};
+  // Media verification (visited_out) implies media_.enabled().
+  applier.per_piece = cache != nullptr || applier.applied_out != nullptr ||
+                      media_.enabled();
   if (applier.reply_data) {
-    std::int64_t window = 0;
-    for (const Region& r : p.regions) window += r.length;
     applier.reply_data->reserve(
         static_cast<std::size_t>(layout.max_server_bytes(window)));
   }
-  for (const Region& r : p.regions) applier.apply(r);
+  for (const RegionRun& r : *p.runs) applier.apply_run(r);
   for (const Region& reg : applied) {
     note_strip_writes(request.handle, acting, reg.offset, reg.length);
   }
@@ -1060,8 +980,7 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
   for (std::size_t i = 0; i < n; ++i) {
     const BatchSubOp& sub = p.sub_ops[i];
     if (sub.op_seq != 0 &&
-        replay_acks_.find(replay_key(request.client_node, sub.op_seq)) !=
-            replay_acks_.end()) {
+        replay_.find(replay_key(request.client_node, sub.op_seq)) != nullptr) {
       // Already applied by an earlier attempt of this envelope (or a
       // previous envelope): re-ack without re-applying.
       reply.sub_acked[i] = 1;
@@ -1151,16 +1070,8 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
   const auto& p = std::get<DatatypePayload>(request.payload);
   const bool is_write = request.op == OpKind::kDatatypeWrite;
 
-  auto reject = [&](std::string why) {
-    ++stats_.bad_requests;
-    Reply reply;
-    reply.ok = false;
-    reply.code = StatusCode::kInvalidArgument;
-    reply.error = std::move(why);
-    send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
-  };
   if (!p.encoded_loop) {
-    reject("datatype request without a dataloop");
+    reject_invalid(request, "datatype request without a dataloop");
     co_return;
   }
 
@@ -1184,7 +1095,7 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
     try {
       loop = dl::decode(*p.encoded_loop);
     } catch (const std::invalid_argument& e) {
-      reject(std::string("malformed dataloop: ") + e.what());
+      reject_invalid(request, std::string("malformed dataloop: ") + e.what());
       co_return;
     }
     ++stats_.dataloops_decoded;
@@ -1211,7 +1122,7 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
   }
   if (p.count < 0 || p.stream_offset < 0 || p.stream_length < 0 ||
       p.stream_offset + p.stream_length > p.count * loop->size) {
-    reject("datatype request stream window out of range");
+    reject_invalid(request, "datatype request stream window out of range");
     co_return;
   }
 
@@ -1306,6 +1217,15 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
   }
   finish_data_reply(request, is_write, applier.my_bytes,
                     std::move(applier.reply_data));
+}
+
+void IOServer::reject_invalid(const Request& request, std::string why) {
+  ++stats_.bad_requests;
+  Reply reply;
+  reply.ok = false;
+  reply.code = StatusCode::kInvalidArgument;
+  reply.error = std::move(why);
+  send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
 }
 
 void IOServer::finish_data_reply(Request& request, bool is_write,

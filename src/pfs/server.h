@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -37,6 +36,7 @@
 #include "pfs/layout.h"
 #include "dataloop/dataloop.h"
 #include "pfs/protocol.h"
+#include "pfs/replay_window.h"
 #include "sim/resource.h"
 #include "sim/scheduler.h"
 
@@ -169,6 +169,15 @@ class IOServer {
   /// write ever landed. Replication > 1 only.
   [[nodiscard]] const Bstream* find_replica_bstream(std::uint64_t handle,
                                                     int primary) const;
+
+  /// Write epoch of strip `strip` (primary-physical index) of the copy of
+  /// `handle` this server holds for `primary`; 0 when never written.
+  /// Replication > 1 only.
+  [[nodiscard]] std::uint64_t strip_epoch(std::uint64_t handle, int primary,
+                                          std::int64_t strip) const {
+    const auto it = strip_epochs_.find({handle, primary, strip});
+    return it == strip_epochs_.end() ? 0 : it->second;
+  }
 
   /// Attach the observability context (nullptr detaches). Not owned.
   /// Spans and instants are recorded while attached; detached, the request
@@ -330,6 +339,9 @@ class IOServer {
   sim::Task<void> handle_datatype(Request& request);
   void handle_meta(Request& request, Reply& reply);
 
+  /// Answer a malformed data request with kInvalidArgument and count it
+  /// in bad_requests.
+  void reject_invalid(const Request& request, std::string why);
   void finish_data_reply(Request& request, bool is_write,
                          std::int64_t my_bytes, DataBuffer reply_data);
   sim::Task<void> charge_disk(std::int64_t bytes);
@@ -469,13 +481,11 @@ class IOServer {
   // degraded-window edge.
   double req_degrade_ = 1.0;
 
-  // Idempotent-replay window: ack by replay_key(client, op_seq), FIFO
-  // eviction bounded by ServerConfig::replay_window_entries and (when
-  // replay_window_max_age > 0) by simulated age — the deque is in store
-  // order, which is time order, so expiry pops from the front. Cleared on
-  // crash (the window is process state, not durable).
-  std::unordered_map<std::uint64_t, Reply> replay_acks_;
-  std::deque<std::pair<std::uint64_t, SimTime>> replay_order_;
+  // Idempotent-replay window: ack by replay_key(client, op_seq), oldest
+  // first eviction bounded by ServerConfig::replay_window_entries and
+  // (when replay_window_max_age > 0) by simulated age. Cleared on crash
+  // (the window is process state, not durable).
+  ReplayWindow replay_;
 
   // Decoded-dataloop cache (enabled by ServerConfig::dataloop_cache),
   // keyed by a hash of the encoded bytes; bounded true-LRU eviction (a

@@ -16,8 +16,28 @@ Scheduler::~Scheduler() {
 
 void Scheduler::push(SimTime t, void* frame, std::uint64_t aux) {
   assert(t >= now_ && "cannot schedule into the simulated past");
+  if (t == now_) {
+    lane_.push_back(Event{t, next_seq_++, frame, aux});
+    return;
+  }
   queue_.push_back(Event{t, next_seq_++, frame, aux});
   std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+}
+
+Scheduler::Event Scheduler::pop_next() {
+  if (lane_head_ < lane_.size() &&
+      (queue_.empty() || EventLater{}(queue_.front(), lane_[lane_head_]))) {
+    const Event ev = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+    return ev;
+  }
+  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+  const Event ev = queue_.back();
+  queue_.pop_back();
+  return ev;
 }
 
 void Scheduler::schedule_at(SimTime t, std::coroutine_handle<> h) {
@@ -66,14 +86,15 @@ void Scheduler::spawn(Task<void> process) {
 void Scheduler::start(Fire fire) { schedule_at(now_, fire.handle()); }
 
 void Scheduler::run() {
-  while (!queue_.empty()) {
+  while (!queue_.empty() || lane_head_ < lane_.size()) {
     // Telemetry due at or before the next regular event observes the
     // simulation between events, at its own timestamp. Pure observation:
     // running it cannot change the regular queue, so the event sequence
     // is identical with or without telemetry attached. A telemetry
     // callback may schedule the next sample (periodic samplers), which
     // the loop picks up immediately if still due.
-    const SimTime next_time = queue_.front().time;
+    const SimTime next_time =
+        lane_head_ < lane_.size() ? now_ : queue_.front().time;
     while (!telemetry_.empty() && telemetry_.top().time <= next_time) {
       TelemetryEvent t = std::move(const_cast<TelemetryEvent&>(
           telemetry_.top()));
@@ -81,9 +102,7 @@ void Scheduler::run() {
       now_ = t.time;
       t.fn();
     }
-    std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-    const Event ev = queue_.back();
-    queue_.pop_back();
+    const Event ev = pop_next();
     now_ = ev.time;
     ++events_processed_;
     if (ev.frame == nullptr) {

@@ -119,6 +119,9 @@ class Scheduler {
   };
 
   void push(SimTime t, void* frame, std::uint64_t aux);
+  /// Remove and return the next event in (time, seq) order: the heap top
+  /// or the lane front, whichever is earlier.
+  Event pop_next();
   void run_call(std::uint64_t slot);
   void check_process_exceptions();
 
@@ -126,6 +129,13 @@ class Scheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::vector<Event> queue_;  ///< binary heap under EventLater
+  /// Same-time lane: events pushed for time now_, in push (so seq) order.
+  /// Every heap event at now_ was pushed before now_ was reached, so it
+  /// precedes the whole lane; the lane drains before the clock moves.
+  /// Pushing for the current time, as a zero delay, a resume at delivery
+  /// or a grant hand-over does, costs an append instead of a heap sift.
+  std::vector<Event> lane_;
+  std::size_t lane_head_ = 0;  ///< first lane_ event not yet popped
   std::vector<std::function<void()>> calls_;
   std::vector<std::uint64_t> free_calls_;  ///< slots of calls_ not pending
   std::uint64_t next_telemetry_seq_ = 0;

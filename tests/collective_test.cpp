@@ -4,6 +4,7 @@
 // datatype requests.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -369,6 +370,73 @@ TEST(ServerRobustness, OutOfRangeStreamWindowRejected) {
       }(*client, rejected));
   cluster.run();
   EXPECT_TRUE(rejected);
+}
+
+TEST(ServerRobustness, MalformedListRequestsRejectedThenServed) {
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // A null region list, a run with a negative count, a run whose end
+  // overflows, a negative length, and two runs whose bytes overflow only
+  // together. Each must get the typed error and touch nothing.
+  using Runs = std::shared_ptr<const std::vector<RegionRun>>;
+  std::vector<Runs> bad = {
+      nullptr,
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{0, 8, -3}}),
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{kMax - 64, 16, 8}}),
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{0, 8, 4}, {100, -8, 1}}),
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{0, kMax / 2, 1}, {0, kMax / 2 + 2, 1}}),
+  };
+  std::vector<pfs::Reply> replies;
+  bool served = false;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, net::Network& net, int node,
+         const std::vector<Runs>& lists,
+         std::vector<pfs::Reply>& out, bool& ok) -> Task<void> {
+        pfs::MetaResult f = co_await c.create("/bad_list");
+        EXPECT_TRUE(f.status.is_ok());
+        for (std::size_t i = 0; i < lists.size(); ++i) {
+          const std::uint64_t tag = pfs::kTagReplyBase + 900 + i;
+          pfs::Request request;
+          request.op = pfs::OpKind::kListWrite;
+          request.handle = f.handle;
+          request.client_node = node;
+          request.reply_tag = tag;
+          request.carry_data = false;
+          request.payload = pfs::ListPayload{lists[i], nullptr};
+          net.mailbox(node).claim(tag);
+          co_await net.send(node, 0,
+                            sim::Message(node, pfs::kTagRequest, 64,
+                                         std::move(request)));
+          sim::Message msg = *co_await net.mailbox(node).recv(0, tag);
+          net.mailbox(node).retire(tag);
+          out.push_back(msg.take<pfs::Reply>());
+        }
+        // The next well-formed list request is served normally.
+        const std::vector<std::uint8_t> data(64, 7);
+        const std::vector<Region> regions{{0, 32}, {100, 32}};
+        EXPECT_TRUE((co_await c.write_list(f.handle, regions, data.data()))
+                        .is_ok());
+        std::vector<std::uint8_t> back(64, 0);
+        EXPECT_TRUE(
+            (co_await c.read_list(f.handle, regions, back.data())).is_ok());
+        ok = back == data;
+      }(*client, cluster.network(), cluster.config().client_node(0), bad,
+        replies, served));
+  cluster.run();
+  ASSERT_EQ(replies.size(), bad.size());
+  for (const pfs::Reply& r : replies) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, StatusCode::kInvalidArgument) << r.error;
+    EXPECT_EQ(r.bytes, 0);
+  }
+  EXPECT_EQ(cluster.server(0).stats().bad_requests, bad.size());
+  EXPECT_EQ(cluster.server(0).stats().bytes_written, 64u);
+  EXPECT_TRUE(served);
 }
 
 // ---- Utilization report ----------------------------------------------------------------

@@ -5,6 +5,7 @@
 // the analytic expectations that back the paper's Tables 1-3.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -448,6 +449,104 @@ TEST(TwoPhase, CollectiveFallbackRunsIndependentMethod) {
   EXPECT_EQ(completed, kRanks);
 }
 
+// ---- List I/O run round trip ------------------------------------------------
+
+/// File bytes the JointWalker oracle says a write of `count` memtypes
+/// through `view` leaves, over [0, size).
+std::vector<std::uint8_t> oracle_file(const io::FileView& view,
+                                      const types::Datatype& memtype,
+                                      std::int64_t count,
+                                      const std::vector<std::uint8_t>& mem,
+                                      std::int64_t size) {
+  std::vector<std::uint8_t> file(static_cast<std::size_t>(size), 0);
+  const io::StreamWindow window =
+      io::make_window(view, 0, count * memtype.size());
+  io::JointWalker walker(io::make_mem_cursor(memtype, count),
+                         io::make_file_cursor(view, window));
+  io::JointWalker::Piece p;
+  while (walker.next(p)) {
+    std::copy_n(mem.begin() + p.mem_offset, p.length,
+                file.begin() + p.file_offset);
+  }
+  return file;
+}
+
+TEST(ListRuns, RoundTripMatchesJointOracleInEveryWriteMode) {
+  // FLASH-like: 8-byte cells 24 bytes apart in memory, packed into 200-byte
+  // file blocks 300 apart, so each request carries multi-region runs that
+  // straddle 1 KiB strips. Written and read back with list I/O under no
+  // cache, a write-back cache, a write-through cache and client
+  // write-behind; the file must match the oracle and the read must return
+  // the written bytes.
+  const auto memtype = types::hvector(300, 8, 24, types::byte_t());
+  const auto filetype = types::hvector(12, 200, 300, types::byte_t());
+  const io::FileView view{40, types::byte_t(), filetype};
+  const std::int64_t count = 1;
+  const std::int64_t file_size = 40 + 12 * 300;
+  const auto image =
+      pattern_bytes(static_cast<std::size_t>(memtype.extent()), 77);
+  const auto want_file = oracle_file(view, memtype, count, image, file_size);
+  // Joint pieces split at the 1 KiB strips (some cells straddle one).
+  std::uint64_t want_pieces = 0;
+  {
+    io::JointWalker walker(
+        io::make_mem_cursor(memtype, count),
+        io::make_file_cursor(view, io::make_window(view, 0, memtype.size())));
+    io::JointWalker::Piece p;
+    while (walker.next(p)) {
+      want_pieces += static_cast<std::uint64_t>(
+          (p.file_offset + p.length - 1) / 1024 - p.file_offset / 1024 + 1);
+    }
+  }
+  EXPECT_GT(want_pieces, 300u);
+  for (int mode = 0; mode < 4; ++mode) {
+    SCOPED_TRACE(::testing::Message() << "mode " << mode);
+    auto cfg = test_config(4, 1);
+    if (mode == 1 || mode == 2) {
+      cfg.server.cache_block_bytes = 256;
+      cfg.server.cache_capacity_bytes = 8 * 256;
+      cfg.server.cache_write_through = mode == 2;
+    }
+    if (mode == 3) cfg.client.write_behind_bytes = 4096;
+    pfs::Cluster cluster(cfg);
+    auto client = cluster.make_client(0);
+    io::Context ctx{cluster.scheduler(), *client, cluster.config()};
+    mpiio::File file(ctx);
+    std::vector<std::uint8_t> read_back(image.size(), 0);
+    std::vector<std::uint8_t> file_back(static_cast<std::size_t>(file_size),
+                                        0);
+    bool done = false;
+    cluster.scheduler().spawn(
+        [](mpiio::File& f, pfs::Client& c, const io::FileView& v,
+           const types::Datatype& t, std::int64_t n,
+           const std::vector<std::uint8_t>& src,
+           std::vector<std::uint8_t>& dst, std::vector<std::uint8_t>& whole,
+           bool& ok) -> Task<void> {
+          EXPECT_TRUE((co_await f.open("/runs", true)).is_ok());
+          f.set_view(v.displacement, v.etype, v.filetype);
+          EXPECT_TRUE((co_await f.write_at(0, src.data(), n, t, Method::kList))
+                          .is_ok());
+          EXPECT_TRUE(
+              (co_await f.read_at(0, dst.data(), n, t, Method::kList)).is_ok());
+          EXPECT_TRUE((co_await c.flush_write_behind()).is_ok());
+          EXPECT_TRUE((co_await c.read_contig(f.handle(), 0, whole.data(),
+                                              static_cast<std::int64_t>(
+                                                  whole.size())))
+                          .is_ok());
+          ok = true;
+        }(file, *client, view, memtype, count, image, read_back, file_back,
+          done));
+    cluster.run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(file_back, want_file);
+    expect_typed_equal(memtype, count, image, read_back);
+    // Requests shipped runs, yet the client counted one piece per region
+    // and strip, as before: the pieces of the write, of the read, and the
+    // 4 strips of the contiguous read.
+    EXPECT_EQ(client->stats().regions_client, 2 * want_pieces + 4);
+  }
+}
+
 // ---- Joint walker ------------------------------------------------------------------
 
 TEST(Joint, PairsBothSidesAtMinGranularity) {
@@ -510,22 +609,41 @@ Batches batches_by_next(io::JointWalker walker, std::size_t cap) {
   return out;
 }
 
+/// fill()'s batches with their file and memory runs expanded back into
+/// pieces.
 Batches batches_by_fill(io::JointWalker walker, std::size_t cap) {
   Batches out;
-  std::vector<Region> file;
-  std::vector<std::int64_t> mem;
+  std::vector<RegionRun> file;
+  std::vector<io::JointWalker::MemRun> mem;
   while (true) {
     file.clear();
     mem.clear();
+    std::int64_t pieces = 0;
     std::int64_t bytes = 0;
-    walker.fill(file, mem, cap, bytes);
-    if (file.empty()) break;
-    EXPECT_EQ(mem.size(), file.size());
+    walker.fill(file, mem, static_cast<std::int64_t>(cap), pieces, bytes);
+    if (pieces == 0) break;
+    std::vector<Region> file_pieces;
+    for (const RegionRun& r : file) {
+      for (std::int64_t i = 0; i < r.count; ++i) {
+        file_pieces.push_back(Region{r.offset + i * r.length, r.length});
+      }
+    }
+    std::vector<Region> mem_pieces;
+    for (const io::JointWalker::MemRun& r : mem) {
+      for (std::int64_t i = 0; i < r.count; ++i) {
+        mem_pieces.push_back(Region{r.offset + i * r.stride, r.length});
+      }
+    }
+    EXPECT_EQ(static_cast<std::int64_t>(file_pieces.size()), pieces);
+    EXPECT_EQ(mem_pieces.size(), file_pieces.size());
+    if (mem_pieces.size() != file_pieces.size()) break;
     std::vector<PieceTuple> batch;
     std::int64_t sum = 0;
-    for (std::size_t i = 0; i < file.size(); ++i) {
-      batch.emplace_back(mem[i], file[i].offset, file[i].length);
-      sum += file[i].length;
+    for (std::size_t i = 0; i < file_pieces.size(); ++i) {
+      EXPECT_EQ(mem_pieces[i].length, file_pieces[i].length);
+      batch.emplace_back(mem_pieces[i].offset, file_pieces[i].offset,
+                         file_pieces[i].length);
+      sum += file_pieces[i].length;
     }
     EXPECT_EQ(bytes, sum);
     out.push_back(std::move(batch));

@@ -1104,6 +1104,65 @@ TEST(ReplayWindow, ExpiredAckReexecutesIdempotently) {
   EXPECT_EQ(cluster.server(0).stats().bytes_written, 1024u);
 }
 
+/// The LostAck scenario (a write applied, its ack lost, the retry landing
+/// after the drop window) with a window of `entries` acks, and with server
+/// 0 crashing between the write and its retry when `crash`; returns
+/// server 0's stats.
+pfs::ServerStats lost_ack_run(std::size_t entries, bool crash) {
+  auto cfg = overload_config();
+  cfg.client.rpc_timeout = 10 * kMillisecond;
+  cfg.client.rpc_max_attempts = 5;
+  cfg.server.replay_window_entries = entries;
+  pfs::Cluster cluster(cfg);
+  constexpr SimTime kIssueAt = 5 * kMillisecond;
+  FaultPlan plan(5);
+  plan.add_window(/*node=*/0, kIssueAt + 800 * kMicrosecond,
+                  kIssueAt + 8 * kMillisecond, FaultSpec{.drop = 1.0});
+  cluster.set_fault_plan(&plan);
+  if (crash) {
+    // Back up before the retry lands.
+    cluster.server(0).schedule_crash(kIssueAt + 3 * kMillisecond,
+                                     2 * kMillisecond);
+  }
+  auto client = cluster.make_client(0);
+  const auto data = pattern_bytes(512, 67);
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](sim::Scheduler& sched, Client& c,
+         const std::vector<std::uint8_t>& src, bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/lost-ack");
+        EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+        co_await sched.delay(kIssueAt - sched.now());
+        Status w = co_await c.write_contig(
+            f.handle, 0, src.data(), static_cast<std::int64_t>(src.size()));
+        EXPECT_TRUE(w.is_ok()) << w.to_string();
+        done = true;
+      }(cluster.scheduler(), *client, data, finished));
+  cluster.run();
+  EXPECT_TRUE(finished);
+  return cluster.server(0).stats();
+}
+
+TEST(ReplayWindow, ZeroEntriesStoresNoAck) {
+  const pfs::ServerStats st = lost_ack_run(0, false);
+  EXPECT_EQ(st.replays_suppressed, 0u);
+  EXPECT_EQ(st.bytes_written, 1024u);  // the retry re-applied
+}
+
+TEST(ReplayWindow, CrashClearsTheWindow) {
+  const pfs::ServerStats st = lost_ack_run(1024, true);
+  EXPECT_EQ(st.crashes, 1u);
+  EXPECT_EQ(st.replays_suppressed, 0u);
+  EXPECT_EQ(st.replays_expired, 0u);
+  EXPECT_EQ(st.bytes_written, 1024u);  // the restarted server re-applied
+}
+
+TEST(ReplayWindow, OneEntryStillSuppressesTheLatestRetry) {
+  const pfs::ServerStats st = lost_ack_run(1, false);
+  EXPECT_EQ(st.replays_suppressed, 1u);
+  EXPECT_EQ(st.bytes_written, 512u);
+}
+
 TEST(ReplayWindow, AgeZeroMeansCountOnlyEviction) {
   // max_age == 0 disables age-based expiry: the stored ack survives to
   // the retry and the write is suppressed exactly as in the base test.

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -15,9 +17,12 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "dataloop/dataloop.h"
+#include "cache/buffer_cache.h"
+#include "pfs/applier.h"
 #include "pfs/bstream.h"
 #include "pfs/cluster.h"
 #include "pfs/layout.h"
+#include "pfs/replay_window.h"
 
 namespace dtio::pfs {
 namespace {
@@ -116,6 +121,97 @@ TEST(Layout, StripMapperMatchesPlacePerPiece) {
     });
     ASSERT_EQ(batch, want) << "trial " << trial;
   }
+}
+
+TEST(Layout, MapRunMatchesPerRegionMap) {
+  // map_run of a run against map() of its regions one by one, on one
+  // mapper carried across several runs: lengths that divide the strip and
+  // lengths that do not, runs straddling strips, narrow per-file layouts,
+  // counts 1..200. Same pieces in total, same bytes per server, and the
+  // same extents once adjacent pieces are merged, each counting exactly
+  // the pieces it merged.
+  Rng rng(4711);
+  std::int64_t total_pieces = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int total = static_cast<int>(rng.next_range(1, 16));
+    const int servers = static_cast<int>(rng.next_range(1, total));
+    const int start = static_cast<int>(rng.next_range(0, total - 1));
+    const std::int64_t strip = rng.next_below(2) == 0
+                                   ? std::int64_t{8} << rng.next_below(5)
+                                   : rng.next_range(1, 300);
+    const FileLayout layout(servers, strip, start, total);
+    std::vector<RegionRun> runs;
+    for (std::int64_t i = rng.next_range(1, 3); i > 0; --i) {
+      std::int64_t length = 0;
+      switch (rng.next_below(3)) {
+        case 0: length = strip / (std::int64_t{1} << rng.next_below(3)); break;
+        case 1: length = rng.next_range(1, strip + 20); break;
+        default: length = rng.next_range(1, 3 * strip); break;
+      }
+      runs.push_back(RegionRun{rng.next_range(0, 20 * strip),
+                               std::max<std::int64_t>(length, 1),
+                               rng.next_range(1, 200)});
+    }
+
+    struct Extent {
+      int server;
+      Region phys;
+      std::int64_t stream_pos;
+      std::int64_t pieces;
+      bool operator==(const Extent&) const = default;
+    };
+    // Merge a piece or extent onto the last one when it continues it on
+    // the same server, in the file and in the stream.
+    auto merge_into = [](std::vector<Extent>& out, const Extent& e) {
+      if (!out.empty()) {
+        Extent& last = out.back();
+        if (last.server == e.server && last.phys.end() == e.phys.offset &&
+            last.stream_pos + last.phys.length == e.stream_pos) {
+          last.phys.length += e.phys.length;
+          last.pieces += e.pieces;
+          return;
+        }
+      }
+      out.push_back(e);
+    };
+
+    std::vector<Extent> want;
+    std::vector<std::int64_t> want_bytes(static_cast<std::size_t>(total), 0);
+    std::int64_t want_pieces = 0;
+    StripMapper per_region(layout);
+    for (const RegionRun& run : runs) {
+      for (std::int64_t i = 0; i < run.count; ++i) {
+        per_region.map(Region{run.offset + i * run.length, run.length},
+                       [&](int srv, Region phys, std::int64_t pos) {
+                         ++want_pieces;
+                         want_bytes[static_cast<std::size_t>(srv)] +=
+                             phys.length;
+                         merge_into(want, Extent{srv, phys, pos, 1});
+                       });
+      }
+    }
+
+    std::vector<Extent> got;
+    std::vector<std::int64_t> got_bytes(static_cast<std::size_t>(total), 0);
+    std::int64_t got_pieces = 0;
+    StripMapper by_run(layout);
+    for (const RegionRun& run : runs) {
+      by_run.map_run(run, [&](int srv, Region phys, std::int64_t pos,
+                              std::int64_t n) {
+        ASSERT_GE(n, 1);
+        got_pieces += n;
+        got_bytes[static_cast<std::size_t>(srv)] += phys.length;
+        merge_into(got, Extent{srv, phys, pos, n});
+      });
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " strip " << strip);
+    EXPECT_EQ(got_pieces, want_pieces);
+    EXPECT_EQ(got_bytes, want_bytes);
+    ASSERT_EQ(got, want);
+    total_pieces += want_pieces;
+  }
+  EXPECT_GT(total_pieces, 100000);
 }
 
 TEST(Layout, ServersTouched) {
@@ -250,6 +346,294 @@ std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
+// ---- Applier: runs against per-region application --------------------------
+
+/// A ByteStore over one Bstream, so a BlockCache can sit in front of it.
+struct BstreamStore final : cache::ByteStore {
+  Bstream* b = nullptr;
+  void read_at(std::uint64_t, std::int64_t offset,
+               std::span<std::uint8_t> out) override {
+    b->read(offset, out);
+  }
+  void write_at(std::uint64_t, std::int64_t offset,
+                std::span<const std::uint8_t> data) override {
+    b->write(offset, data);
+  }
+  void note_size(std::uint64_t, std::int64_t offset,
+                 std::int64_t length) override {
+    b->note_write(offset, length);
+  }
+  std::int64_t size_of(std::uint64_t) override { return b->size(); }
+};
+
+struct Applied {
+  std::int64_t pieces = 0;
+  std::int64_t my_pieces = 0;
+  std::int64_t my_bytes = 0;
+  std::int64_t size = 0;
+  std::vector<std::uint8_t> stored;  ///< the bstream's first `size` bytes
+  std::vector<std::uint8_t> reply;
+  std::vector<Region> applied;
+  std::vector<Region> visited;
+  cache::AccessPlan plan;
+};
+
+/// Apply `runs` as server `me` sees them, either a run at a time
+/// (apply_run) or a region at a time (apply), on a copy of `store`.
+/// `cached` puts a small write-back cache in front; `record` collects the
+/// applied/visited pieces as replication and media verification do.
+Applied apply_runs(const FileLayout& layout, int me,
+                   const std::vector<RegionRun>& runs, bool is_write,
+                   bool carry, bool by_run, bool cached, bool record,
+                   const Bstream& store, const DataBuffer& data) {
+  Bstream target = store;
+  BstreamStore adapter;
+  adapter.b = &target;
+  cache::CacheConfig cc;
+  cc.block_bytes = 64;
+  cc.capacity_bytes = 64 * 8;
+  cache::BlockCache block_cache(cc, adapter);
+  Applied out;
+  Applier applier{layout,
+                  me,
+                  target,
+                  is_write,
+                  carry,
+                  data,
+                  (!is_write && carry)
+                      ? std::make_shared<std::vector<std::uint8_t>>()
+                      : nullptr,
+                  cached ? &block_cache : nullptr,
+                  &out.plan,
+                  7,
+                  record && is_write ? &out.applied : nullptr,
+                  record && !is_write ? &out.visited : nullptr};
+  applier.per_piece = cached || record;
+  for (const RegionRun& run : runs) {
+    if (by_run) {
+      applier.apply_run(run);
+    } else {
+      for (std::int64_t i = 0; i < run.count; ++i) {
+        applier.apply(Region{run.offset + i * run.length, run.length});
+      }
+    }
+  }
+  if (cached) block_cache.flush_all(nullptr);
+  out.pieces = applier.pieces;
+  out.my_pieces = applier.my_pieces;
+  out.my_bytes = applier.my_bytes;
+  out.size = target.size();
+  out.stored.resize(static_cast<std::size_t>(target.size()));
+  target.read(0, out.stored);
+  if (applier.reply_data) out.reply = *applier.reply_data;
+  return out;
+}
+
+void expect_same(const Applied& got, const Applied& want) {
+  EXPECT_EQ(got.pieces, want.pieces);
+  EXPECT_EQ(got.my_pieces, want.my_pieces);
+  EXPECT_EQ(got.my_bytes, want.my_bytes);
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.stored, want.stored);
+  EXPECT_EQ(got.reply, want.reply);
+  EXPECT_EQ(got.applied, want.applied);
+  EXPECT_EQ(got.visited, want.visited);
+  EXPECT_EQ(got.plan.sync_reads, want.plan.sync_reads);
+  EXPECT_EQ(got.plan.sync_writes, want.plan.sync_writes);
+  EXPECT_EQ(got.plan.async_reads, want.plan.async_reads);
+  EXPECT_EQ(got.plan.async_writes, want.plan.async_writes);
+  EXPECT_EQ(got.plan.hits, want.plan.hits);
+  EXPECT_EQ(got.plan.misses, want.plan.misses);
+  EXPECT_EQ(got.plan.readahead_blocks, want.plan.readahead_blocks);
+  EXPECT_EQ(got.plan.evictions, want.plan.evictions);
+}
+
+TEST(Applier, RunsMatchPerRegionApply) {
+  // Reads and writes, with data and timing-only, direct to the bstream,
+  // through a cache, and recording pieces: applying whole runs must leave
+  // the same counts, bytes, reply and (per-piece paths) the same pieces
+  // and cache plan as applying their regions one by one.
+  Rng rng(90210);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int total = static_cast<int>(rng.next_range(1, 8));
+    const int servers = static_cast<int>(rng.next_range(1, total));
+    const FileLayout layout(servers, rng.next_range(4, 200),
+                            static_cast<int>(rng.next_range(0, total - 1)),
+                            total);
+    const int me = static_cast<int>(rng.next_range(0, total - 1));
+    std::vector<RegionRun> runs;
+    std::int64_t bytes = 0;
+    for (std::int64_t i = rng.next_range(1, 4); i > 0; --i) {
+      runs.push_back(RegionRun{rng.next_range(0, 3000), rng.next_range(1, 90),
+                               rng.next_range(1, 60)});
+      bytes += runs.back().length * runs.back().count;
+    }
+    Bstream store;
+    const auto prefill = pattern_bytes(4000, static_cast<std::uint64_t>(trial));
+    store.write(0, prefill);
+    const DataBuffer data = std::make_shared<std::vector<std::uint8_t>>(
+        pattern_bytes(static_cast<std::size_t>(bytes),
+                      static_cast<std::uint64_t>(trial) + 1));
+    for (const bool is_write : {true, false}) {
+      for (const bool carry : {true, false}) {
+        for (const int mode : {0, 1, 2}) {  // direct, cached, recording
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " write " << is_write
+                       << " carry " << carry << " mode " << mode);
+          const Applied want =
+              apply_runs(layout, me, runs, is_write, carry, false, mode == 1,
+                         mode == 2, store, data);
+          const Applied got =
+              apply_runs(layout, me, runs, is_write, carry, true, mode == 1,
+                         mode == 2, store, data);
+          expect_same(got, want);
+        }
+      }
+    }
+  }
+}
+
+// ---- Replay window ---------------------------------------------------------
+
+Reply ack(std::int64_t bytes) {
+  Reply r;
+  r.bytes = bytes;
+  return r;
+}
+
+TEST(ReplayRing, EvictsOldestFirstAcrossWraps) {
+  // Limit 5 on a ring that grows to 8: the head wraps many times, and the
+  // window is always exactly the newest five keys.
+  ReplayWindow w(5);
+  EXPECT_EQ(w.capacity(), 0u);  // nothing allocated before the first ack
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    w.insert(k, static_cast<SimTime>(k), ack(static_cast<std::int64_t>(k)));
+    EXPECT_EQ(w.size(), std::min<std::uint64_t>(k, 5));
+    for (std::uint64_t j = 1; j <= k; ++j) {
+      const Reply* r = w.find(j);
+      if (j + 5 > k) {
+        ASSERT_NE(r, nullptr) << "key " << j << " after " << k;
+        EXPECT_EQ(r->bytes, static_cast<std::int64_t>(j));
+      } else {
+        EXPECT_EQ(r, nullptr) << "key " << j << " after " << k;
+      }
+    }
+  }
+  EXPECT_EQ(w.capacity(), 8u);
+}
+
+TEST(ReplayRing, GrowsOnDemandUpToTheLimit) {
+  ReplayWindow w(1024);
+  w.insert(1, 0, ack(1));
+  EXPECT_EQ(w.capacity(), 8u);
+  for (std::uint64_t k = 2; k <= 9; ++k) w.insert(k, 0, ack(1));
+  EXPECT_EQ(w.capacity(), 16u);
+  for (std::uint64_t k = 10; k <= 5000; ++k) w.insert(k, 0, ack(1));
+  EXPECT_EQ(w.capacity(), 1024u);
+  EXPECT_EQ(w.size(), 1024u);
+  EXPECT_EQ(w.find(3976), nullptr);
+  EXPECT_NE(w.find(3977), nullptr);
+}
+
+TEST(ReplayRing, ExpiresStrictlyOlderThanMaxAge) {
+  ReplayWindow w(16);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    w.insert(k + 1, static_cast<SimTime>(10 * k), ack(1));  // t = 0..30
+  }
+  EXPECT_EQ(w.expire(25, 10), 2u);  // t = 0 and 10 are older than 15
+  EXPECT_EQ(w.find(1), nullptr);
+  EXPECT_EQ(w.find(2), nullptr);
+  EXPECT_NE(w.find(3), nullptr);    // t = 20: exactly 5 old
+  EXPECT_EQ(w.expire(30, 10), 0u);  // t = 20 is exactly max_age old
+  EXPECT_EQ(w.expire(31, 10), 1u);
+  EXPECT_EQ(w.size(), 1u);
+}
+
+TEST(ReplayRing, DuplicateInsertKeepsTheFirstAck) {
+  ReplayWindow w(4);
+  w.insert(9, 0, ack(100));
+  w.insert(9, 50, ack(200));
+  EXPECT_EQ(w.size(), 1u);
+  ASSERT_NE(w.find(9), nullptr);
+  EXPECT_EQ(w.find(9)->bytes, 100);
+  EXPECT_EQ(w.expire(20, 10), 1u);  // aged from the first insert, t = 0
+}
+
+TEST(ReplayRing, ZeroEntriesStoresNothing) {
+  ReplayWindow w(0);
+  w.insert(1, 0, ack(1));
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.find(1), nullptr);
+  EXPECT_EQ(w.capacity(), 0u);
+}
+
+TEST(ReplayRing, ClearForgetsEveryAck) {
+  ReplayWindow w(8);
+  for (std::uint64_t k = 1; k <= 6; ++k) w.insert(k, 0, ack(1));
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  for (std::uint64_t k = 1; k <= 6; ++k) EXPECT_EQ(w.find(k), nullptr);
+  w.insert(3, 0, ack(3));
+  ASSERT_NE(w.find(3), nullptr);
+  EXPECT_EQ(w.find(3)->bytes, 3);
+}
+
+TEST(ReplayRing, MatchesMapAndQueueModelUnderChurn) {
+  // Keys from a few clients' dense sequences and random collisions, with
+  // inserts, duplicate inserts, expiry and clears, against a plain
+  // map-plus-FIFO model of the window.
+  Rng rng(77);
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, std::size_t{300}}) {
+    ReplayWindow w(limit);
+    std::map<std::uint64_t, std::int64_t> model;
+    std::deque<std::pair<std::uint64_t, SimTime>> order;
+    SimTime now = 0;
+    for (int op = 0; op < 20000; ++op) {
+      now += static_cast<SimTime>(rng.next_below(3));
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 80) {
+        const std::uint64_t key =
+            (rng.next_below(4) << 48) ^ rng.next_below(limit * 3 + 5);
+        const auto bytes = static_cast<std::int64_t>(rng.next_below(1000));
+        w.insert(key, now, ack(bytes));
+        if (model.emplace(key, bytes).second) {
+          order.emplace_back(key, now);
+          if (order.size() > limit) {
+            model.erase(order.front().first);
+            order.pop_front();
+          }
+        }
+      } else if (r < 98) {
+        const SimTime age = static_cast<SimTime>(rng.next_below(200));
+        std::size_t n = 0;
+        while (!order.empty() && now - order.front().second > age) {
+          model.erase(order.front().first);
+          order.pop_front();
+          ++n;
+        }
+        ASSERT_EQ(w.expire(now, age), n);
+      } else {
+        w.clear();
+        model.clear();
+        order.clear();
+      }
+      ASSERT_EQ(w.size(), model.size());
+      for (int probe = 0; probe < 4; ++probe) {
+        const std::uint64_t key =
+            (rng.next_below(4) << 48) ^ rng.next_below(limit * 3 + 5);
+        const Reply* got = w.find(key);
+        const auto it = model.find(key);
+        ASSERT_EQ(got != nullptr, it != model.end()) << "key " << key;
+        if (got != nullptr) {
+          ASSERT_EQ(got->bytes, it->second);
+        }
+      }
+    }
+  }
+}
+
+
 TEST(EndToEnd, CreateOpenRemove) {
   Cluster cluster(small_config());
   auto client = cluster.make_client(0);
@@ -327,6 +711,165 @@ TEST(EndToEnd, ListWriteReadRoundTrip) {
       }(*client, regions, stream, finished));
   cluster.run();
   EXPECT_TRUE(finished);
+}
+
+// One list write, then one list read, of 6 back-to-back 24-byte regions
+// from offset 1000 (the first ends strip 0, the rest share strip 1),
+// sent either as one run or as 6 single-region runs. Under the buffer
+// cache, replication 2 and media checksums with fault draws, the server
+// applies the pieces one by one either way, so every counter, epoch and
+// byte must agree.
+struct ListRunOutcome {
+  SimTime end = 0;
+  std::vector<std::uint64_t> counters;
+  std::vector<std::uint64_t> epochs;
+  std::vector<std::uint8_t> back;
+  bool read_ok = false;
+};
+
+ListRunOutcome run_list_runs(const net::ClusterConfig& cfg, bool one_run) {
+  Cluster cluster(cfg);
+  net::DiskFaultSpec faults;
+  faults.bit_rot = 0.2;
+  if (cfg.server.block_checksums) {
+    for (int s = 0; s < cfg.num_servers; ++s) {
+      cluster.server(s).set_disk_fault_spec(faults);
+    }
+  }
+  auto client = cluster.make_client(0);
+  constexpr RegionRun kRun{1000, 24, 6};
+  auto runs = std::make_shared<std::vector<RegionRun>>();
+  if (one_run) {
+    runs->push_back(kRun);
+  } else {
+    for (std::int64_t i = 0; i < kRun.count; ++i) {
+      runs->push_back(RegionRun{kRun.offset + i * kRun.length, kRun.length, 1});
+    }
+  }
+  const auto data = pattern_bytes(24 * 6, 5);
+  ListRunOutcome out;
+  out.back.assign(data.size(), 0);
+  std::uint64_t handle = 0;
+  cluster.scheduler().spawn(
+      [](Client& c, ListRuns r, const std::vector<std::uint8_t>& src,
+         std::vector<std::uint8_t>& dst, std::uint64_t& h,
+         bool& read_ok) -> Task<void> {
+        MetaResult f = co_await c.create("/runs");
+        EXPECT_TRUE(f.status.is_ok());
+        h = f.handle;
+        EXPECT_TRUE((co_await c.write_list(f.handle, r, src.data())).is_ok());
+        // Under bit rot at replication 1 a read may fail with kDataLoss;
+        // both encodings must then fail alike.
+        read_ok = (co_await c.read_list(f.handle, r, dst.data())).is_ok();
+      }(*client, runs, data, out.back, handle, out.read_ok));
+  cluster.run();
+  out.end = cluster.scheduler().now();
+  for (int s = 0; s < cfg.num_servers; ++s) {
+    const ServerStats& st = cluster.server(s).stats();
+    out.counters.insert(out.counters.end(),
+                        {st.regions_walked, st.my_pieces, st.bytes_written,
+                         st.bytes_read, st.cache_hits, st.cache_misses,
+                         st.disk_accesses, st.disk_bytes,
+                         st.checksum_mismatches,
+                         cluster.server(s).media().pages_rotted,
+                         cluster.server(s).media().writes_gen});
+    for (int primary = 0; primary < cfg.num_servers; ++primary) {
+      for (std::int64_t strip = 0; strip < 2; ++strip) {
+        out.epochs.push_back(
+            cluster.server(s).strip_epoch(handle, primary, strip));
+      }
+    }
+  }
+  if (!cfg.server.block_checksums) {
+    EXPECT_TRUE(out.read_ok);
+    EXPECT_EQ(out.back, data);
+  }
+  return out;
+}
+
+TEST(EndToEnd, ListRunsTakeThePerPiecePathWherePiecesHaveSideEffects) {
+  for (int mode = 0; mode < 4; ++mode) {
+    SCOPED_TRACE(::testing::Message() << "mode " << mode);
+    net::ClusterConfig cfg = small_config();
+    switch (mode) {
+      case 0:  // write-back cache: the stride detector sees every piece
+        cfg.server.cache_block_bytes = 16;
+        cfg.server.cache_capacity_bytes = 16 * 64;
+        break;
+      case 1:  // write-through cache
+        cfg.server.cache_block_bytes = 16;
+        cfg.server.cache_capacity_bytes = 16 * 64;
+        cfg.server.cache_write_through = true;
+        break;
+      case 2:  // replication: one strip epoch per applied piece
+        cfg.replication = 2;
+        cfg.client.rpc_timeout = 50 * kMillisecond;
+        break;
+      default:  // media checksums: fault draws per bstream write
+        cfg.server.block_checksums = true;
+        break;
+    }
+    const ListRunOutcome by_run = run_list_runs(cfg, true);
+    const ListRunOutcome by_region = run_list_runs(cfg, false);
+    EXPECT_EQ(by_run.end, by_region.end);
+    EXPECT_EQ(by_run.counters, by_region.counters);
+    EXPECT_EQ(by_run.epochs, by_region.epochs);
+    EXPECT_EQ(by_run.back, by_region.back);
+    EXPECT_EQ(by_run.read_ok, by_region.read_ok);
+    if (mode == 2) {
+      // The five pieces in server 1's strip 0 bumped its epoch once each,
+      // on the primary and on its replica, not once for their extent.
+      EXPECT_EQ(*std::max_element(by_run.epochs.begin(), by_run.epochs.end()),
+                5u);
+    }
+    if (mode == 3) {
+      // Fault draws happened, per piece on both sides.
+      EXPECT_GT(by_run.counters[9] + by_run.counters[20], 0u);
+    }
+  }
+}
+
+TEST(EndToEnd, WriteBehindCountsStagedPiecesNotExtents) {
+  // Staging an extent of k back-to-back pieces counts the k - 1 runs that
+  // staging them one by one would merge away, so the write-behind
+  // counters do not depend on how the list was encoded.
+  auto run = [](bool one_run) {
+    net::ClusterConfig cfg = small_config();
+    cfg.client.write_behind_bytes = 1 << 20;
+    Cluster cluster(cfg);
+    auto client = cluster.make_client(0);
+    auto runs = std::make_shared<std::vector<RegionRun>>();
+    for (const RegionRun& r : {RegionRun{1000, 24, 6}, RegionRun{200, 8, 3}}) {
+      if (one_run) {
+        runs->push_back(r);
+        continue;
+      }
+      for (std::int64_t i = 0; i < r.count; ++i) {
+        runs->push_back(RegionRun{r.offset + i * r.length, r.length, 1});
+      }
+    }
+    const auto data = pattern_bytes(24 * 6 + 8 * 3, 9);
+    cluster.scheduler().spawn(
+        [](Client& c, ListRuns r,
+           const std::vector<std::uint8_t>& src) -> Task<void> {
+          MetaResult f = co_await c.create("/wb_runs");
+          EXPECT_TRUE((co_await c.write_list(f.handle, r, src.data())).is_ok());
+          EXPECT_TRUE((co_await c.write_list(f.handle, r, src.data())).is_ok());
+          EXPECT_TRUE((co_await c.flush_write_behind()).is_ok());
+        }(*client, runs, data));
+    cluster.run();
+    return std::vector<std::uint64_t>{
+        client->wb_coalesced_ops(), client->wb_staged_ops(),
+        client->wb_staged_bytes(), client->wb_batches(),
+        static_cast<std::uint64_t>(cluster.scheduler().now())};
+  };
+  const std::vector<std::uint64_t> by_run = run(true);
+  EXPECT_EQ(by_run, run(false));
+  // First write: 6 pieces merge into their predecessors (of the 6 at
+  // 1000, one ends server 0's strip and five share server 1's: 4; the 3
+  // at 200: 2). Second write: the same 6 plus the 3 staged runs it lands
+  // on.
+  EXPECT_EQ(by_run[0], 6u + 9u);
 }
 
 TEST(EndToEnd, DatatypeWriteReadRoundTrip) {

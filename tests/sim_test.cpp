@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/box.h"
 #include "common/units.h"
 #include "sim/barrier.h"
 #include "sim/fire.h"
@@ -544,6 +545,78 @@ TEST(Scheduler, ScheduleCallRunsAtTheRightTime) {
   EXPECT_EQ(fired, (std::vector<SimTime>{2 * kMicrosecond, 5 * kMicrosecond}));
 }
 
+// Events pushed for the current time take the same-time lane, but a heap
+// event already due at that time (pushed earlier, lower seq) still runs
+// first, and telemetry due then runs before any regular event. The log
+// and the event count are what a single (time, seq) heap gives.
+TEST(Scheduler, SameTimeLaneKeepsTimeSeqOrder) {
+  Scheduler sched;
+  std::vector<std::string> log;
+  constexpr SimTime kT = 5 * kMicrosecond;
+  auto stamp = [&](const char* what) {
+    log.push_back(std::string(what) + "@" + std::to_string(sched.now()));
+  };
+  sched.schedule_telemetry(kT, [&] { stamp("tel"); });
+  sched.spawn([](Scheduler& s, auto& mark) -> Task<void> {
+    co_await s.delay(kT);
+    mark("a");
+    // Due now: runs before the next regular event, lane or heap.
+    s.schedule_telemetry(s.now(), [&mark] { mark("tel_a"); });
+    co_await s.delay(0);  // lane: behind b, already in the heap at kT
+    mark("a1");
+    co_await s.delay(0);
+    mark("a2");
+  }(sched, stamp));
+  sched.spawn([](Scheduler& s, auto& mark) -> Task<void> {
+    co_await s.delay(kT);
+    mark("b");
+    co_await s.delay(0);
+    mark("b1");
+  }(sched, stamp));
+  // Pushed at time 0 for kT: seq below both processes' wake-ups.
+  sched.schedule_call(kT, [&] { stamp("call"); });
+  sched.run();
+  const std::vector<std::string> expected = {
+      "tel@5000",  "call@5000", "a@5000",  "tel_a@5000",
+      "b@5000",    "a1@5000",   "b1@5000", "a2@5000"};
+  EXPECT_EQ(log, expected);
+  // Two starts, the call, two wake-ups at kT and three zero delays.
+  EXPECT_EQ(sched.events_processed(), 8u);
+}
+
+// A grant with a zero hold re-queues through the lane at the grant's own
+// time, behind events already queued for that time.
+TEST(Scheduler, ZeroHoldGrantQueuesBehindSameTimeEvents) {
+  Scheduler sched;
+  Resource r(sched, 1);
+  std::vector<std::pair<int, SimTime>> log;
+  sched.spawn([](Scheduler& s, Resource& res,
+                 std::vector<std::pair<int, SimTime>>& out) -> Task<void> {
+    co_await res.use(kMicrosecond);
+    out.emplace_back(0, s.now());
+  }(sched, r, log));
+  sched.spawn([](Scheduler& s, Resource& res,
+                 std::vector<std::pair<int, SimTime>>& out) -> Task<void> {
+    co_await res.use(0);  // queued behind 0; granted at 1 us with hold 0
+    out.emplace_back(1, s.now());
+  }(sched, r, log));
+  sched.spawn([](Scheduler& s,
+                 std::vector<std::pair<int, SimTime>>& out) -> Task<void> {
+    co_await s.delay(kMicrosecond);
+    out.emplace_back(2, s.now());
+    co_await s.delay(0);
+    out.emplace_back(3, s.now());
+  }(sched, log));
+  sched.run();
+  // The grant event (seq after 2's wake-up) re-queues 1 behind 2's zero
+  // delay, which was pushed while the grant was still queued.
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {0, kMicrosecond}, {2, kMicrosecond}, {3, kMicrosecond},
+      {1, kMicrosecond}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sched.events_processed(), 8u);
+}
+
 TEST(Scheduler, FiredCallbackReleasesItsCaptures) {
   Scheduler sched;
   auto token = std::make_shared<int>(0);
@@ -692,6 +765,38 @@ TEST(FramePool, SizeClassesDoNotMix) {
                              detail::FramePool::kClasses);
   pool.deallocate(huge, detail::FramePool::kGrain *
                             detail::FramePool::kClasses);
+}
+
+TEST(FramePool, BoxesRecycleSlotsAndKeepTheirValues) {
+  if (!detail::FramePool::kEnabled) {
+    GTEST_SKIP() << "frame pool compiled out (AddressSanitizer build)";
+  }
+  struct Wide {
+    std::int64_t words[40];  // 320 bytes: a class of its own
+  };
+  for (int i = 0; i < 2000; ++i) {
+    Box<std::string> text(std::string(static_cast<std::size_t>(i % 97), 'x') +
+                          std::to_string(i));
+    const auto n = static_cast<std::size_t>(i % 13);
+    Box<std::vector<int>> list(std::vector<int>(n, i));
+    Wide w{};
+    w.words[i % 40] = i;
+    Box<Wide> wide(w);
+    Box<int> small(i);
+    EXPECT_EQ(small.take(), i);
+    EXPECT_EQ(wide.take().words[i % 40], i);
+    EXPECT_EQ(list.take(), std::vector<int>(n, i));
+    EXPECT_EQ(text.take(),
+              std::string(static_cast<std::size_t>(i % 97), 'x') +
+                  std::to_string(i));
+  }
+  // A taken box's slot is the next one its size class hands out.
+  Box<std::string> b(std::string("recycled"));
+  const void* slot = &b.peek();
+  EXPECT_EQ(b.take(), "recycled");
+  void* again = detail::frame_pool().allocate(sizeof(std::string));
+  EXPECT_EQ(again, slot);
+  detail::frame_pool().deallocate(again, sizeof(std::string));
 }
 
 TEST(Fire, ExceptionSurfacesFromRun) {
