@@ -228,11 +228,11 @@ TEST(FileLayoutNarrow, PlaceAndLogicalAreInverse) {
 TEST(FileLayoutNarrow, MapRegionsStaysOnFileServers) {
   const pfs::FileLayout lay(2, kKiB, 3, 8);
   std::int64_t covered = 0;
-  lay.map_region(Region{100, 10 * kKiB},
-                 [&](int server, Region r, std::int64_t) {
-                   EXPECT_TRUE(server == 3 || server == 4);
-                   covered += r.length;
-                 });
+  pfs::StripMapper(lay).map(Region{100, 10 * kKiB},
+                            [&](int server, Region r, std::int64_t) {
+                              EXPECT_TRUE(server == 3 || server == 4);
+                              covered += r.length;
+                            });
   EXPECT_EQ(covered, 10 * kKiB);
 }
 

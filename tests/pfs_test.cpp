@@ -56,7 +56,8 @@ TEST(Layout, LogicalInvertsPlace) {
 TEST(Layout, MapRegionSplitsAtStripBoundaries) {
   FileLayout layout(2, 10);
   std::vector<std::tuple<int, Region, std::int64_t>> pieces;
-  layout.map_region(Region{5, 20}, [&](int s, Region r, std::int64_t pos) {
+  StripMapper mapper(layout);
+  mapper.map(Region{5, 20}, [&](int s, Region r, std::int64_t pos) {
     pieces.emplace_back(s, r, pos);
   });
   // [5,10) srv0 phys[5,10); [10,20) srv1 phys[0,10); [20,25) srv0 phys[10,15)
@@ -70,9 +71,12 @@ TEST(Layout, MapRegionsTracksStreamAcrossRegions) {
   FileLayout layout(2, 10);
   const std::vector<Region> regions{{0, 4}, {30, 4}};
   std::vector<std::int64_t> stream_positions;
-  layout.map_regions(regions, [&](int, Region, std::int64_t pos) {
-    stream_positions.push_back(pos);
-  });
+  StripMapper mapper(layout);
+  for (const Region& r : regions) {
+    mapper.map(r, [&](int, Region, std::int64_t pos) {
+      stream_positions.push_back(pos);
+    });
+  }
   EXPECT_EQ(stream_positions, (std::vector<std::int64_t>{0, 4}));
 }
 
@@ -114,12 +118,6 @@ TEST(Layout, StripMapperMatchesPlacePerPiece) {
       });
     }
     ASSERT_EQ(got, want) << "trial " << trial;
-
-    std::vector<Piece> batch;
-    layout.map_regions(regions, [&](int s, Region phys, std::int64_t pos) {
-      batch.emplace_back(s, phys, pos);
-    });
-    ASSERT_EQ(batch, want) << "trial " << trial;
   }
 }
 
@@ -281,9 +279,10 @@ TEST(Layout, MaxServerBytesBoundsAnyWindow) {
     std::int64_t worst = 0;
     for (std::int64_t start = 0; start < layout.stripe_size(); ++start) {
       std::int64_t per_server[4] = {0, 0, 0, 0};
-      layout.map_region({start, window}, [&](int s, Region r, std::int64_t) {
-        per_server[s] += r.length;
-      });
+      StripMapper(layout).map({start, window},
+                              [&](int s, Region r, std::int64_t) {
+                                per_server[s] += r.length;
+                              });
       for (const std::int64_t b : per_server) worst = std::max(worst, b);
     }
     EXPECT_GE(layout.max_server_bytes(window), worst) << "window " << window;
