@@ -28,7 +28,8 @@ struct Applier {
   /// When the buffer cache is on, all bstream traffic routes through it
   /// (physical offsets are server-local and dense, so cache blocks map
   /// directly onto disk adjacency); `plan` collects the disk work the
-  /// handler charges afterwards. Null = legacy direct path.
+  /// handler charges afterwards. Null: bytes go straight to the bstream
+  /// and the handler charges them to the disk as direct bytes.
   cache::BlockCache* cache = nullptr;
   cache::AccessPlan* plan = nullptr;
   std::uint64_t handle = 0;

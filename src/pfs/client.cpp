@@ -401,15 +401,6 @@ void Client::breaker_on_failure(Lane& l, const RpcSlot& slot) {
 
 // ---- RPC reliability core ---------------------------------------------------
 
-namespace {
-
-bool is_data_read(OpKind op) {
-  return op == OpKind::kContigRead || op == OpKind::kListRead ||
-         op == OpKind::kDatatypeRead;
-}
-
-}  // namespace
-
 SimTime Client::retry_backoff(int retry) const {
   const net::ClientConfig& cc = config_->client;
   SimTime backoff = cc.rpc_backoff_base;
@@ -1140,9 +1131,7 @@ sim::Task<Status> Client::run_requests(
   // Carry the file's per-file layout (if any) so every data server can
   // rebuild the striping without consulting a metadata shard.
   stamp_layout(prototype);
-  const bool is_write = prototype.op == OpKind::kContigWrite ||
-                        prototype.op == OpKind::kListWrite ||
-                        prototype.op == OpKind::kDatatypeWrite;
+  const bool is_write = is_data_write(prototype.op);
 
   std::int64_t total_bytes = 0;
   for (const ServerAccess& acc : access) total_bytes += acc.total_bytes;

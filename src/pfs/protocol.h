@@ -54,6 +54,18 @@ enum class OpKind : std::uint8_t {
   kResyncPull,  ///< server-to-server: restarting replica pulls diverged strips
 };
 
+/// Client data reads: contig, list and datatype.
+[[nodiscard]] constexpr bool is_data_read(OpKind op) noexcept {
+  return op == OpKind::kContigRead || op == OpKind::kListRead ||
+         op == OpKind::kDatatypeRead;
+}
+
+/// Client data writes: contig, list, datatype and write-behind batches.
+[[nodiscard]] constexpr bool is_data_write(OpKind op) noexcept {
+  return op == OpKind::kContigWrite || op == OpKind::kListWrite ||
+         op == OpKind::kDatatypeWrite || op == OpKind::kBatchWrite;
+}
+
 using DataBuffer = std::shared_ptr<std::vector<std::uint8_t>>;
 
 /// Contiguous access: logical [offset, offset+length); the server clips to

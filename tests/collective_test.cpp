@@ -11,6 +11,7 @@
 #include "collective/comm.h"
 #include "collective/two_phase.h"
 #include "common/rng.h"
+#include "dataloop/serialize.h"
 #include "mpiio/file.h"
 #include "pfs/cluster.h"
 
@@ -436,6 +437,75 @@ TEST(ServerRobustness, MalformedListRequestsRejectedThenServed) {
   }
   EXPECT_EQ(cluster.server(0).stats().bad_requests, bad.size());
   EXPECT_EQ(cluster.server(0).stats().bytes_written, 64u);
+  EXPECT_TRUE(served);
+}
+
+TEST(ServerRobustness, OutOfRangeContigAndDatatypeWindowsRejectedThenServed) {
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  // A contig write at a negative offset (it would map to a negative
+  // physical offset), a contig write whose end passes INT64_MAX, and a
+  // datatype read whose count makes the stream size overflow int64.
+  auto loop = dl::make_vector(4, 8, 32, dl::make_leaf(1));  // 32 B
+  auto encoded = std::make_shared<std::vector<std::uint8_t>>();
+  dl::encode(*loop, *encoded);
+  std::vector<pfs::Request> bad(3);
+  const auto data = std::make_shared<std::vector<std::uint8_t>>(16, 9);
+  bad[0].op = pfs::OpKind::kContigWrite;
+  bad[0].payload = pfs::ContigPayload{-4096, 16, data};
+  bad[1].op = pfs::OpKind::kContigWrite;
+  bad[1].payload = pfs::ContigPayload{kMax - 8, 16, data};
+  bad[2].op = pfs::OpKind::kDatatypeRead;
+  pfs::DatatypePayload dt;
+  dt.encoded_loop = encoded;
+  dt.loop_node_count = 2;
+  dt.count = kMax / 2;
+  dt.stream_length = 32;
+  bad[2].payload = std::move(dt);
+  std::vector<pfs::Reply> replies;
+  bool served = false;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, net::Network& net, int node,
+         std::vector<pfs::Request>& requests, std::vector<pfs::Reply>& out,
+         bool& ok) -> Task<void> {
+        pfs::MetaResult f = co_await c.create("/bad_window");
+        EXPECT_TRUE(f.status.is_ok());
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const std::uint64_t tag = pfs::kTagReplyBase + 950 + i;
+          pfs::Request request = std::move(requests[i]);
+          request.handle = f.handle;
+          request.client_node = node;
+          request.reply_tag = tag;
+          net.mailbox(node).claim(tag);
+          co_await net.send(node, 0,
+                            sim::Message(node, pfs::kTagRequest, 64,
+                                         std::move(request)));
+          sim::Message msg = *co_await net.mailbox(node).recv(0, tag);
+          net.mailbox(node).retire(tag);
+          out.push_back(msg.take<pfs::Reply>());
+        }
+        // The next well-formed contig and datatype requests are served.
+        const std::vector<std::uint8_t> src(32, 7);
+        EXPECT_TRUE(
+            (co_await c.write_contig(f.handle, 0, src.data(), 32)).is_ok());
+        std::vector<std::uint8_t> back(32, 0);
+        auto loop = dl::make_vector(4, 8, 8, dl::make_leaf(1));
+        EXPECT_TRUE((co_await c.read_datatype(f.handle, loop, 0, 1, 0, 32,
+                                              back.data()))
+                        .is_ok());
+        ok = back == src;
+      }(*client, cluster.network(), cluster.config().client_node(0), bad,
+        replies, served));
+  cluster.run();
+  ASSERT_EQ(replies.size(), bad.size());
+  for (const pfs::Reply& r : replies) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, StatusCode::kInvalidArgument) << r.error;
+    EXPECT_EQ(r.bytes, 0);
+  }
+  EXPECT_EQ(cluster.server(0).stats().bad_requests, bad.size());
+  EXPECT_EQ(cluster.server(0).stats().bytes_written, 32u);
   EXPECT_TRUE(served);
 }
 
