@@ -13,7 +13,7 @@ std::int64_t total_length(std::span<const Region> regions) noexcept {
 void append_run(std::vector<RegionRun>& runs, std::int64_t offset,
                 std::int64_t length, std::int64_t count) {
   if (!runs.empty() && runs.back().length == length &&
-      runs.back().end() == offset) {
+      runs.back().back_to_back() && runs.back().end() == offset) {
     runs.back().count += count;
     return;
   }

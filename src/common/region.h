@@ -19,28 +19,35 @@ struct Region {
   friend bool operator==(const Region&, const Region&) = default;
 };
 
-/// `count` back-to-back regions of `length` bytes from `offset`: region i
-/// is [offset + i * length, offset + (i + 1) * length). List I/O carries
-/// its region lists in runs: a FLASH batch of 64 eight-byte cells that lie
-/// back to back in the file is one run, not 64 regions.
+/// `count` regions of `length` bytes, `stride` bytes apart from `offset`:
+/// region i is [offset + i * stride, offset + i * stride + length). A run
+/// whose stride equals its length is back to back: list I/O carries its
+/// region lists that way, so a FLASH batch of 64 eight-byte cells that lie
+/// back to back in the file is one run, not 64 regions. A strided run
+/// (stride > length) is what a vector's rows expand to: a tile's 768 rows
+/// of 3072 bytes, 7596 bytes apart, are one run.
 struct RegionRun {
   std::int64_t offset = 0;
   std::int64_t length = 0;
   std::int64_t count = 1;
+  std::int64_t stride = length;  ///< defaults to back to back
 
   [[nodiscard]] std::int64_t end() const noexcept {
-    return offset + length * count;
+    return offset + stride * (count - 1) + length;
   }
+  [[nodiscard]] bool back_to_back() const noexcept { return stride == length; }
 
   friend bool operator==(const RegionRun&, const RegionRun&) = default;
 };
 
-/// Append `count` regions of `length` bytes from `offset`, extending the
-/// last run when they continue it back to back at the same length.
+/// Append `count` back-to-back regions of `length` bytes from `offset`,
+/// extending the last run when it is back to back too and they continue
+/// it at the same length.
 void append_run(std::vector<RegionRun>& runs, std::int64_t offset,
                 std::int64_t length, std::int64_t count);
 
-/// Run-length encode `regions` (in order; nothing is reordered).
+/// Run-length encode `regions` into back-to-back runs (in order; nothing
+/// is reordered).
 [[nodiscard]] std::vector<RegionRun> runs_of(std::span<const Region> regions);
 
 /// Regions the runs stand for (sum of counts).

@@ -86,10 +86,6 @@ void Cursor::skip_rejected_run(Frame& f) {
   // Per-block probing would stop at the loop end, and before any block
   // that starts at or past the stream limit.
   if (pos_ >= limit_ || f.block == L.count) return;
-  if (gallop_holdoff_ > 0) {
-    --gallop_holdoff_;
-    return;
-  }
   const std::int64_t block_bytes = L.blocklen * child.size;
   const std::int64_t max_run =
       std::min(L.count - f.block, (limit_ - pos_ - 1) / block_bytes + 1);
@@ -99,8 +95,32 @@ void Cursor::skip_rejected_run(Frame& f) {
   const std::int64_t lo_off = std::min<std::int64_t>(span, 0) + child.data_lb;
   const std::int64_t hi_off = std::max<std::int64_t>(span, 0) + child.data_ub;
   const std::int64_t first = f.origin + f.block * L.stride;
+  std::int64_t good = 0;  // blocks to skip
+  if (run_filter_ != nullptr && L.stride > hi_off - lo_off) {
+    good = run_filter_(filter_ctx_,
+                       RegionRun{first + lo_off, hi_off - lo_off, max_run,
+                                 L.stride},
+                       false);
+  } else {
+    if (gallop_holdoff_ > 0) {
+      --gallop_holdoff_;
+      return;
+    }
+    good = gallop_rejected(first, lo_off, hi_off, L.stride, max_run);
+  }
+  f.block += good;
+  f.elem = 0;
+  pos_ += good * block_bytes;
+  subtrees_skipped_ += good;
+  regions_pruned_ += good * (packed(child) ? 1 : L.blocklen * child.regions);
+  bytes_pruned_ += good * block_bytes;
+}
+
+std::int64_t Cursor::gallop_rejected(std::int64_t first, std::int64_t lo_off,
+                                     std::int64_t hi_off, std::int64_t stride,
+                                     std::int64_t max_run) {
   const auto rejects = [&](std::int64_t k) {
-    const std::int64_t last = first + (k - 1) * L.stride;
+    const std::int64_t last = first + (k - 1) * stride;
     return !filter_(filter_ctx_, std::min(first, last) + lo_off,
                     std::max(first, last) + hi_off);
   };
@@ -133,12 +153,7 @@ void Cursor::skip_rejected_run(Frame& f) {
   } else {
     gallop_backoff_ = 0;
   }
-  f.block += good;
-  f.elem = 0;
-  pos_ += good * block_bytes;
-  subtrees_skipped_ += good;
-  regions_pruned_ += good * (packed(child) ? 1 : L.blocklen * child.regions);
-  bytes_pruned_ += good * block_bytes;
+  return good;
 }
 
 void Cursor::settle() {
@@ -385,20 +400,57 @@ bool Cursor::peek_run(Region& out, std::int64_t& stride, std::int64_t& n) {
   stride = 0;
   n = 1;
   if (!peek(out)) return false;
-  if (filter_ != nullptr || region_consumed_ != 0 || stack_.size() < 2) {
+  if (region_consumed_ != 0 || (filter_ != nullptr && run_filter_ == nullptr)) {
     return true;
   }
-  const Dataloop& L = *stack_.back().loop;
-  const Frame& parent = stack_[stack_.size() - 2];
-  if ((L.kind != Kind::kLeaf && !L.solid) ||
-      parent.loop->kind != Kind::kContig) {
-    return true;
+  // Regions of the leaf level left from this one, and the step between
+  // them: settle() moves a leaf level on with no probe (filter unset) or a
+  // probe of each region's own span (filter set), so they come out `step`
+  // apart, each as long as this one.
+  const Frame& f = stack_.back();
+  const Dataloop& L = *f.loop;
+  std::int64_t step = 0;
+  std::int64_t avail = 0;
+  if (L.kind == Kind::kLeaf || L.solid) {
+    if (stack_.size() < 2) return true;
+    const Frame& parent = stack_[stack_.size() - 2];
+    if (parent.loop->kind != Kind::kContig) return true;
+    step = L.extent;
+    avail = parent.loop->count - parent.block;
+  } else if (L.kind == Kind::kVector) {  // block-atomic: settle() stopped here
+    step = L.stride;
+    avail = L.count - f.block;
+  } else if (L.kind == Kind::kBlockIndexed) {
+    const auto b = static_cast<std::size_t>(f.block);
+    if (b + 1 == L.offsets.size() ||
+        __builtin_sub_overflow(L.offsets[b + 1], L.offsets[b], &step)) {
+      return true;
+    }
+    avail = L.count - f.block;
+  } else {
+    return true;  // indexed and struct blocks vary in length or child
   }
-  // Under no filter, settle() steps a contig frame to its next child with
-  // no probe, so the siblings come out extent apart, each L.size long.
-  n = std::min(parent.loop->count - parent.block, (limit_ - pos_) / L.size);
-  n = std::max<std::int64_t>(n, 1);
-  stride = L.extent;
+  // The limit may have cut this region; then it is the last one.
+  if (step <= out.length || out.length < current_region().length) return true;
+  std::int64_t max_n = std::min(avail, (limit_ - pos_) / out.length);
+  if (L.kind == Kind::kBlockIndexed && !L.solid) {  // while steps stay uniform
+    const std::int64_t* at = L.offsets.data() + f.block;
+    std::int64_t k = 2;
+    std::int64_t d = 0;
+    while (k < max_n && !__builtin_sub_overflow(at[k], at[k - 1], &d) &&
+           d == step) {
+      ++k;
+    }
+    max_n = std::min(max_n, k);
+  }
+  if (max_n > 1 && filter_ != nullptr) {
+    max_n = run_filter_(filter_ctx_,
+                        RegionRun{out.offset, out.length, max_n, step}, true);
+  }
+  if (max_n > 1) {
+    n = max_n;
+    stride = step;
+  }
   return true;
 }
 
@@ -408,15 +460,26 @@ void Cursor::advance_run(std::int64_t k) {
     advance(std::min(current_region().length, limit_ - pos_));
     return;
   }
-  // Only a contig run has k > 1, and its regions are whole solid
-  // children: step the parent past k of them and pop the solid frame, as
-  // advance() does after the last.
-  Frame& parent = stack_[stack_.size() - 2];
-  assert(parent.loop->kind == Kind::kContig && region_consumed_ == 0 &&
-         parent.block + k <= parent.loop->count);
-  parent.block += k - 1;
-  pos_ += k * stack_.back().loop->size;
-  pop_and_advance();
+  assert(region_consumed_ == 0);
+  Frame& f = stack_.back();
+  const Dataloop& L = *f.loop;
+  if (L.kind == Kind::kLeaf || L.solid) {
+    // A contig run's regions are whole solid children: step the parent
+    // past k of them and pop the solid frame, as advance() does after the
+    // last.
+    Frame& parent = stack_[stack_.size() - 2];
+    assert(parent.loop->kind == Kind::kContig &&
+           parent.block + k <= parent.loop->count);
+    parent.block += k - 1;
+    pos_ += k * L.size;
+    pop_and_advance();
+    return;
+  }
+  // A vector or blockindexed run's regions are whole blocks.
+  assert(f.block + k <= L.count);
+  pos_ += k * L.blocklen * L.child->size;
+  f.block += k;
+  f.elem = 0;
 }
 
 void Cursor::seek(std::int64_t stream_pos) {
@@ -507,6 +570,31 @@ void Cursor::descend_to(const Dataloop* loop, std::int64_t origin,
     case Kind::kLeaf:
       return;  // unreachable
   }
+}
+
+bool window_span(const Dataloop& loop, std::int64_t base,
+                 std::int64_t stream_offset, std::int64_t stream_length,
+                 Region& out) noexcept {
+  out = Region{0, 0};
+  if (stream_length <= 0) return true;
+  const std::int64_t first = stream_offset / loop.size;
+  const std::int64_t last = (stream_offset + stream_length - 1) / loop.size;
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  std::int64_t length = 0;
+  if (__builtin_mul_overflow(first, loop.extent, &a) ||
+      __builtin_mul_overflow(last, loop.extent, &b) ||
+      __builtin_add_overflow(base, std::min(a, b), &lo) ||
+      __builtin_add_overflow(lo, loop.data_lb, &lo) ||
+      __builtin_add_overflow(base, std::max(a, b), &hi) ||
+      __builtin_add_overflow(hi, loop.data_ub, &hi) ||
+      __builtin_sub_overflow(hi, lo, &length)) {
+    return false;
+  }
+  out = Region{lo, length};
+  return true;
 }
 
 std::vector<Region> flatten(const DataloopPtr& loop, std::int64_t base,

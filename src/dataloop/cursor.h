@@ -71,9 +71,21 @@ class Cursor {
   /// pay, the cursor backs off toward per-block probes. The pruning
   /// counters advance per block either way, exactly as per-block probing
   /// would).
+  ///
+  /// `run_fn`, when given, answers for a strided run of spans at once:
+  /// run_fn(ctx, run, keep) is how many leading spans [run.offset + i *
+  /// run.stride, ... + run.length) of the run (stride > length > 0) `fn`
+  /// would answer `keep` for, asked one span at a time. It must agree with
+  /// `fn` exactly. With it, peek_run() reports the kept regions of a leaf
+  /// run as one run, and a run of rejected vector blocks is skipped in one
+  /// call instead of by galloping.
   using FilterFn = bool (*)(const void* ctx, std::int64_t lo, std::int64_t hi);
-  void set_filter(FilterFn fn, const void* ctx) noexcept {
+  using RunFilterFn = std::int64_t (*)(const void* ctx, const RegionRun& run,
+                                       bool keep);
+  void set_filter(FilterFn fn, const void* ctx,
+                  RunFilterFn run_fn = nullptr) noexcept {
     filter_ = fn;
+    run_filter_ = run_fn;
     filter_ctx_ = ctx;
   }
 
@@ -133,6 +145,46 @@ class Cursor {
     return result;
   }
 
+  /// process() over the whole stream with no budgets, emitting runs:
+  /// sink(const RegionRun&) receives the regions process() would give its
+  /// sink, in the same order and coalesced the same way, grouped into runs
+  /// (peek_run()). A run's regions never touch one another (stride >
+  /// length), so adjacent regions only ever meet at run ends: the last
+  /// region of one run and the first of the next merge there, as in
+  /// process().
+  template <typename Sink>
+  void process_runs(Sink&& sink) {
+    RegionRun pending;
+    bool have_pending = false;
+    Region r;
+    std::int64_t stride = 0;
+    std::int64_t n = 0;
+    while (peek_run(r, stride, n)) {
+      advance_run(n);
+      RegionRun run{r.offset, r.length, n, n > 1 ? stride : r.length};
+      if (have_pending && pending.end() == run.offset) {
+        if (pending.count > 1) {
+          // Only the pending run's last region continues into this one.
+          --pending.count;
+          sink(pending);
+          pending = RegionRun{
+              pending.offset + pending.count * pending.stride, pending.length};
+        }
+        pending.length += run.length;
+        pending.stride = pending.length;
+        if (run.count == 1) continue;
+        sink(pending);
+        run = RegionRun{run.offset + run.stride, run.length, run.count - 1,
+                        run.count > 2 ? run.stride : run.length};
+      } else if (have_pending) {
+        sink(pending);
+      }
+      pending = run;
+      have_pending = true;
+    }
+    if (have_pending) sink(pending);
+  }
+
   /// Expose the next atomic region without consuming it (false when done).
   bool peek(Region& out);
 
@@ -141,10 +193,16 @@ class Cursor {
 
   /// peek() plus the arithmetic run the region starts: `n` regions of
   /// out.length bytes at out.offset + i * stride (i < n), the same ones
-  /// the next n peek()/advance() steps would report. A run is the
-  /// remaining solid children under a contig parent, cut at the stream
-  /// limit, such as FLASH's 8-byte cells 192 bytes apart. Everywhere else,
-  /// and always with a filter set or a partly consumed region, n = 1.
+  /// the next n peek()/advance() steps would report. A run is what is left
+  /// of a leaf level: the remaining blocks of a block-atomic vector (a
+  /// tile's rows), or of a block-atomic blockindexed while its offsets
+  /// step uniformly, or the remaining solid children under a contig
+  /// parent (FLASH's 8-byte cells 192 bytes apart). It is cut at the
+  /// stream limit (the region the limit splits comes on its own), and
+  /// only formed when stride > out.length, so its regions never touch or
+  /// overlap. Under a filter, a run needs the run filter and holds only
+  /// the regions it keeps. Everywhere else, and always for a partly
+  /// consumed region, n = 1.
   bool peek_run(Region& out, std::int64_t& stride, std::int64_t& n);
 
   /// Consume the first k (1 <= k <= n) regions of the run peek_run()
@@ -179,8 +237,15 @@ class Cursor {
   /// region_consumed_ bytes into {region_lo, region_len}.
   bool prune_atomic(std::int64_t region_lo, std::int64_t region_len);
   /// After a block of kVector frame `f` was pruned: skip the longest run of
-  /// following blocks whose covering span the filter rejects.
+  /// following blocks that the filter rejects (by the run filter where
+  /// block spans do not overlap, else by galloping over covering spans).
   void skip_rejected_run(Frame& f);
+  /// Longest run of at most max_run blocks from `first` (blocks `stride`
+  /// apart, block data at [lo_off, hi_off) from each start) whose covering
+  /// span the filter rejects: gallop to bracket it, then bisect.
+  std::int64_t gallop_rejected(std::int64_t first, std::int64_t lo_off,
+                               std::int64_t hi_off, std::int64_t stride,
+                               std::int64_t max_run);
 
   DataloopPtr loop_;
   std::int64_t base_;
@@ -192,6 +257,7 @@ class Cursor {
   std::vector<Frame> stack_;
 
   FilterFn filter_ = nullptr;
+  RunFilterFn run_filter_ = nullptr;
   const void* filter_ctx_ = nullptr;
   std::int64_t limit_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t subtrees_skipped_ = 0;
@@ -204,6 +270,17 @@ class Cursor {
   std::int64_t gallop_backoff_ = 0;
   std::int64_t gallop_holdoff_ = 0;
 };
+
+/// File span of a stream window: the bytes that the instances of `loop`
+/// holding stream bytes [stream_offset, stream_offset + stream_length)
+/// can touch, instance i being anchored at base + i * loop.extent and
+/// touching [data_lb, data_ub) from there. False when the span does not
+/// fit in int64; an empty window spans {0, 0}. The window must lie in the
+/// stream (so loop.size > 0 when stream_length > 0).
+[[nodiscard]] bool window_span(const Dataloop& loop, std::int64_t base,
+                               std::int64_t stream_offset,
+                               std::int64_t stream_length,
+                               Region& out) noexcept;
 
 /// Convenience: fully flatten `count` instances into a region list.
 [[nodiscard]] std::vector<Region> flatten(const DataloopPtr& loop,

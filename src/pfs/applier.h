@@ -45,7 +45,7 @@ struct Applier {
   /// buffer cache's stride detector, the per-write replica strip epochs
   /// (applied_out), per-piece media verification (visited_out) and media
   /// fault draws per bstream write. apply_run() then applies a run's
-  /// regions one by one instead of one strip extent at a time.
+  /// regions one by one instead of a strip at a time.
   bool per_piece = false;
 
   /// One mapper per request: consecutive regions mostly share a strip.
@@ -57,29 +57,38 @@ struct Applier {
 
   void apply(Region logical) {
     mapper.map(logical, [&](int server, Region phys, std::int64_t) {
-      take(server, phys, 1);
+      take(server, RegionRun{phys.offset, phys.length}, 1);
     });
   }
 
   void apply_run(const RegionRun& run) {
     if (!per_piece) {
-      mapper.map_run(run, [&](int server, Region phys, std::int64_t,
+      mapper.map_run(run, [&](int server, const RegionRun& phys, std::int64_t,
                               std::int64_t n) { take(server, phys, n); });
       return;
     }
     if (run.length <= 0) return;  // empty regions map to no pieces
     for (std::int64_t i = 0; i < run.count; ++i) {
-      apply(Region{run.offset + i * run.length, run.length});
+      apply(Region{run.offset + i * run.stride, run.length});
     }
   }
 
-  /// Apply `n` back-to-back pieces covering `phys` (n > 1 only when
-  /// !per_piece, so one bstream access stands for all of them).
-  void take(int server, Region phys, std::int64_t n) {
+  /// Apply the physical regions of `phys`, which stand for `n` pieces
+  /// (phys.count > 1 or n > 1 only when !per_piece: one bstream access per
+  /// region of phys).
+  void take(int server, const RegionRun& phys, std::int64_t n) {
     pieces += n;
     if (server != my_server) return;
     my_pieces += n;
-    my_bytes += phys.length;
+    my_bytes += phys.length * phys.count;
+    for (std::int64_t i = 0; i < phys.count; ++i) {
+      move_bytes(Region{phys.offset + i * phys.stride, phys.length});
+    }
+  }
+
+  /// Move one physical region's bytes between the store and the request
+  /// or reply.
+  void move_bytes(Region phys) {
     if (is_write) {
       if (cache != nullptr) {
         cache->write(handle, phys.offset, phys.length,

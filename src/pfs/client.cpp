@@ -929,11 +929,11 @@ std::int64_t Client::build_access(const FileLayout& layout,
   std::int64_t pieces = 0;
   StripMapper mapper(layout);
   for (const RegionRun& run : logical) {
-    mapper.map_run(run, [&](int server, Region phys, std::int64_t stream_pos,
-                            std::int64_t n) {
+    mapper.map_run(run, [&](int server, const RegionRun& phys,
+                            std::int64_t stream_pos, std::int64_t n) {
       auto& acc = out[static_cast<std::size_t>(server)];
       acc.extents.push_back({phys, stream_pos, n});
-      acc.total_bytes += phys.length;
+      acc.total_bytes += phys.length * phys.count;
       pieces += n;
     });
   }
@@ -944,24 +944,13 @@ std::int64_t Client::build_access_datatype(
     const FileLayout& layout, const dl::DataloopPtr& filetype,
     std::int64_t displacement, std::int64_t count, std::int64_t stream_offset,
     std::int64_t stream_length, std::vector<ServerAccess>& out) const {
-  assert(out.empty());
-  out.resize(static_cast<std::size_t>(config_->num_servers));
-  std::int64_t pieces = 0;
-  StripMapper mapper(layout);  // stream positions run within the window
   dl::Cursor cursor(filetype, displacement, count);
   cursor.seek(stream_offset);
-  cursor.process(
-      std::numeric_limits<std::int64_t>::max(), stream_length,
-      [&](std::int64_t off, std::int64_t len) {
-        mapper.map(Region{off, len},
-                   [&](int server, Region phys, std::int64_t stream_pos) {
-                     auto& acc = out[static_cast<std::size_t>(server)];
-                     acc.extents.push_back({phys, stream_pos, 1});
-                     acc.total_bytes += phys.length;
-                     ++pieces;
-                   });
-      });
-  return pieces;
+  cursor.set_stream_limit(stream_offset + stream_length);
+  std::vector<RegionRun> runs;
+  cursor.process_runs([&](const RegionRun& run) { runs.push_back(run); });
+  // Stream positions run within the window.
+  return build_access(layout, runs, out);
 }
 
 // ---- Data operations -----------------------------------------------------------
@@ -1057,6 +1046,21 @@ sim::Task<Status> Client::list_op(OpKind op, std::uint64_t handle,
 
 namespace {
 
+/// Whether a datatype window's file span lies in [0, INT64_MAX]: the
+/// mapper must never see a negative offset.
+bool datatype_span_fits(const dl::DataloopPtr& filetype,
+                        std::int64_t displacement, std::int64_t stream_offset,
+                        std::int64_t stream_length) {
+  Region span;
+  return stream_length <= 0 ||
+         (filetype->size > 0 &&
+          dl::window_span(*filetype, displacement, stream_offset,
+                          stream_length, span) &&
+          span.offset >= 0);
+}
+
+sim::Task<Status> rejected(Status status) { co_return status; }
+
 DatatypePayload make_datatype_payload(const dl::DataloopPtr& filetype,
                                       std::int64_t displacement,
                                       std::int64_t count,
@@ -1080,6 +1084,10 @@ sim::Task<Status> Client::write_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     const std::uint8_t* stream) {
+  if (!datatype_span_fits(filetype, displacement, stream_offset,
+                          stream_length)) {
+    return rejected(invalid_argument("datatype window file span out of range"));
+  }
   ++stats_.io_ops;
   std::vector<ServerAccess> access;
   const std::int64_t pieces =
@@ -1102,6 +1110,10 @@ sim::Task<Status> Client::read_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     std::uint8_t* stream) {
+  if (!datatype_span_fits(filetype, displacement, stream_offset,
+                          stream_length)) {
+    return rejected(invalid_argument("datatype window file span out of range"));
+  }
   ++stats_.io_ops;
   std::vector<ServerAccess> access;
   const std::int64_t pieces =
@@ -1182,7 +1194,16 @@ sim::Task<Status> Client::run_requests(
         const std::uint8_t* src = (transfer_data_ && write_stream != nullptr)
                                       ? write_stream + e.stream_at
                                       : nullptr;
-        wb_stage_run(s, prototype.handle, e.phys, src, e.pieces);
+        // A region of a strided extent is one piece; a lone region may
+        // stand for several merged back-to-back ones.
+        const std::int64_t n = e.phys.count;
+        for (std::int64_t k = 0; k < n; ++k) {
+          wb_stage_run(s, prototype.handle,
+                       Region{e.phys.offset + k * e.phys.stride,
+                              e.phys.length},
+                       src == nullptr ? nullptr : src + k * e.phys.length,
+                       n == 1 ? e.pieces : 1);
+        }
       }
       stats_.accessed_bytes += static_cast<std::uint64_t>(acc.total_bytes);
     }
@@ -1247,10 +1268,11 @@ sim::Task<Status> Client::run_requests(
     if (is_write && transfer_data_ && write_stream != nullptr) {
       auto buffer = std::make_shared<std::vector<std::uint8_t>>(
           static_cast<std::size_t>(acc.total_bytes));
-      std::size_t at = 0;
+      std::uint8_t* at = buffer->data();
       for (const ServerAccess::Extent& e : acc.extents) {
-        const auto len = static_cast<std::size_t>(e.phys.length);
-        std::memcpy(buffer->data() + at, write_stream + e.stream_at, len);
+        // Stream-contiguous: the extent's regions are one block of bytes.
+        const auto len = static_cast<std::size_t>(e.phys.length * e.phys.count);
+        std::memcpy(at, write_stream + e.stream_at, len);
         at += len;
       }
       slot.request.payload_crc = crc32(*buffer);
@@ -1277,10 +1299,10 @@ sim::Task<Status> Client::run_requests(
   // have been answered by a replica, but the bytes are the home strips'.
   auto scatter = [&](const RpcSlot& slot) {
     const ServerAccess& acc = access[static_cast<std::size_t>(slot.home)];
-    std::size_t at = 0;
+    const std::uint8_t* at = slot.reply.data->data();
     for (const ServerAccess::Extent& e : acc.extents) {
-      const auto len = static_cast<std::size_t>(e.phys.length);
-      std::memcpy(read_stream + e.stream_at, slot.reply.data->data() + at, len);
+      const auto len = static_cast<std::size_t>(e.phys.length * e.phys.count);
+      std::memcpy(read_stream + e.stream_at, at, len);
       at += len;
     }
   };
@@ -1410,18 +1432,24 @@ bool Client::wb_read_overlaps(int server, std::uint64_t handle,
   const WbServerBuf& buf = wb_[static_cast<std::size_t>(server)];
   if (buf.runs.empty()) return false;
   for (const ServerAccess::Extent& e : acc.extents) {
-    const Region& piece = e.phys;
-    auto it = buf.runs.lower_bound({handle, piece.offset});
-    if (it != buf.runs.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first.first == handle &&
-          prev->first.second + prev->second.length > piece.offset) {
-        return true;
+    const RegionRun& rows = e.phys;
+    // Staged runs that start before the extent ends, from the one that
+    // reaches its first byte (if any): each one overlaps the extent when
+    // some region of it ends past the staged run's start and begins before
+    // its end.
+    auto it = buf.runs.lower_bound({handle, rows.offset});
+    if (it != buf.runs.begin() && std::prev(it)->first.first == handle) --it;
+    for (; it != buf.runs.end() && it->first.first == handle &&
+           it->first.second < rows.end();
+         ++it) {
+      const std::int64_t lo = it->first.second;
+      const std::int64_t hi = lo + it->second.length;
+      // First region ending past lo: ceil((lo - offset - length + 1) / stride).
+      std::int64_t k = 0;
+      if (lo >= rows.offset + rows.length) {
+        k = (lo - rows.offset - rows.length) / rows.stride + 1;
       }
-    }
-    if (it != buf.runs.end() && it->first.first == handle &&
-        it->first.second < piece.end()) {
-      return true;
+      if (k < rows.count && rows.offset + k * rows.stride < hi) return true;
     }
   }
   return false;

@@ -273,11 +273,14 @@ class Client {
  private:
   /// Per-server client-side access list: physical extents in stream
   /// order, each with where its data sits in the client's stream buffer.
-  /// An extent is `pieces` per-region pieces that lie back to back on the
-  /// server and in the stream (one list run within one strip).
+  /// An extent is a group of StripMapper::map_run: the phys.count
+  /// physical regions of one strip, phys.stride apart on the server and
+  /// back to back in the stream, standing for `pieces` per-region pieces
+  /// (a tile's rows within one strip, or one list run's back-to-back
+  /// regions merged into one region).
   struct ServerAccess {
     struct Extent {
-      Region phys;                ///< physical bytes on the server
+      RegionRun phys;             ///< physical regions on the server
       std::int64_t stream_at = 0; ///< stream offset of its first byte
       std::int64_t pieces = 1;    ///< per-region pieces it stands for
     };
@@ -285,9 +288,9 @@ class Client {
     std::int64_t total_bytes = 0;
   };
 
-  /// The client half of job building: map logical region runs (or a
-  /// dataloop stream window) into per-server access lists using the
-  /// file's layout. Returns pieces walked, counted per region.
+  /// The client half of job building: map logical region runs (or the
+  /// runs of a dataloop stream window) into per-server access lists using
+  /// the file's layout. Returns pieces walked, counted per region.
   std::int64_t build_access(const FileLayout& layout,
                             std::span<const RegionRun> logical,
                             std::vector<ServerAccess>& out) const;

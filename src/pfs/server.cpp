@@ -857,16 +857,17 @@ sim::Task<void> IOServer::handle_contig(Request& request) {
 
 sim::Task<void> IOServer::handle_list(Request& request) {
   const auto& p = std::get<ListPayload>(request.payload);
-  // Validate every run before touching data: a non-negative offset and
-  // length, a count of at least 1, and an end and a list total that fit in
-  // int64 (StripMapper computes offset + length * count).
+  // Validate every run before touching data: back to back (list I/O
+  // carries no strided runs), a non-negative offset and length, a count
+  // of at least 1, and an end and a list total that fit in int64
+  // (StripMapper computes offset + length * count).
   if (!p.runs) {
     reject_invalid(request, "list request without a region list");
     co_return;
   }
   std::int64_t window = 0;
   for (const RegionRun& r : *p.runs) {
-    if (r.offset < 0 || r.length < 0 || r.count < 1 ||
+    if (!r.back_to_back() || r.offset < 0 || r.length < 0 || r.count < 1 ||
         (r.length > 0 && r.count > (kMaxOffset - r.offset) / r.length) ||
         r.length * r.count > kMaxOffset - window) {
       reject_invalid(request, "list request region run out of range");
@@ -1045,24 +1046,33 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
     }
   }
   // The window must lie in the count instances' stream, whose size must
-  // itself fit in int64.
+  // itself fit in int64, and the file bytes the window's instances can
+  // touch must lie in [0, INT64_MAX]: the walk must never map a negative
+  // (or overflowing) offset.
   if (p.count < 0 || (loop->size > 0 && p.count > kMaxOffset / loop->size) ||
       !window_fits(p.stream_offset, p.stream_length, p.count * loop->size)) {
     reject_invalid(request, "datatype request stream window out of range");
+    co_return;
+  }
+  Region span;
+  if (!dl::window_span(*loop, p.displacement, p.stream_offset,
+                       p.stream_length, span) ||
+      span.offset < 0) {
+    reject_invalid(request, "datatype request file span out of range");
     co_return;
   }
 
   DataAccess access(*this, request, p.data, p.stream_length);
 
   // Expand the dataloop over the requested stream window. The sink feeds
-  // regions straight into job/access application — partial processing
-  // keeps intermediate storage bounded (here: zero). With pruned
-  // expansion (default), a span filter makes the cursor skip whole
-  // subtrees whose file span misses this server's strips, so the walk is
-  // proportional to this server's data, not the full access; the
-  // Applier's own clipping remains as the correctness backstop. The
-  // stream limit bounds the window either way (pruned bytes never reach
-  // process()'s byte budget).
+  // runs straight into job/access application — partial processing keeps
+  // intermediate storage bounded (here: zero) — and the Applier maps each
+  // run a strip at a time. With pruned expansion (default), a span filter
+  // makes the cursor skip whole subtrees whose file span misses this
+  // server's strips, and its run companion keeps only the leading rows of
+  // a leaf run that reach them, so the walk is proportional to this
+  // server's data, not the full access; the Applier's own clipping remains
+  // as the correctness backstop. The stream limit bounds the window.
   dl::Cursor cursor(loop, p.displacement, p.count);
   cursor.seek(p.stream_offset);
   cursor.set_stream_limit(p.stream_offset + p.stream_length);
@@ -1077,13 +1087,14 @@ sim::Task<void> IOServer::handle_datatype(Request& request) {
           const auto* c = static_cast<const PruneCtx*>(ctx);
           return c->layout->intersects_server(Region{lo, hi - lo}, c->server);
         },
-        &prune_ctx);
+        &prune_ctx,
+        [](const void* ctx, const RegionRun& rows, bool keep) {
+          const auto* c = static_cast<const PruneCtx*>(ctx);
+          return c->layout->leading_regions(rows, c->server, keep);
+        });
   }
-  cursor.process(std::numeric_limits<std::int64_t>::max(),
-                 std::numeric_limits<std::int64_t>::max(),
-                 [&](std::int64_t off, std::int64_t len) {
-                   access.applier.apply(Region{off, len});
-                 });
+  cursor.process_runs(
+      [&](const RegionRun& run) { access.applier.apply_run(run); });
   access.probes = cursor.subtrees_skipped();
   stats_.subtrees_skipped += static_cast<std::uint64_t>(access.probes);
   stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());

@@ -58,12 +58,13 @@ class FramePool {
 
   void* allocate(std::size_t n) {
     const std::size_t c = size_class(n);
-    if (!kEnabled || c >= kClasses) return ::operator new(n);
-    if (Block* b = free_[c]) {
-      free_[c] = b->next;
-      return b;
+    if (kEnabled && c < kClasses) {
+      if (Block* b = free_[c]) {
+        free_[c] = b->next;
+        return b;
+      }
     }
-    return ::operator new(c * kGrain);
+    return allocate_fresh(n);
   }
 
   void deallocate(void* p, std::size_t n) noexcept {
@@ -78,6 +79,19 @@ class FramePool {
   }
 
  private:
+  /// A new block for an n-byte frame: its whole size class when pooled.
+  /// Kept out of line on purpose. Inlined into a coroutine's ramp, the
+  /// ::operator new here would be the frame's visible allocation, and GCC
+  /// (-Wmismatched-new-delete, at -O2) would then flag the promise's
+  /// class operator delete that frees the frame as mismatched with it. The
+  /// pairing is sound: deallocate() (at once, or through the free list and
+  /// ~FramePool) hands every block back to ::operator delete, so that
+  /// warning is a false positive.
+  [[gnu::noinline]] static void* allocate_fresh(std::size_t n) {
+    const std::size_t c = size_class(n);
+    return ::operator new(kEnabled && c < kClasses ? c * kGrain : n);
+  }
+
   struct Block {
     Block* next;
   };

@@ -162,7 +162,9 @@ TEST_P(TwoPhaseHoles, SparseCollectiveWritePreservesGapBytes) {
   auto writer = [](mpiio::File& f, Communicator& c, int rank,
                    const std::vector<std::uint8_t>& src,
                    int& finished) -> Task<void> {
-    if (rank != 0) EXPECT_TRUE((co_await f.open("/holes", false)).is_ok());
+    if (rank != 0) {
+      EXPECT_TRUE((co_await f.open("/holes", false)).is_ok());
+    }
     auto piece = types::contiguous(16, types::byte_t());
     auto strided = types::resized(piece, 0, 128);
     f.set_view(rank * 64, types::byte_t(), strided);
@@ -378,8 +380,10 @@ TEST(ServerRobustness, MalformedListRequestsRejectedThenServed) {
   auto client = cluster.make_client(0);
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   // A null region list, a run with a negative count, a run whose end
-  // overflows, a negative length, and two runs whose bytes overflow only
-  // together. Each must get the typed error and touch nothing.
+  // overflows, a negative length, two runs whose bytes overflow only
+  // together, and runs that are not back to back (a negative stride, a
+  // stride past INT64_MAX's reach). Each must get the typed error and
+  // touch nothing.
   using Runs = std::shared_ptr<const std::vector<RegionRun>>;
   std::vector<Runs> bad = {
       nullptr,
@@ -391,6 +395,10 @@ TEST(ServerRobustness, MalformedListRequestsRejectedThenServed) {
           std::vector<RegionRun>{{0, 8, 4}, {100, -8, 1}}),
       std::make_shared<const std::vector<RegionRun>>(
           std::vector<RegionRun>{{0, kMax / 2, 1}, {0, kMax / 2 + 2, 1}}),
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{64, 8, 4, -32}}),
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{0, 8, 2, kMax - 4}}),
   };
   std::vector<pfs::Reply> replies;
   bool served = false;
@@ -497,6 +505,104 @@ TEST(ServerRobustness, OutOfRangeContigAndDatatypeWindowsRejectedThenServed) {
         ok = back == src;
       }(*client, cluster.network(), cluster.config().client_node(0), bad,
         replies, served));
+  cluster.run();
+  ASSERT_EQ(replies.size(), bad.size());
+  for (const pfs::Reply& r : replies) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, StatusCode::kInvalidArgument) << r.error;
+    EXPECT_EQ(r.bytes, 0);
+  }
+  EXPECT_EQ(cluster.server(0).stats().bad_requests, bad.size());
+  EXPECT_EQ(cluster.server(0).stats().bytes_written, 32u);
+  EXPECT_TRUE(served);
+}
+
+TEST(ServerRobustness, DatatypeFileSpanOutOfRangeRejectedThenServed) {
+  // Datatype requests whose window's file span leaves [0, INT64_MAX]: a
+  // write at displacement -100 with carried data (it would map to a
+  // negative physical offset and copy out of bounds), a read of a
+  // hindexed type with a negative lb, and a read whose span runs past
+  // INT64_MAX. Each is answered kInvalidArgument and counted once; the
+  // same server then serves a valid write and read. The client refuses
+  // the negative displacement itself, sending nothing.
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto row = dl::make_contig(32, dl::make_leaf(1));  // 32 B
+  const std::int64_t offs[] = {-64, 0};
+  const std::int64_t lens[] = {8, 8};
+  const auto hindexed = dl::make_indexed(lens, offs, dl::make_leaf(1));
+  ASSERT_LT(hindexed->lb, 0);
+  const auto encode = [](const dl::DataloopPtr& loop) {
+    auto encoded = std::make_shared<std::vector<std::uint8_t>>();
+    dl::encode(*loop, *encoded);
+    return encoded;
+  };
+  const auto data = std::make_shared<std::vector<std::uint8_t>>(32, 9);
+  std::vector<pfs::Request> bad(3);
+  pfs::DatatypePayload dt;
+  dt.encoded_loop = encode(row);
+  dt.loop_node_count = row->node_count();
+  dt.displacement = -100;
+  dt.count = 1;
+  dt.stream_length = 32;
+  dt.data = data;
+  bad[0].op = pfs::OpKind::kDatatypeWrite;
+  bad[0].carry_data = true;
+  bad[0].payload = dt;
+  dt.data = nullptr;
+  dt.encoded_loop = encode(hindexed);
+  dt.loop_node_count = hindexed->node_count();
+  dt.displacement = 0;
+  dt.stream_length = 16;
+  bad[1].op = pfs::OpKind::kDatatypeRead;
+  bad[1].payload = dt;
+  dt.encoded_loop = encode(row);
+  dt.loop_node_count = row->node_count();
+  dt.displacement = kMax - 16;
+  dt.stream_length = 32;
+  bad[2].op = pfs::OpKind::kDatatypeRead;
+  bad[2].payload = dt;
+  std::vector<pfs::Reply> replies;
+  bool served = false;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, net::Network& net, int node,
+         std::vector<pfs::Request>& requests, std::vector<pfs::Reply>& out,
+         dl::DataloopPtr loop, bool& ok) -> Task<void> {
+        pfs::MetaResult f = co_await c.create("/bad_span");
+        EXPECT_TRUE(f.status.is_ok());
+        for (std::size_t i = 0; i < requests.size(); ++i) {
+          const std::uint64_t tag = pfs::kTagReplyBase + 970 + i;
+          pfs::Request request = std::move(requests[i]);
+          request.handle = f.handle;
+          request.client_node = node;
+          request.reply_tag = tag;
+          net.mailbox(node).claim(tag);
+          co_await net.send(node, 0,
+                            sim::Message(node, pfs::kTagRequest, 64,
+                                         std::move(request)));
+          sim::Message msg = *co_await net.mailbox(node).recv(0, tag);
+          net.mailbox(node).retire(tag);
+          out.push_back(msg.take<pfs::Reply>());
+        }
+        const std::vector<std::uint8_t> src(32, 7);
+        const std::uint64_t sent = c.stats().requests_sent;
+        const Status refused =
+            co_await c.write_datatype(f.handle, loop, -100, 1, 0, 32,
+                                      src.data());
+        EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(c.stats().requests_sent, sent);
+        // The next well-formed datatype requests are served.
+        EXPECT_TRUE((co_await c.write_datatype(f.handle, loop, 100, 1, 0, 32,
+                                               src.data()))
+                        .is_ok());
+        std::vector<std::uint8_t> back(32, 0);
+        EXPECT_TRUE((co_await c.read_datatype(f.handle, loop, 100, 1, 0, 32,
+                                              back.data()))
+                        .is_ok());
+        ok = back == src;
+      }(*client, cluster.network(), cluster.config().client_node(0), bad,
+        replies, row, served));
   cluster.run();
   ASSERT_EQ(replies.size(), bad.size());
   for (const pfs::Reply& r : replies) {

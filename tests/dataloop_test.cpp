@@ -1190,6 +1190,86 @@ TEST(RunWalk, FilterForcesSingleRegions) {
   }
 }
 
+/// Keeps the spans that meet some [k * period + at, k * period + at +
+/// width): a stripe set, as an I/O server's pruning filter sees it.
+struct Stripes {
+  std::int64_t period;
+  std::int64_t at;
+  std::int64_t width;
+};
+
+bool stripe_filter(const void* ctx, std::int64_t lo, std::int64_t hi) {
+  const auto* s = static_cast<const Stripes*>(ctx);
+  const std::int64_t d = lo - s->at;
+  const std::int64_t k =
+      d >= 0 ? d / s->period : -((-d + s->period - 1) / s->period);
+  std::int64_t start = k * s->period + s->at;
+  if (start + s->width <= lo) start += s->period;
+  return start < hi;
+}
+
+/// The run companion of stripe_filter, asked region by region.
+std::int64_t stripe_run_filter(const void* ctx, const RegionRun& run,
+                               bool keep) {
+  std::int64_t i = 0;
+  while (i < run.count) {
+    const std::int64_t lo = run.offset + i * run.stride;
+    if (stripe_filter(ctx, lo, lo + run.length) != keep) break;
+    ++i;
+  }
+  return i;
+}
+
+TEST(RunWalk, RunFilterMatchesPerRegionWalk) {
+  // Under a span filter with its run companion, peek_run/advance_run give
+  // the regions, positions and skip counters of peek/advance under the
+  // span filter alone, with runs of kept leaf regions; the cursor skips
+  // rejected vector blocks through the run filter instead of galloping.
+  Rng rng(1618);
+  std::int64_t with_runs = 0;
+  std::int64_t skips = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const DataloopPtr loop =
+        rng.next_below(2) == 0
+            ? random_type(rng, static_cast<int>(rng.next_range(1, 3)))
+            : random_run_type(rng);
+    const std::int64_t count = rng.next_range(1, 3);
+    const std::int64_t base = rng.next_range(0, 512);
+    Stripes stripes{rng.next_range(2, 200), 0, 0};
+    stripes.at = rng.next_range(0, stripes.period - 1);
+    stripes.width = rng.next_range(1, stripes.period);
+    Cursor probe(loop, base, count);
+    const std::int64_t total = probe.total_bytes();
+    const std::int64_t seek =
+        rng.next_below(2) == 0 ? 0 : rng.next_range(0, total);
+    const std::int64_t limit =
+        rng.next_below(2) == 0 ? total : rng.next_range(seek, total);
+    Cursor ref(loop, base, count);
+    Cursor run(loop, base, count);
+    ref.set_filter(stripe_filter, &stripes);
+    run.set_filter(stripe_filter, &stripes, stripe_run_filter);
+    for (Cursor* c : {&ref, &run}) {
+      c->seek(seek);
+      c->set_stream_limit(limit);
+    }
+    const auto steps = walk_steps(ref);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << "\n" << loop->to_string()
+                 << "base=" << base << " count=" << count << " seek=" << seek
+                 << " limit=" << limit << " stripes " << stripes.period << "/"
+                 << stripes.at << "/" << stripes.width);
+    std::int64_t partial_takes = 0;
+    if (check_run_walk(rng, run, steps, partial_takes) > 1) ++with_runs;
+    EXPECT_EQ(run.position(), ref.position());
+    EXPECT_EQ(run.subtrees_skipped(), ref.subtrees_skipped());
+    EXPECT_EQ(run.regions_pruned(), ref.regions_pruned());
+    EXPECT_EQ(run.bytes_pruned(), ref.bytes_pruned());
+    skips += ref.subtrees_skipped();
+  }
+  EXPECT_GT(with_runs, 500);
+  EXPECT_GT(skips, 10000);
+}
+
 TEST(RunWalk, FlashInnermostRowIsOneRun) {
   // FLASH's innermost level: 8 cells of one 8-byte variable, 192 apart.
   const DataloopPtr row = make_contig(8, make_resized(make_leaf(8), 0, 192));

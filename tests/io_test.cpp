@@ -393,7 +393,9 @@ TEST(TwoPhase, ReadRedistributesAcrossRanks) {
         [](CollectiveWorld& w, int rank, std::vector<std::uint8_t>& dst,
            int& done) -> Task<void> {
           mpiio::File& f = *w.files[static_cast<std::size_t>(rank)];
-          if (rank != 0) EXPECT_TRUE((co_await f.open("/tpr", false)).is_ok());
+          if (rank != 0) {
+            EXPECT_TRUE((co_await f.open("/tpr", false)).is_ok());
+          }
           auto filetype = types::resized(
               types::contiguous(kRecord, types::byte_t()), 0,
               kRanks * kRecord);

@@ -218,7 +218,7 @@ TEST(FileLayoutNarrow, SlotMappingRoundTrips) {
 
 TEST(FileLayoutNarrow, PlaceAndLogicalAreInverse) {
   const pfs::FileLayout lay(3, kKiB, 5, 8);
-  for (std::int64_t off = 0; off < 16 * kKiB; off += 317) {
+  for (std::int64_t off = 0; off < std::int64_t{16 * kKiB}; off += 317) {
     const pfs::FileLayout::Placement p = lay.place(off);
     EXPECT_GE(lay.slot_of_server(p.server), 0) << "byte landed off-stripe";
     EXPECT_EQ(lay.logical(p.server, p.physical), off);

@@ -212,7 +212,9 @@ TEST(Ncio, CollectivePartitionedVariableWrite) {
     w.cluster->scheduler().spawn(
         [](Dataset& d, coll::Communicator& c, int rank, int& finished)
             -> Task<void> {
-          if (rank != 0) EXPECT_TRUE((co_await d.open("/climate.nc")).is_ok());
+          if (rank != 0) {
+            EXPECT_TRUE((co_await d.open("/climate.nc")).is_ok());
+          }
           const std::int64_t band = kLat / kRanks;
           std::vector<float> mine(static_cast<std::size_t>(band * kLon));
           for (std::int64_t i = 0; i < band * kLon; ++i) {
@@ -280,7 +282,9 @@ TEST(Ncio, CollectiveReadRedistributes) {
     w.cluster->scheduler().spawn(
         [](Dataset& d, coll::Communicator& c, int rank,
            std::vector<std::int32_t>& out, int& finished) -> Task<void> {
-          if (rank != 0) EXPECT_TRUE((co_await d.open("/cr.nc")).is_ok());
+          if (rank != 0) {
+            EXPECT_TRUE((co_await d.open("/cr.nc")).is_ok());
+          }
           const std::int64_t starts[] = {rank * (kN / kRanks)};
           const std::int64_t counts[] = {kN / kRanks};
           Status s = co_await d.get_vara_all(c, rank, 0, starts, counts,

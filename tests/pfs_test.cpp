@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -16,6 +17,7 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "dataloop/cursor.h"
 #include "dataloop/dataloop.h"
 #include "cache/buffer_cache.h"
 #include "pfs/applier.h"
@@ -125,11 +127,14 @@ TEST(Layout, MapRunMatchesPerRegionMap) {
   // map_run of a run against map() of its regions one by one, on one
   // mapper carried across several runs: lengths that divide the strip and
   // lengths that do not, runs straddling strips, narrow per-file layouts,
-  // counts 1..200. Same pieces in total, same bytes per server, and the
-  // same extents once adjacent pieces are merged, each counting exactly
-  // the pieces it merged.
+  // counts 1..200; back-to-back and strided runs (gaps smaller and
+  // larger than a strip). Same pieces in total, same bytes per
+  // server, and the same extents once each group is expanded into its
+  // regions and adjacent pieces are merged, each counting exactly the
+  // pieces it merged.
   Rng rng(4711);
   std::int64_t total_pieces = 0;
+  std::int64_t strided_groups = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     const int total = static_cast<int>(rng.next_range(1, 16));
     const int servers = static_cast<int>(rng.next_range(1, total));
@@ -146,9 +151,15 @@ TEST(Layout, MapRunMatchesPerRegionMap) {
         case 1: length = rng.next_range(1, strip + 20); break;
         default: length = rng.next_range(1, 3 * strip); break;
       }
-      runs.push_back(RegionRun{rng.next_range(0, 20 * strip),
-                               std::max<std::int64_t>(length, 1),
-                               rng.next_range(1, 200)});
+      length = std::max<std::int64_t>(length, 1);
+      std::int64_t stride = length;
+      switch (rng.next_below(3)) {
+        case 0: break;
+        case 1: stride = length + rng.next_range(1, 3 * strip); break;
+        default: stride = length + rng.next_range(1, 8); break;
+      }
+      runs.push_back(RegionRun{rng.next_range(0, 20 * strip), length,
+                               rng.next_range(1, 200), stride});
     }
 
     struct Extent {
@@ -179,7 +190,7 @@ TEST(Layout, MapRunMatchesPerRegionMap) {
     StripMapper per_region(layout);
     for (const RegionRun& run : runs) {
       for (std::int64_t i = 0; i < run.count; ++i) {
-        per_region.map(Region{run.offset + i * run.length, run.length},
+        per_region.map(Region{run.offset + i * run.stride, run.length},
                        [&](int srv, Region phys, std::int64_t pos) {
                          ++want_pieces;
                          want_bytes[static_cast<std::size_t>(srv)] +=
@@ -194,12 +205,25 @@ TEST(Layout, MapRunMatchesPerRegionMap) {
     std::int64_t got_pieces = 0;
     StripMapper by_run(layout);
     for (const RegionRun& run : runs) {
-      by_run.map_run(run, [&](int srv, Region phys, std::int64_t pos,
-                              std::int64_t n) {
+      by_run.map_run(run, [&](int srv, const RegionRun& phys,
+                              std::int64_t pos, std::int64_t n) {
         ASSERT_GE(n, 1);
+        ASSERT_GE(phys.count, 1);
         got_pieces += n;
-        got_bytes[static_cast<std::size_t>(srv)] += phys.length;
-        merge_into(got, Extent{srv, phys, pos, n});
+        got_bytes[static_cast<std::size_t>(srv)] += phys.length * phys.count;
+        if (phys.count == 1) {
+          merge_into(got, Extent{srv, {phys.offset, phys.length}, pos, n});
+          return;
+        }
+        // A group of whole regions: one piece each, a stride apart.
+        ASSERT_EQ(n, phys.count);
+        ASSERT_EQ(phys.stride, run.stride);
+        ++strided_groups;
+        for (std::int64_t k = 0; k < phys.count; ++k) {
+          merge_into(got, Extent{srv,
+                                 {phys.offset + k * phys.stride, phys.length},
+                                 pos + k * phys.length, 1});
+        }
       });
     }
     SCOPED_TRACE(::testing::Message()
@@ -210,6 +234,7 @@ TEST(Layout, MapRunMatchesPerRegionMap) {
     total_pieces += want_pieces;
   }
   EXPECT_GT(total_pieces, 100000);
+  EXPECT_GT(strided_groups, 1000);
 }
 
 TEST(Layout, ServersTouched) {
@@ -377,14 +402,14 @@ struct Applied {
   cache::AccessPlan plan;
 };
 
-/// Apply `runs` as server `me` sees them, either a run at a time
-/// (apply_run) or a region at a time (apply), on a copy of `store`.
+/// Let `feed` drive an Applier as server `me`, on a copy of `store`.
 /// `cached` puts a small write-back cache in front; `record` collects the
-/// applied/visited pieces as replication and media verification do.
-Applied apply_runs(const FileLayout& layout, int me,
-                   const std::vector<RegionRun>& runs, bool is_write,
-                   bool carry, bool by_run, bool cached, bool record,
-                   const Bstream& store, const DataBuffer& data) {
+/// applied/visited pieces as replication and media verification do (both
+/// make the Applier work piece by piece).
+template <typename Feed>
+Applied apply_with(const FileLayout& layout, int me, bool is_write, bool carry,
+                   bool cached, bool record, const Bstream& store,
+                   const DataBuffer& data, Feed&& feed) {
   Bstream target = store;
   BstreamStore adapter;
   adapter.b = &target;
@@ -408,15 +433,7 @@ Applied apply_runs(const FileLayout& layout, int me,
                   record && is_write ? &out.applied : nullptr,
                   record && !is_write ? &out.visited : nullptr};
   applier.per_piece = cached || record;
-  for (const RegionRun& run : runs) {
-    if (by_run) {
-      applier.apply_run(run);
-    } else {
-      for (std::int64_t i = 0; i < run.count; ++i) {
-        applier.apply(Region{run.offset + i * run.length, run.length});
-      }
-    }
-  }
+  feed(applier);
   if (cached) block_cache.flush_all(nullptr);
   out.pieces = applier.pieces;
   out.my_pieces = applier.my_pieces;
@@ -426,6 +443,27 @@ Applied apply_runs(const FileLayout& layout, int me,
   target.read(0, out.stored);
   if (applier.reply_data) out.reply = *applier.reply_data;
   return out;
+}
+
+/// Apply `runs` as server `me` sees them, either a run at a time
+/// (apply_run) or a region at a time (apply).
+Applied apply_runs(const FileLayout& layout, int me,
+                   const std::vector<RegionRun>& runs, bool is_write,
+                   bool carry, bool by_run, bool cached, bool record,
+                   const Bstream& store, const DataBuffer& data) {
+  return apply_with(layout, me, is_write, carry, cached, record, store, data,
+                    [&](Applier& applier) {
+                      for (const RegionRun& run : runs) {
+                        if (by_run) {
+                          applier.apply_run(run);
+                          continue;
+                        }
+                        for (std::int64_t i = 0; i < run.count; ++i) {
+                          applier.apply(Region{run.offset + i * run.stride,
+                                               run.length});
+                        }
+                      }
+                    });
 }
 
 void expect_same(const Applied& got, const Applied& want) {
@@ -463,8 +501,12 @@ TEST(Applier, RunsMatchPerRegionApply) {
     std::vector<RegionRun> runs;
     std::int64_t bytes = 0;
     for (std::int64_t i = rng.next_range(1, 4); i > 0; --i) {
-      runs.push_back(RegionRun{rng.next_range(0, 3000), rng.next_range(1, 90),
-                               rng.next_range(1, 60)});
+      const std::int64_t length = rng.next_range(1, 90);
+      std::int64_t stride = length;  // back to back or strided
+      if (rng.next_below(2) == 1) stride += rng.next_range(1, 300);
+      runs.push_back(
+          RegionRun{rng.next_range(0, 3000), length, rng.next_range(1, 60),
+                    stride});
       bytes += runs.back().length * runs.back().count;
     }
     Bstream store;
@@ -490,6 +532,331 @@ TEST(Applier, RunsMatchPerRegionApply) {
       }
     }
   }
+}
+
+// ---- Strided datatype walk against the per-region walk ---------------------
+//
+// The datatype path walks a dataloop window as cursor runs mapped a strip
+// at a time (client: Cursor::process_runs + StripMapper::map_run, as
+// Client::build_access_datatype does; server: the same with the pruning
+// filter and its run filter, into Applier::apply_run, as
+// IOServer::handle_datatype does). The oracle is the per-region walk it
+// replaced: Cursor::process() regions, each mapped with StripMapper::map()
+// (client) or applied with Applier::apply() (server) under the span filter
+// alone.
+
+struct PruneCtx {
+  const FileLayout* layout;
+  int server;
+};
+
+bool prune_span(const void* ctx, std::int64_t lo, std::int64_t hi) {
+  const auto* c = static_cast<const PruneCtx*>(ctx);
+  return c->layout->intersects_server(Region{lo, hi - lo}, c->server);
+}
+
+std::int64_t prune_run(const void* ctx, const RegionRun& run, bool keep) {
+  const auto* c = static_cast<const PruneCtx*>(ctx);
+  return c->layout->leading_regions(run, c->server, keep);
+}
+
+/// Packed rows of 1..48 bytes (a contig of 1..4-byte leaves).
+dl::DataloopPtr random_row(Rng& rng) {
+  return dl::make_contig(rng.next_range(1, 12),
+                         dl::make_leaf(rng.next_range(1, 4)));
+}
+
+/// A random file type whose leaf level is strided rows: (h)vectors with
+/// gaps smaller and larger than a strip and negative strides,
+/// blockindexed with a nonzero anchor (uniform, broken or touching
+/// steps), contigs of spaced-out rows, 2-D and 3-D subarrays, and nestings
+/// of them, often resized so one instance's last row touches the next
+/// instance's first (neighbours process() coalesces).
+dl::DataloopPtr random_strided_type(Rng& rng, int depth = 0) {
+  dl::DataloopPtr row = random_row(rng);
+  dl::DataloopPtr loop;
+  const auto gap = [&] {
+    return rng.next_below(3) == 0 ? std::int64_t{0} : rng.next_range(1, 700);
+  };
+  switch (rng.next_below(depth < 1 ? 7 : 5)) {
+    case 0: {  // (h)vector
+      const std::int64_t bl = rng.next_range(1, 3);
+      loop = dl::make_vector(rng.next_range(2, 40), bl,
+                             bl * row->extent + gap(), row);
+      break;
+    }
+    case 1: {  // negative stride
+      const std::int64_t bl = rng.next_range(1, 2);
+      loop = dl::make_vector(rng.next_range(2, 20), bl,
+                             -(bl * row->extent + rng.next_range(0, 300)), row);
+      break;
+    }
+    case 2: {  // blockindexed, anchored away from zero
+      const std::int64_t n = rng.next_range(2, 30);
+      const std::int64_t step = row->extent + gap();
+      std::vector<std::int64_t> offs;
+      std::int64_t at = rng.next_range(1, 500);
+      for (std::int64_t i = 0; i < n; ++i) {
+        offs.push_back(at);
+        at += rng.next_below(6) == 0 ? row->extent + gap() : step;
+      }
+      loop = dl::make_blockindexed(n, 1, offs, row);
+      break;
+    }
+    case 3: {  // contig of spaced-out rows (FLASH cells)
+      loop = dl::make_contig(
+          rng.next_range(2, 30),
+          dl::make_resized(row, 0, row->extent + rng.next_range(1, 300)));
+      break;
+    }
+    case 4: {  // 2-D or 3-D subarray of bytes
+      const int dims = static_cast<int>(rng.next_range(2, 3));
+      std::int64_t size[3];
+      std::int64_t sub[3];
+      std::int64_t start[3];
+      for (int d = 0; d < dims; ++d) {
+        size[d] = rng.next_range(2, d == dims - 1 ? 400 : 24);
+        sub[d] = rng.next_range(1, size[d]);
+        start[d] = rng.next_range(0, size[d] - sub[d]);
+      }
+      // As types::subarray builds it (C order): innermost contig, then
+      // vectors outward, anchored at the start, extent the whole array.
+      loop = dl::make_contig(sub[dims - 1], dl::make_leaf(1));
+      std::int64_t stride = size[dims - 1];
+      std::int64_t anchor = start[dims - 1];
+      for (int d = dims - 2; d >= 0; --d) {
+        anchor += start[d] * stride;
+        loop = dl::make_vector(sub[d], 1, stride, loop);
+        stride *= size[d];
+      }
+      if (anchor != 0) {
+        const std::int64_t offs[] = {anchor};
+        loop = dl::make_blockindexed(1, 1, offs, loop);
+      }
+      return dl::make_resized(loop, 0, stride);
+    }
+    default: {  // nested: an outer vector or contig of an inner strided type
+      const dl::DataloopPtr inner = random_strided_type(rng, depth + 1);
+      if (inner->extent <= 0) return inner;
+      loop = rng.next_below(2) == 0
+                 ? dl::make_contig(rng.next_range(2, 4), inner)
+                 : dl::make_vector(rng.next_range(2, 4), 1,
+                                   inner->extent + rng.next_range(0, 64),
+                                   inner);
+      break;
+    }
+  }
+  switch (rng.next_below(3)) {
+    case 0:  // instances touch: the next one's first row ends this one's last
+      return dl::make_resized(loop, loop->lb, loop->data_ub - loop->data_lb);
+    case 1:
+      return dl::make_resized(loop, loop->lb,
+                              loop->extent + rng.next_range(1, 200));
+    default:
+      return loop;
+  }
+}
+
+struct Piece {
+  int server;
+  Region phys;
+  std::int64_t stream_pos;
+  bool operator==(const Piece&) const = default;
+};
+
+TEST(Layout, LeadingRegionsMatchIntersectsServer) {
+  Rng rng(8088);
+  std::int64_t long_answers = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const int total = static_cast<int>(rng.next_range(1, 16));
+    const FileLayout layout(static_cast<int>(rng.next_range(1, total)),
+                            rng.next_range(1, 300),
+                            static_cast<int>(rng.next_range(0, total - 1)),
+                            total);
+    const std::int64_t length = rng.next_range(1, 400);
+    const RegionRun run{rng.next_range(0, 5000), length, rng.next_range(1, 80),
+                        length + rng.next_range(1, rng.next_below(2) == 0
+                                                           ? 40
+                                                           : 4000)};
+    const int server = static_cast<int>(rng.next_range(0, total - 1));
+    for (const bool keep : {true, false}) {
+      std::int64_t want = 0;
+      while (want < run.count &&
+             layout.intersects_server(
+                 Region{run.offset + want * run.stride, run.length}, server) ==
+                 keep) {
+        ++want;
+      }
+      ASSERT_EQ(layout.leading_regions(run, server, keep), want)
+          << "trial " << trial << " keep " << keep;
+      if (want > 2) ++long_answers;
+    }
+  }
+  EXPECT_GT(long_answers, 1000);
+}
+
+TEST(StridedWalk, MatchesPerRegionWalkOnClientAndServer) {
+  // Random strided types, layouts (1-16 servers, strips smaller than a
+  // row, any start server), windows and seeks. Client: the same pieces,
+  // in the same order, with the same stream positions. Server, for a
+  // random server with pruning on and off, reads and writes with and
+  // without data, direct and piece by piece (cache, recording): the same
+  // pieces, my_pieces, my_bytes, reply bytes, stored bytes, recorded
+  // pieces and cache plan, and the same skip counters.
+  Rng rng(20260);
+  std::int64_t strided_groups = 0;
+  std::int64_t skipped = 0;
+  std::int64_t coalesced = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const dl::DataloopPtr loop = random_strided_type(rng);
+    if (loop->size == 0) continue;
+    const int total = static_cast<int>(rng.next_range(1, 16));
+    // A third of the layouts have strips no longer than a row (<= 48 B).
+    const std::int64_t strip = rng.next_below(3) == 0
+                                   ? rng.next_range(1, 48)
+                                   : rng.next_range(16, 2048);
+    const FileLayout layout(static_cast<int>(rng.next_range(1, total)), strip,
+                            static_cast<int>(rng.next_range(0, total - 1)),
+                            total);
+    const std::int64_t count = rng.next_range(1, 3);
+    const std::int64_t stream = count * loop->size;
+    std::int64_t offset = 0;
+    std::int64_t length = stream;
+    if (rng.next_below(2) == 0) {
+      offset = rng.next_range(0, stream);
+      length = rng.next_range(0, stream - offset);
+    }
+    // Anchor the instances so every byte they can touch is at or past 0.
+    Region whole;
+    ASSERT_TRUE(dl::window_span(*loop, 0, 0, stream, whole));
+    const std::int64_t base = rng.next_range(0, 4000) - std::min<std::int64_t>(
+                                                           whole.offset, 0);
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << "\n" << loop->to_string()
+                 << "base " << base << " count " << count << " window ["
+                 << offset << ", +" << length << ") strip " << strip
+                 << " servers " << layout.num_servers() << "/" << total
+                 << " start " << layout.start_server());
+
+    // Client: per-region oracle against runs mapped a strip at a time.
+    std::vector<Piece> want;
+    {
+      dl::Cursor c(loop, base, count);
+      c.seek(offset);
+      StripMapper mapper(layout);
+      std::int64_t regions = 0;
+      c.process(std::numeric_limits<std::int64_t>::max(), length,
+                [&](std::int64_t off, std::int64_t len) {
+                  ++regions;
+                  mapper.map(Region{off, len},
+                             [&](int srv, Region phys, std::int64_t pos) {
+                               want.push_back({srv, phys, pos});
+                             });
+                });
+      dl::Cursor raw(loop, base, count);
+      raw.seek(offset);
+      const dl::ProcessResult uncoalesced =
+          raw.process(std::numeric_limits<std::int64_t>::max(), length,
+                      [](std::int64_t, std::int64_t) {}, false);
+      if (regions < uncoalesced.regions) ++coalesced;
+    }
+    std::vector<Piece> got;
+    std::int64_t got_pieces = 0;
+    std::vector<RegionRun> runs;
+    {
+      dl::Cursor c(loop, base, count);
+      c.seek(offset);
+      c.set_stream_limit(offset + length);
+      c.process_runs([&](const RegionRun& run) { runs.push_back(run); });
+      StripMapper mapper(layout);
+      for (const RegionRun& run : runs) {
+        mapper.map_run(run, [&](int srv, const RegionRun& phys,
+                                std::int64_t pos, std::int64_t n) {
+          got_pieces += n;
+          if (phys.count > 1) {
+            ++strided_groups;
+            ASSERT_EQ(n, phys.count);
+          } else {
+            ASSERT_EQ(n, 1);  // datatype runs are never back to back
+          }
+          for (std::int64_t k = 0; k < phys.count; ++k) {
+            got.push_back({srv,
+                           Region{phys.offset + k * phys.stride, phys.length},
+                           pos + k * phys.length});
+          }
+        });
+      }
+    }
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(got_pieces, static_cast<std::int64_t>(want.size()));
+
+    // Server.
+    const int me = static_cast<int>(rng.next_range(0, total - 1));
+    Bstream store;
+    const auto prefill = pattern_bytes(
+        static_cast<std::size_t>(std::min<std::int64_t>(
+            layout.max_server_bytes(whole.end() + base) + 64, 1 << 16)),
+        static_cast<std::uint64_t>(trial));
+    store.write(0, prefill);
+    const DataBuffer data = std::make_shared<std::vector<std::uint8_t>>(
+        pattern_bytes(static_cast<std::size_t>(length),
+                      static_cast<std::uint64_t>(trial) + 1));
+    for (const bool prune : {true, false}) {
+      struct Counters {
+        std::int64_t skipped, regions_pruned, bytes_pruned, position;
+        bool operator==(const Counters&) const = default;
+      };
+      const auto walk = [&](bool by_run, bool is_write, bool carry, int mode,
+                            Counters& counters) {
+        return apply_with(
+            layout, me, is_write, carry, mode == 1, mode == 2, store, data,
+            [&](Applier& applier) {
+              const PruneCtx ctx{&layout, me};
+              dl::Cursor c(loop, base, count);
+              c.seek(offset);
+              c.set_stream_limit(offset + length);
+              if (prune) {
+                c.set_filter(prune_span, &ctx, by_run ? prune_run : nullptr);
+              }
+              if (by_run) {
+                c.process_runs(
+                    [&](const RegionRun& run) { applier.apply_run(run); });
+              } else {
+                c.process(std::numeric_limits<std::int64_t>::max(),
+                          std::numeric_limits<std::int64_t>::max(),
+                          [&](std::int64_t off, std::int64_t len) {
+                            applier.apply(Region{off, len});
+                          });
+              }
+              counters = {c.subtrees_skipped(), c.regions_pruned(),
+                          c.bytes_pruned(), c.position()};
+            });
+      };
+      for (const bool is_write : {true, false}) {
+        for (const bool carry : {true, false}) {
+          for (const int mode : {0, 1, 2}) {  // direct, cached, recording
+            SCOPED_TRACE(::testing::Message()
+                         << "server " << me << " prune " << prune << " write "
+                         << is_write << " carry " << carry << " mode "
+                         << mode);
+            Counters want_counters{};
+            Counters got_counters{};
+            const Applied want_applied =
+                walk(false, is_write, carry, mode, want_counters);
+            const Applied got_applied =
+                walk(true, is_write, carry, mode, got_counters);
+            expect_same(got_applied, want_applied);
+            ASSERT_EQ(got_counters, want_counters);
+            skipped += got_counters.skipped;
+          }
+        }
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(strided_groups, 5000);
+  EXPECT_GT(skipped, 5000);
+  EXPECT_GT(coalesced, 50);
 }
 
 // ---- Replay window ---------------------------------------------------------

@@ -733,7 +733,9 @@ TEST_P(RandomChaos, OpsSucceedByteIdenticalOrFailTyped) {
   // Injection totals are probabilistic (a small scenario can draw zero
   // faults), so assert the plan was genuinely in the send path instead.
   EXPECT_EQ(cluster.network().fault_plan(), &plan);
-  if (variant == 4) EXPECT_EQ(cluster.server(1).stats().crashes, 1u);
+  if (variant == 4) {
+    EXPECT_EQ(cluster.server(1).stats().crashes, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, RandomChaos, ::testing::Range(0, 15));
