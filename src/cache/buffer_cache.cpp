@@ -275,6 +275,7 @@ void BlockCache::detect_and_prefetch(std::uint64_t handle,
        k <= config_.readahead_window * std::max<std::int64_t>(1, stream.stride);
        ++k) {
     const std::int64_t start = first_block + k * stream.stride;
+    if (start > last_file_block) break;  // so is every later start
     for (std::int64_t j = 0;
          j < len && issued < config_.readahead_window; ++j) {
       const std::int64_t b = start + j;

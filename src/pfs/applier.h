@@ -87,22 +87,24 @@ struct Applier {
   }
 
   /// Move one physical region's bytes between the store and the request
-  /// or reply.
+  /// or reply. A region past the end of carried write data is skipped; the
+  /// handler refuses the request, as my_bytes then differs from its size.
   void move_bytes(Region phys) {
     if (is_write) {
+      const bool carried = carry_data && request_data;
+      if (carried && phys.length > std::ssize(*request_data) - my_pos) {
+        my_pos += phys.length;
+        return;
+      }
+      const std::span<const std::uint8_t> src =
+          carried ? std::span<const std::uint8_t>(
+                        request_data->data() + my_pos,
+                        static_cast<std::size_t>(phys.length))
+                  : std::span<const std::uint8_t>{};
       if (cache != nullptr) {
-        cache->write(handle, phys.offset, phys.length,
-                     (carry_data && request_data)
-                         ? std::span<const std::uint8_t>(
-                               request_data->data() + my_pos,
-                               static_cast<std::size_t>(phys.length))
-                         : std::span<const std::uint8_t>{},
-                     *plan);
-      } else if (carry_data && request_data) {
-        bstream.write(phys.offset,
-                      std::span<const std::uint8_t>(
-                          request_data->data() + my_pos,
-                          static_cast<std::size_t>(phys.length)));
+        cache->write(handle, phys.offset, phys.length, src, *plan);
+      } else if (carried) {
+        bstream.write(phys.offset, src);
       } else {
         bstream.note_write(phys.offset, phys.length);
       }

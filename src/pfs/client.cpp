@@ -921,13 +921,29 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
 
 // ---- Access-list building ----------------------------------------------------
 
-std::int64_t Client::build_access(const FileLayout& layout,
-                                  std::span<const RegionRun> logical,
+std::int64_t Client::build_access(const Request& prototype,
+                                  const dl::DataloopPtr& filetype,
                                   std::vector<ServerAccess>& out) const {
   assert(out.empty());
   out.resize(static_cast<std::size_t>(config_->num_servers));
+  RegionRun contig;
+  std::vector<RegionRun> walked;
+  std::span<const RegionRun> logical;
+  if (const auto* p = std::get_if<ContigPayload>(&prototype.payload)) {
+    contig = RegionRun{p->offset, p->length, 1};
+    logical = std::span<const RegionRun>(&contig, 1);
+  } else if (const auto* p = std::get_if<ListPayload>(&prototype.payload)) {
+    logical = *p->runs;
+  } else if (const auto& dt = std::get<DatatypePayload>(prototype.payload);
+             dt.stream_length > 0) {  // an empty window maps nothing
+    dl::Cursor cursor(filetype, dt.displacement, dt.count);
+    cursor.seek(dt.stream_offset);
+    cursor.set_stream_limit(dt.stream_offset + dt.stream_length);
+    cursor.process_runs([&](const RegionRun& run) { walked.push_back(run); });
+    logical = walked;  // stream positions run within the window
+  }
   std::int64_t pieces = 0;
-  StripMapper mapper(layout);
+  StripMapper mapper(layout_for(prototype.handle));
   for (const RegionRun& run : logical) {
     mapper.map_run(run, [&](int server, const RegionRun& phys,
                             std::int64_t stream_pos, std::int64_t n) {
@@ -940,126 +956,21 @@ std::int64_t Client::build_access(const FileLayout& layout,
   return pieces;
 }
 
-std::int64_t Client::build_access_datatype(
-    const FileLayout& layout, const dl::DataloopPtr& filetype,
-    std::int64_t displacement, std::int64_t count, std::int64_t stream_offset,
-    std::int64_t stream_length, std::vector<ServerAccess>& out) const {
-  dl::Cursor cursor(filetype, displacement, count);
-  cursor.seek(stream_offset);
-  cursor.set_stream_limit(stream_offset + stream_length);
-  std::vector<RegionRun> runs;
-  cursor.process_runs([&](const RegionRun& run) { runs.push_back(run); });
-  // Stream positions run within the window.
-  return build_access(layout, runs, out);
-}
-
 // ---- Data operations -----------------------------------------------------------
-
-sim::Task<Status> Client::write_contig(std::uint64_t handle,
-                                       std::int64_t offset,
-                                       const std::uint8_t* data,
-                                       std::int64_t length) {
-  ++stats_.io_ops;
-  std::vector<ServerAccess> access;
-  const RegionRun run{offset, length, 1};
-  const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const RegionRun>(&run, 1),
-                   access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kContigWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ContigPayload{offset, length, nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(access)), data,
-                      nullptr, Box<Request>(std::move(prototype)));
-}
-
-sim::Task<Status> Client::read_contig(std::uint64_t handle,
-                                      std::int64_t offset, std::uint8_t* out,
-                                      std::int64_t length) {
-  ++stats_.io_ops;
-  std::vector<ServerAccess> access;
-  const RegionRun run{offset, length, 1};
-  const std::int64_t pieces =
-      build_access(layout_for(handle), std::span<const RegionRun>(&run, 1),
-                   access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kContigRead;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ContigPayload{offset, length, nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(access)),
-                      nullptr, out, Box<Request>(std::move(prototype)));
-}
-
-sim::Task<Status> Client::write_list(std::uint64_t handle, ListRuns runs,
-                                     const std::uint8_t* stream) {
-  return list_op(OpKind::kListWrite, handle, std::move(runs), stream, nullptr);
-}
-
-sim::Task<Status> Client::read_list(std::uint64_t handle, ListRuns runs,
-                                    std::uint8_t* stream) {
-  return list_op(OpKind::kListRead, handle, std::move(runs), nullptr, stream);
-}
-
-sim::Task<Status> Client::write_list(std::uint64_t handle,
-                                     std::span<const Region> regions,
-                                     const std::uint8_t* stream) {
-  return write_list(
-      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
-      stream);
-}
-
-sim::Task<Status> Client::read_list(std::uint64_t handle,
-                                    std::span<const Region> regions,
-                                    std::uint8_t* stream) {
-  return read_list(
-      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
-      stream);
-}
-
-sim::Task<Status> Client::list_op(OpKind op, std::uint64_t handle,
-                                  ListRuns runs,
-                                  const std::uint8_t* write_stream,
-                                  std::uint8_t* read_stream) {
-  ++stats_.io_ops;
-  std::vector<ServerAccess> access;
-  const std::int64_t pieces = build_access(layout_for(handle), *runs, access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = op;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = ListPayload{std::move(runs), nullptr};
-  return run_requests(config_->client.flatten_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(access)),
-                      write_stream, read_stream,
-                      Box<Request>(std::move(prototype)));
-}
 
 namespace {
 
-/// Whether a datatype window's file span lies in [0, INT64_MAX]: the
-/// mapper must never see a negative offset.
-bool datatype_span_fits(const dl::DataloopPtr& filetype,
-                        std::int64_t displacement, std::int64_t stream_offset,
-                        std::int64_t stream_length) {
-  Region span;
-  return stream_length <= 0 ||
-         (filetype->size > 0 &&
-          dl::window_span(*filetype, displacement, stream_offset,
-                          stream_length, span) &&
-          span.offset >= 0);
+/// A data op's request prototype; run_requests stamps the per-server rest.
+template <typename Payload>
+Box<Request> prototype(OpKind op, std::uint64_t handle, bool carry_data,
+                       Payload payload) {
+  Request request;
+  request.op = op;
+  request.handle = handle;
+  request.carry_data = carry_data;
+  request.payload = std::move(payload);
+  return Box<Request>(std::move(request));
 }
-
-sim::Task<Status> rejected(Status status) { co_return status; }
 
 DatatypePayload make_datatype_payload(const dl::DataloopPtr& filetype,
                                       std::int64_t displacement,
@@ -1080,66 +991,97 @@ DatatypePayload make_datatype_payload(const dl::DataloopPtr& filetype,
 
 }  // namespace
 
+sim::Task<Status> Client::write_contig(std::uint64_t handle,
+                                       std::int64_t offset,
+                                       const std::uint8_t* data,
+                                       std::int64_t length) {
+  return run_requests(prototype(OpKind::kContigWrite, handle, transfer_data_,
+                                ContigPayload{offset, length, nullptr}),
+                      {}, data, nullptr);
+}
+
+sim::Task<Status> Client::read_contig(std::uint64_t handle,
+                                      std::int64_t offset, std::uint8_t* out,
+                                      std::int64_t length) {
+  return run_requests(prototype(OpKind::kContigRead, handle, transfer_data_,
+                                ContigPayload{offset, length, nullptr}),
+                      {}, nullptr, out);
+}
+
+sim::Task<Status> Client::write_list(std::uint64_t handle, ListRuns runs,
+                                     const std::uint8_t* stream) {
+  return run_requests(prototype(OpKind::kListWrite, handle, transfer_data_,
+                                ListPayload{std::move(runs), nullptr}),
+                      {}, stream, nullptr);
+}
+
+sim::Task<Status> Client::read_list(std::uint64_t handle, ListRuns runs,
+                                    std::uint8_t* stream) {
+  return run_requests(prototype(OpKind::kListRead, handle, transfer_data_,
+                                ListPayload{std::move(runs), nullptr}),
+                      {}, nullptr, stream);
+}
+
+sim::Task<Status> Client::write_list(std::uint64_t handle,
+                                     std::span<const Region> regions,
+                                     const std::uint8_t* stream) {
+  return write_list(
+      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
+      stream);
+}
+
+sim::Task<Status> Client::read_list(std::uint64_t handle,
+                                    std::span<const Region> regions,
+                                    std::uint8_t* stream) {
+  return read_list(
+      handle, std::make_shared<const std::vector<RegionRun>>(runs_of(regions)),
+      stream);
+}
+
 sim::Task<Status> Client::write_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     const std::uint8_t* stream) {
-  if (!datatype_span_fits(filetype, displacement, stream_offset,
-                          stream_length)) {
-    return rejected(invalid_argument("datatype window file span out of range"));
-  }
-  ++stats_.io_ops;
-  std::vector<ServerAccess> access;
-  const std::int64_t pieces =
-      build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kDatatypeWrite;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = make_datatype_payload(filetype, displacement, count,
-                                            stream_offset, stream_length);
-  return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(access)),
-                      stream, nullptr, Box<Request>(std::move(prototype)));
+  return run_requests(
+      prototype(OpKind::kDatatypeWrite, handle, transfer_data_,
+                make_datatype_payload(filetype, displacement, count,
+                                      stream_offset, stream_length)),
+      Box<dl::DataloopPtr>(filetype), stream, nullptr);
 }
 
 sim::Task<Status> Client::read_datatype(
     std::uint64_t handle, dl::DataloopPtr filetype, std::int64_t displacement,
     std::int64_t count, std::int64_t stream_offset, std::int64_t stream_length,
     std::uint8_t* stream) {
-  if (!datatype_span_fits(filetype, displacement, stream_offset,
-                          stream_length)) {
-    return rejected(invalid_argument("datatype window file span out of range"));
-  }
-  ++stats_.io_ops;
-  std::vector<ServerAccess> access;
-  const std::int64_t pieces =
-      build_access_datatype(layout_for(handle), filetype, displacement, count,
-                            stream_offset, stream_length, access);
-  stats_.regions_client += static_cast<std::uint64_t>(pieces);
-
-  Request prototype;
-  prototype.op = OpKind::kDatatypeRead;
-  prototype.handle = handle;
-  prototype.carry_data = transfer_data_;
-  prototype.payload = make_datatype_payload(filetype, displacement, count,
-                                            stream_offset, stream_length);
-  return run_requests(config_->client.dataloop_cost_per_region * pieces,
-                      Box<std::vector<ServerAccess>>(std::move(access)),
-                      nullptr, stream, Box<Request>(std::move(prototype)));
+  return run_requests(
+      prototype(OpKind::kDatatypeRead, handle, transfer_data_,
+                make_datatype_payload(filetype, displacement, count,
+                                      stream_offset, stream_length)),
+      Box<dl::DataloopPtr>(filetype), nullptr, stream);
 }
 
 // ---- Request fan-out -------------------------------------------------------------
 
-sim::Task<Status> Client::run_requests(
-    SimTime client_cpu_cost, Box<std::vector<ServerAccess>> access_box,
-    const std::uint8_t* write_stream, std::uint8_t* read_stream,
-    Box<Request> prototype_box) {
-  const std::vector<ServerAccess> access = access_box.take();
+sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
+                                       Box<dl::DataloopPtr> filetype_box,
+                                       const std::uint8_t* write_stream,
+                                       std::uint8_t* read_stream) {
   Request prototype = prototype_box.take();
+  const dl::DataloopPtr filetype = filetype_box.take();
+  // The servers' own door check, made before mapping: a request it
+  // refuses is never sent.
+  if (const RequestCheck check = check_request(prototype, filetype.get());
+      !check.ok()) {
+    co_return invalid_argument(check.error);
+  }
+  ++stats_.io_ops;
+  std::vector<ServerAccess> access;
+  const std::int64_t pieces = build_access(prototype, filetype, access);
+  stats_.regions_client += static_cast<std::uint64_t>(pieces);
+  const SimTime client_cpu_cost =
+      (filetype ? config_->client.dataloop_cost_per_region
+                : config_->client.flatten_cost_per_region) *
+      pieces;
   // Carry the file's per-file layout (if any) so every data server can
   // rebuild the striping without consulting a metadata shard.
   stamp_layout(prototype);

@@ -288,23 +288,12 @@ class Client {
     std::int64_t total_bytes = 0;
   };
 
-  /// The client half of job building: map logical region runs (or the
-  /// runs of a dataloop stream window) into per-server access lists using
-  /// the file's layout. Returns pieces walked, counted per region.
-  std::int64_t build_access(const FileLayout& layout,
-                            std::span<const RegionRun> logical,
+  /// The client half of job building: map a checked contig, list or
+  /// datatype prototype (`filetype`: a datatype op's dataloop) into
+  /// per-server access lists. Returns pieces walked, counted per region.
+  std::int64_t build_access(const Request& prototype,
+                            const dl::DataloopPtr& filetype,
                             std::vector<ServerAccess>& out) const;
-  std::int64_t build_access_datatype(const FileLayout& layout,
-                                     const dl::DataloopPtr& filetype,
-                                     std::int64_t displacement,
-                                     std::int64_t count,
-                                     std::int64_t stream_offset,
-                                     std::int64_t stream_length,
-                                     std::vector<ServerAccess>& out) const;
-  /// write_list/read_list once the runs are shared.
-  sim::Task<Status> list_op(OpKind op, std::uint64_t handle, ListRuns runs,
-                            const std::uint8_t* write_stream,
-                            std::uint8_t* read_stream);
 
   sim::Task<MetaResult> meta_op(OpKind op, Box<std::string> path,
                                 std::int64_t size_hint);
@@ -563,15 +552,16 @@ class Client {
   OpTrace begin_op(OpKind op);
   void finish_op(OpKind op, const OpTrace& t);
 
-  /// Issue one data request per involved server (per the access lists) and
-  /// await all replies. For writes, segments `write_stream` per server;
-  /// for reads, scatters reply data back into `read_stream`.
-  /// `client_cpu_cost` is the op-specific processing charge.
-  sim::Task<Status> run_requests(SimTime client_cpu_cost,
-                                 Box<std::vector<ServerAccess>> access_box,
+  /// The body of every contig, list and datatype op: refuse a prototype
+  /// that fails check_request (kInvalidArgument, nothing sent), build the
+  /// access lists, issue one data request per involved server and await
+  /// all replies. For writes, segments `write_stream` per server; for
+  /// reads, scatters reply data back into `read_stream`. `filetype_box`
+  /// holds a datatype op's dataloop (empty for contig and list).
+  sim::Task<Status> run_requests(Box<Request> prototype_box,
+                                 Box<dl::DataloopPtr> filetype_box,
                                  const std::uint8_t* write_stream,
-                                 std::uint8_t* read_stream,
-                                 Box<Request> prototype_box);
+                                 std::uint8_t* read_stream);
 
   [[nodiscard]] std::uint64_t next_reply_tag() noexcept {
     return kTagReplyBase + (static_cast<std::uint64_t>(rank_) << 24) +

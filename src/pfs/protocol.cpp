@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "dataloop/cursor.h"
 #include "sim/mailbox.h"
 
 namespace dtio::pfs {
@@ -62,6 +63,77 @@ std::uint64_t request_descriptor_bytes(const Request& request,
   const std::uint64_t layout_bytes = request.layout_servers > 0 ? 16 : 0;
   return kHeader + layout_bytes +
          std::visit(Visitor{list_bytes_per_region}, request.payload);
+}
+
+namespace {
+
+/// Whether [offset, offset + length) lies in [0, limit) for a non-negative
+/// limit, computed without overflow.
+bool fits(std::int64_t offset, std::int64_t length,
+          std::int64_t limit = kMaxFileBytes) noexcept {
+  return offset >= 0 && length >= 0 && length <= limit - offset;
+}
+
+}  // namespace
+
+RequestCheck check_request(const Request& request,
+                           const dl::Dataloop* loop) noexcept {
+  struct Visitor {
+    const dl::Dataloop* loop;
+    RequestCheck operator()(const ContigPayload& p) const {
+      if (!fits(p.offset, p.length)) {
+        return {0, "contig request window out of range"};
+      }
+      return {p.length, nullptr};
+    }
+    RequestCheck operator()(const ListPayload& p) const {
+      if (!p.runs) return {0, "list request without a region list"};
+      // List I/O carries no strided runs.
+      std::int64_t total = 0;
+      for (const RegionRun& r : *p.runs) {
+        std::int64_t bytes = 0;
+        if (!r.back_to_back() || r.count < 1 ||
+            __builtin_mul_overflow(r.length, r.count, &bytes) ||
+            !fits(r.offset, bytes) || bytes > kMaxFileBytes - total) {
+          return {0, "list request region run out of range"};
+        }
+        total += bytes;
+      }
+      return {total, nullptr};
+    }
+    RequestCheck operator()(const DatatypePayload& p) const {
+      if (loop == nullptr) return {0, "datatype request without a dataloop"};
+      // The window lies in the stream of `count` instances, and the file
+      // bytes its instances can touch lie in the file.
+      std::int64_t stream = 0;
+      if (p.count < 0 ||
+          __builtin_mul_overflow(p.count, loop->size, &stream) ||
+          !fits(p.stream_offset, p.stream_length, stream)) {
+        return {0, "datatype request stream window out of range"};
+      }
+      Region span;
+      if (!dl::window_span(*loop, p.displacement, p.stream_offset,
+                           p.stream_length, span) ||
+          !fits(span.offset, span.length)) {
+        return {0, "datatype request file span out of range"};
+      }
+      return {p.stream_length, nullptr};
+    }
+    RequestCheck operator()(const BatchPayload& p) const {
+      // Sub-op offsets are physical: the server applies them unwalked.
+      for (const BatchSubOp& sub : p.sub_ops) {
+        if (!fits(sub.offset, sub.length) ||
+            (sub.data && std::cmp_not_equal(sub.data->size(), sub.length))) {
+          return {0, "batch sub-op out of range"};
+        }
+      }
+      return {};
+    }
+    // Metadata and resync requests name no file bytes.
+    RequestCheck operator()(const MetaPayload&) const { return {}; }
+    RequestCheck operator()(const ResyncPayload&) const { return {}; }
+  };
+  return std::visit(Visitor{loop}, request.payload);
 }
 
 namespace {

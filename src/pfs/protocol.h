@@ -23,6 +23,9 @@
 
 namespace dtio {
 class Rng;
+namespace dl {
+class Dataloop;
+}  // namespace dl
 namespace sim {
 struct Message;
 }  // namespace sim
@@ -271,6 +274,29 @@ struct Reply {
   /// bytes. Empty for every other op.
   std::vector<ResyncExtent> resync;
 };
+
+/// Largest file, in bytes: 2^62 leaves int64 headroom for the layout's
+/// strip and stripe arithmetic on any byte of a file.
+inline constexpr std::int64_t kMaxFileBytes = std::int64_t{1} << 62;
+
+/// check_request's verdict: the logical bytes a valid request's walk can
+/// cover (the read reply is sized by it), or why the request is invalid.
+struct RequestCheck {
+  std::int64_t window = 0;
+  const char* error = nullptr;  ///< null when the request is valid
+  [[nodiscard]] bool ok() const noexcept { return error == nullptr; }
+};
+
+/// The one validity rule for requests that name file bytes, applied by the
+/// I/O server before dispatch and by the client before it maps an access:
+/// every span (contig; each back-to-back list run and the list total; the
+/// file span of a datatype window of `count` instances of `loop`, the
+/// decoded dataloop, null being invalid; each batch sub-op, whose data is
+/// null or exactly `length` bytes) lies in [0, kMaxFileBytes], computed
+/// without overflow. Other requests pass with window 0. Only a server's
+/// walk knows whether carried write data matches the bytes mapped to it.
+[[nodiscard]] RequestCheck check_request(const Request& request,
+                                         const dl::Dataloop* loop) noexcept;
 
 /// Human-readable operation name ("contig_read", "meta_stat", ...), used
 /// by logging, tracing, and metric labels.

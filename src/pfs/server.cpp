@@ -422,6 +422,24 @@ sim::Task<void> IOServer::handle_resync_pull(Request& request) {
              static_cast<std::uint64_t>(wire_bytes));
 }
 
+namespace {
+
+/// The write payload of a contig, list or datatype request; null for the
+/// payloads without one.
+const DataBuffer* payload_data(const Request& request) {
+  return std::visit(
+      [](const auto& payload) -> const DataBuffer* {
+        if constexpr (requires { payload.data; }) {
+          return &payload.data;
+        } else {
+          return nullptr;
+        }
+      },
+      request.payload);
+}
+
+}  // namespace
+
 bool IOServer::verify_integrity(const Request& request, Reply& reply) {
   auto fail = [&reply](std::string why) {
     reply.ok = false;
@@ -430,15 +448,7 @@ bool IOServer::verify_integrity(const Request& request, Reply& reply) {
     return false;
   };
   if (request.has_payload_crc) {
-    const DataBuffer* data = std::visit(
-        [](const auto& payload) -> const DataBuffer* {
-          if constexpr (requires { payload.data; }) {
-            return &payload.data;
-          } else {
-            return nullptr;
-          }
-        },
-        request.payload);
+    const DataBuffer* data = payload_data(request);
     if (data != nullptr && *data && crc32(**data) != request.payload_crc) {
       return fail("write payload CRC mismatch");
     }
@@ -713,18 +723,28 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
     co_return;
   }
 
+  // The door: one validity check for every request that names file bytes,
+  // before any handler touches a store. A datatype request's dataloop is
+  // obtained first; without one (absent or malformed) the check refuses it.
+  dl::DataloopPtr loop;
+  if (const auto* p = std::get_if<DatatypePayload>(&request.payload)) {
+    loop = co_await request_loop(*p);
+  }
+  const RequestCheck check = check_request(request, loop.get());
+  if (!check.ok()) {
+    reject_invalid(request, check.error);
+    if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
+    co_return;
+  }
+
   switch (request.op) {
     case OpKind::kContigRead:
     case OpKind::kContigWrite:
-      co_await handle_contig(request);
-      break;
     case OpKind::kListRead:
     case OpKind::kListWrite:
-      co_await handle_list(request);
-      break;
     case OpKind::kDatatypeRead:
     case OpKind::kDatatypeWrite:
-      co_await handle_datatype(request);
+      co_await handle_data(request, loop, check.window);
       break;
     case OpKind::kBatchWrite:
       co_await handle_batch(request);
@@ -770,20 +790,7 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
   if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
 }
 
-namespace {
-
-constexpr std::int64_t kMaxOffset = std::numeric_limits<std::int64_t>::max();
-
-/// Whether [offset, offset + length) lies in [0, limit) for a non-negative
-/// limit, computed without overflow.
-bool window_fits(std::int64_t offset, std::int64_t length,
-                 std::int64_t limit) noexcept {
-  return offset >= 0 && length >= 0 && length <= limit - offset;
-}
-
-}  // namespace
-
-/// What a contig, list or datatype request's walk feeds and finish_data
+/// What a contig, list or datatype request's walk feeds and handle_data
 /// reads: the store it acts on, its layout, and the Applier with its
 /// outputs. Replica traffic (replica_of >= 0) acts AS the primary for
 /// clipping and routes bytes to the (handle, primary) replica bstream,
@@ -841,46 +848,6 @@ struct IOServer::DataAccess {
   /// Subtrees a pruned datatype walk skipped, each one intersection probe.
   std::int64_t probes = 0;
 };
-
-sim::Task<void> IOServer::handle_contig(Request& request) {
-  const auto& p = std::get<ContigPayload>(request.payload);
-  if (!window_fits(p.offset, p.length, kMaxOffset)) {
-    reject_invalid(request, "contig request window out of range");
-    co_return;
-  }
-  DataAccess access(*this, request, p.data, p.length);
-  access.applier.apply(Region{p.offset, p.length});
-  co_await finish_data(request, access,
-                       access.is_write ? config_->server.per_region_cost_write
-                                       : config_->server.per_region_cost);
-}
-
-sim::Task<void> IOServer::handle_list(Request& request) {
-  const auto& p = std::get<ListPayload>(request.payload);
-  // Validate every run before touching data: back to back (list I/O
-  // carries no strided runs), a non-negative offset and length, a count
-  // of at least 1, and an end and a list total that fit in int64
-  // (StripMapper computes offset + length * count).
-  if (!p.runs) {
-    reject_invalid(request, "list request without a region list");
-    co_return;
-  }
-  std::int64_t window = 0;
-  for (const RegionRun& r : *p.runs) {
-    if (!r.back_to_back() || r.offset < 0 || r.length < 0 || r.count < 1 ||
-        (r.length > 0 && r.count > (kMaxOffset - r.offset) / r.length) ||
-        r.length * r.count > kMaxOffset - window) {
-      reject_invalid(request, "list request region run out of range");
-      co_return;
-    }
-    window += r.length * r.count;
-  }
-  DataAccess access(*this, request, p.data, window);
-  for (const RegionRun& r : *p.runs) access.applier.apply_run(r);
-  co_await finish_data(request, access,
-                       access.is_write ? config_->server.per_region_cost_write
-                                       : config_->server.per_region_cost);
-}
 
 sim::Task<void> IOServer::handle_batch(Request& request) {
   auto& p = std::get<BatchPayload>(request.payload);
@@ -960,7 +927,7 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
   if (cache != nullptr) cache->maybe_background_flush(plan);
   co_await charge_disk(plan, cache != nullptr ? 0 : applied_bytes);
 
-  // Per-sub-op acks land AFTER the charges, mirroring finish_data:
+  // Per-sub-op acks land AFTER the charges, mirroring handle_data:
   // a crash during the disk charge must not leave acks for lost work.
   for (std::size_t i = 0; i < n; ++i) {
     const BatchSubOp& sub = p.sub_ops[i];
@@ -993,137 +960,133 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
 
 }  // namespace
 
-sim::Task<void> IOServer::handle_datatype(Request& request) {
-  const auto& p = std::get<DatatypePayload>(request.payload);
-  if (!p.encoded_loop) {
-    reject_invalid(request, "datatype request without a dataloop");
-    co_return;
-  }
-
-  // Obtain the dataloop: from the datatype cache when enabled (the paper's
-  // S5 future-work optimisation) or by decoding the shipped bytes — the
-  // only descriptor cost datatype I/O pays per request.
+sim::Task<dl::DataloopPtr> IOServer::request_loop(const DatatypePayload& p) {
+  if (!p.encoded_loop) co_return nullptr;
+  // From the datatype cache when enabled (the paper's S5 future-work
+  // optimisation) or by decoding the shipped bytes — the only descriptor
+  // cost datatype I/O pays per request.
   dl::DataloopPtr loop;
   std::uint64_t cache_key = 0;
   if (config_->server.dataloop_cache) {
     cache_key = fnv1a(*p.encoded_loop);
     const auto it = loop_cache_.find(cache_key);
     if (it != loop_cache_.end()) {
-      loop = it->second.loop;
       // LRU touch: move to the back of the recency list.
       loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
                                it->second.pos);
       ++stats_.dataloop_cache_hits;
+      co_return it->second.loop;
     }
   }
-  if (!loop) {
-    try {
-      loop = dl::decode(*p.encoded_loop);
-    } catch (const std::invalid_argument& e) {
-      reject_invalid(request, std::string("malformed dataloop: ") + e.what());
-      co_return;
-    }
-    ++stats_.dataloops_decoded;
-    if (config_->server.dataloop_cache) ++stats_.dataloop_cache_misses;
-    obs::SpanId decode_span = 0;
-    if (obs_ != nullptr) {
-      decode_span = obs_->spans.begin("dataloop_decode", server_index_,
-                                      sched_->now(), req_span_, req_trace_,
-                                      obs::Phase::kServerDecode);
-      obs_->spans.set_value(decode_span, p.loop_node_count);
-    }
-    co_await sched_->delay(scaled(config_->server.dataloop_decode_cost_per_node *
-                                  p.loop_node_count));
-    if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
-    if (config_->server.dataloop_cache) {
-      loop_cache_order_.push_back(cache_key);
-      loop_cache_.emplace(cache_key,
-                          CachedLoop{loop, std::prev(loop_cache_order_.end())});
-      if (loop_cache_order_.size() > config_->server.dataloop_cache_entries) {
-        loop_cache_.erase(loop_cache_order_.front());
-        loop_cache_order_.pop_front();
-      }
+  try {
+    loop = dl::decode(*p.encoded_loop);
+  } catch (const std::invalid_argument&) {
+    co_return nullptr;  // malformed: the door check refuses the request
+  }
+  ++stats_.dataloops_decoded;
+  if (config_->server.dataloop_cache) ++stats_.dataloop_cache_misses;
+  obs::SpanId decode_span = 0;
+  if (obs_ != nullptr) {
+    decode_span = obs_->spans.begin("dataloop_decode", server_index_,
+                                    sched_->now(), req_span_, req_trace_,
+                                    obs::Phase::kServerDecode);
+    obs_->spans.set_value(decode_span, p.loop_node_count);
+  }
+  co_await sched_->delay(scaled(config_->server.dataloop_decode_cost_per_node *
+                                p.loop_node_count));
+  if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
+  if (config_->server.dataloop_cache) {
+    loop_cache_order_.push_back(cache_key);
+    loop_cache_.emplace(cache_key,
+                        CachedLoop{loop, std::prev(loop_cache_order_.end())});
+    if (loop_cache_order_.size() > config_->server.dataloop_cache_entries) {
+      loop_cache_.erase(loop_cache_order_.front());
+      loop_cache_order_.pop_front();
     }
   }
-  // The window must lie in the count instances' stream, whose size must
-  // itself fit in int64, and the file bytes the window's instances can
-  // touch must lie in [0, INT64_MAX]: the walk must never map a negative
-  // (or overflowing) offset.
-  if (p.count < 0 || (loop->size > 0 && p.count > kMaxOffset / loop->size) ||
-      !window_fits(p.stream_offset, p.stream_length, p.count * loop->size)) {
-    reject_invalid(request, "datatype request stream window out of range");
-    co_return;
-  }
-  Region span;
-  if (!dl::window_span(*loop, p.displacement, p.stream_offset,
-                       p.stream_length, span) ||
-      span.offset < 0) {
-    reject_invalid(request, "datatype request file span out of range");
-    co_return;
-  }
-
-  DataAccess access(*this, request, p.data, p.stream_length);
-
-  // Expand the dataloop over the requested stream window. The sink feeds
-  // runs straight into job/access application — partial processing keeps
-  // intermediate storage bounded (here: zero) — and the Applier maps each
-  // run a strip at a time. With pruned expansion (default), a span filter
-  // makes the cursor skip whole subtrees whose file span misses this
-  // server's strips, and its run companion keeps only the leading rows of
-  // a leaf run that reach them, so the walk is proportional to this
-  // server's data, not the full access; the Applier's own clipping remains
-  // as the correctness backstop. The stream limit bounds the window.
-  dl::Cursor cursor(loop, p.displacement, p.count);
-  cursor.seek(p.stream_offset);
-  cursor.set_stream_limit(p.stream_offset + p.stream_length);
-  struct PruneCtx {
-    const FileLayout* layout;
-    int server;
-  };
-  PruneCtx prune_ctx{&access.layout, access.acting};
-  if (config_->server.pruned_expansion) {
-    cursor.set_filter(
-        [](const void* ctx, std::int64_t lo, std::int64_t hi) {
-          const auto* c = static_cast<const PruneCtx*>(ctx);
-          return c->layout->intersects_server(Region{lo, hi - lo}, c->server);
-        },
-        &prune_ctx,
-        [](const void* ctx, const RegionRun& rows, bool keep) {
-          const auto* c = static_cast<const PruneCtx*>(ctx);
-          return c->layout->leading_regions(rows, c->server, keep);
-        });
-  }
-  cursor.process_runs(
-      [&](const RegionRun& run) { access.applier.apply_run(run); });
-  access.probes = cursor.subtrees_skipped();
-  stats_.subtrees_skipped += static_cast<std::uint64_t>(access.probes);
-  stats_.pieces_pruned += static_cast<std::uint64_t>(cursor.regions_pruned());
-  co_await finish_data(request, access,
-                       access.is_write
-                           ? config_->server.per_dataloop_region_cost_write
-                           : config_->server.per_dataloop_region_cost);
+  co_return loop;
 }
 
-sim::Task<void> IOServer::finish_data(Request& request, DataAccess& access,
-                                      SimTime per_region) {
+sim::Task<void> IOServer::handle_data(Request& request,
+                                      const dl::DataloopPtr& loop,
+                                      std::int64_t window) {
+  const DataBuffer& data = *payload_data(request);
+  DataAccess access(*this, request, data, window);
   Applier& applier = access.applier;
+  const bool is_write = access.is_write;
+  const net::ServerConfig& cfg = config_->server;
+  SimTime per_region = is_write ? cfg.per_region_cost_write
+                                : cfg.per_region_cost;
+  if (const auto* p = std::get_if<ContigPayload>(&request.payload)) {
+    applier.apply(Region{p->offset, p->length});
+  } else if (const auto* p = std::get_if<ListPayload>(&request.payload)) {
+    for (const RegionRun& r : *p->runs) applier.apply_run(r);
+  } else if (const auto& dt = std::get<DatatypePayload>(request.payload);
+             dt.stream_length > 0) {  // an empty window maps nothing
+    // Expand the dataloop over the requested stream window. The sink feeds
+    // runs straight into job/access application — partial processing
+    // keeps intermediate storage bounded (here: zero) — and the Applier
+    // maps each run a strip at a time. With pruned expansion (default), a
+    // span filter makes the cursor skip whole subtrees whose file span
+    // misses this server's strips, and its run companion keeps only the
+    // leading rows of a leaf run that reach them, so the walk is
+    // proportional to this server's data, not the full access; the
+    // Applier's own clipping remains as the correctness backstop. The
+    // stream limit bounds the window.
+    dl::Cursor cursor(loop, dt.displacement, dt.count);
+    cursor.seek(dt.stream_offset);
+    cursor.set_stream_limit(dt.stream_offset + dt.stream_length);
+    struct PruneCtx {
+      const FileLayout* layout;
+      int server;
+    };
+    PruneCtx prune_ctx{&access.layout, access.acting};
+    if (cfg.pruned_expansion) {
+      cursor.set_filter(
+          [](const void* ctx, std::int64_t lo, std::int64_t hi) {
+            const auto* c = static_cast<const PruneCtx*>(ctx);
+            return c->layout->intersects_server(Region{lo, hi - lo},
+                                                c->server);
+          },
+          &prune_ctx,
+          [](const void* ctx, const RegionRun& rows, bool keep) {
+            const auto* c = static_cast<const PruneCtx*>(ctx);
+            return c->layout->leading_regions(rows, c->server, keep);
+          });
+    }
+    cursor.process_runs(
+        [&](const RegionRun& run) { applier.apply_run(run); });
+    access.probes = cursor.subtrees_skipped();
+    stats_.subtrees_skipped += static_cast<std::uint64_t>(access.probes);
+    stats_.pieces_pruned +=
+        static_cast<std::uint64_t>(cursor.regions_pruned());
+    per_region = is_write ? cfg.per_dataloop_region_cost_write
+                          : cfg.per_dataloop_region_cost;
+  }
+
   for (const Region& reg : access.applied) {
     note_strip_writes(request.handle, access.acting, reg.offset, reg.length);
+  }
+  // Carried write data must be exactly the bytes the walk mapped here;
+  // Applier::move_bytes stopped at the payload's end, so a short payload
+  // left only the regions that fit applied.
+  if (is_write && request.carry_data && data &&
+      applier.my_bytes != std::ssize(*data)) {
+    reject_invalid(request, "write data size differs from the mapped bytes");
+    co_return;
   }
   stats_.regions_walked += static_cast<std::uint64_t>(applier.pieces);
   stats_.my_pieces += static_cast<std::uint64_t>(applier.my_pieces);
   co_await charge_regions(applier.pieces, per_region);
   if (access.probes > 0) {
     // Each pruned subtree still costs one span/stripe intersection probe.
-    co_await cpu_.use(scaled(config_->server.subtree_probe_cost *
-                             access.probes));
+    co_await cpu_.use(scaled(cfg.subtree_probe_cost * access.probes));
   }
   if (access.cache != nullptr) {
     access.cache->maybe_background_flush(access.plan);
   }
   co_await charge_disk(access.plan,
                        access.cache != nullptr ? 0 : applier.my_bytes);
-  const bool is_write = access.is_write;
   if (!is_write && !access.visited.empty() &&
       !co_await verify_read_media(request, access.acting, access.target,
                                   access.visited, applier.reply_data)) {

@@ -331,23 +331,21 @@ class IOServer {
   /// cursor, charging the disk, repairing bad strips from peers.
   sim::Task<void> scrub_pass(std::uint64_t my_epoch);
 
-  // The contig, list and datatype handlers each validate their request
-  // and walk its regions into a DataAccess; finish_data does the rest.
-  sim::Task<void> handle_contig(Request& request);
-  sim::Task<void> handle_list(Request& request);
+  /// A datatype request's dataloop: from the datatype cache or decoded,
+  /// with the decode charged; null when absent or malformed.
+  sim::Task<dl::DataloopPtr> request_loop(const DatatypePayload& p);
+  /// A contig, list or datatype request that passed the door check: walk
+  /// it (`loop`: a datatype request's dataloop) into a DataAccess sized by
+  /// `window`, charge, verify read media, then count, ack and reply.
+  sim::Task<void> handle_data(Request& request, const dl::DataloopPtr& loop,
+                              std::int64_t window);
   /// Write-behind flush envelope: many pre-clipped physical sub-writes,
   /// one decode charge, per-sub-op replay/CRC, applied atomically each.
   sim::Task<void> handle_batch(Request& request);
-  sim::Task<void> handle_datatype(Request& request);
   void handle_meta(Request& request, Reply& reply);
 
   /// One data request's target store, layout and Applier (server.cpp).
   struct DataAccess;
-  /// Shared tail of a walked data request: advance strip epochs, charge
-  /// `per_region` CPU per piece walked and the subtree probes, charge the
-  /// disk, verify read media, then count, ack and reply.
-  sim::Task<void> finish_data(Request& request, DataAccess& access,
-                              SimTime per_region);
   /// Answer a malformed data request with kInvalidArgument and count it
   /// in bad_requests.
   void reject_invalid(const Request& request, std::string why);

@@ -615,6 +615,181 @@ TEST(ServerRobustness, DatatypeFileSpanOutOfRangeRejectedThenServed) {
   EXPECT_TRUE(served);
 }
 
+/// Send `boxed` raw from client node `node` to server 0 and await the
+/// reply (claiming its reply tag first, as a requester does).
+Task<pfs::Reply> exchange(net::Network& net, int node,
+                          Box<pfs::Request> boxed) {
+  pfs::Request request = boxed.take();
+  const std::uint64_t tag = request.reply_tag;
+  net.mailbox(node).claim(tag);
+  co_await net.send(node, 0,
+                    sim::Message(node, pfs::kTagRequest, 64,
+                                 std::move(request)));
+  sim::Message msg = *co_await net.mailbox(node).recv(0, tag);
+  net.mailbox(node).retire(tag);
+  co_return msg.take<pfs::Reply>();
+}
+
+/// Send each of `requests` raw to server 0 for a fresh file, then check
+/// that a contig write and read through the client are served normally
+/// (`served`).
+Task<void> send_bad_then_serve(pfs::Client& c, net::Network& net, int node,
+                               std::vector<pfs::Request>& requests,
+                               std::vector<pfs::Reply>& out, bool& served) {
+  pfs::MetaResult f = co_await c.create("/bad");
+  EXPECT_TRUE(f.status.is_ok());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    pfs::Request request = std::move(requests[i]);
+    request.handle = f.handle;
+    if (auto* batch = std::get_if<pfs::BatchPayload>(&request.payload)) {
+      for (pfs::BatchSubOp& sub : batch->sub_ops) sub.handle = f.handle;
+    }
+    request.client_node = node;
+    request.reply_tag = pfs::kTagReplyBase + 990 + i;
+    out.push_back(
+        co_await exchange(net, node, Box<pfs::Request>(std::move(request))));
+  }
+  const std::vector<std::uint8_t> src(32, 7);
+  EXPECT_TRUE((co_await c.write_contig(f.handle, 0, src.data(), 32)).is_ok());
+  std::vector<std::uint8_t> back(32, 0);
+  EXPECT_TRUE((co_await c.read_contig(f.handle, 0, back.data(), 32)).is_ok());
+  served = back == src;
+}
+
+void expect_each_rejected_once(pfs::Cluster& cluster,
+                               const std::vector<pfs::Reply>& replies,
+                               std::size_t sent) {
+  ASSERT_EQ(replies.size(), sent);
+  for (const pfs::Reply& r : replies) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.code, StatusCode::kInvalidArgument) << r.error;
+    EXPECT_EQ(r.bytes, 0);
+  }
+  EXPECT_EQ(cluster.server(0).stats().bad_requests, sent);
+}
+
+TEST(ServerRobustness, BatchSubOpsAreCheckedAtTheDoor) {
+  // Write-behind envelopes carry physical sub-ops the server applies
+  // unwalked: one at offset -100 (it would copy below the bstream's
+  // pages), and one whose data is shorter than its length (the copy would
+  // read past the data). Each envelope is refused whole, counted once.
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  const auto data = std::make_shared<std::vector<std::uint8_t>>(16, 9);
+  std::vector<pfs::Request> bad(2);
+  for (pfs::Request& r : bad) r.op = pfs::OpKind::kBatchWrite;
+  pfs::BatchPayload negative;
+  negative.sub_ops.push_back({.offset = 0, .length = 16, .data = data});
+  negative.sub_ops.push_back({.offset = -100, .length = 16, .data = data});
+  bad[0].payload = std::move(negative);
+  pfs::BatchPayload short_data;
+  short_data.sub_ops.push_back({.offset = 64, .length = 32, .data = data});
+  bad[1].payload = std::move(short_data);
+  std::vector<pfs::Reply> replies;
+  bool served = false;
+  cluster.scheduler().spawn(send_bad_then_serve(
+      *client, cluster.network(), cluster.config().client_node(0), bad,
+      replies, served));
+  cluster.run();
+  expect_each_rejected_once(cluster, replies, 2);
+  EXPECT_EQ(cluster.server(0).stats().bytes_written, 32u);
+  EXPECT_TRUE(served);
+}
+
+TEST(ServerRobustness, WriteDataMustMatchTheMappedBytes) {
+  // Carried write data shorter or longer than the bytes the request maps
+  // to this server (all of them lie in server 0's first strip): a contig
+  // write of 512 bytes carrying 16 (the copy would read past the data),
+  // one of 16 carrying 32, a list write of 128 bytes carrying 100, and
+  // datatype writes of a 32-byte row carrying 40 and 8. Each is answered
+  // kInvalidArgument and counted once; nothing is read past the data.
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  const auto bytes = [](std::size_t n) {
+    return std::make_shared<std::vector<std::uint8_t>>(n, 9);
+  };
+  const auto row = dl::make_contig(32, dl::make_leaf(1));
+  auto encoded = std::make_shared<std::vector<std::uint8_t>>();
+  dl::encode(*row, *encoded);
+  std::vector<pfs::Request> bad(5);
+  bad[0].op = bad[1].op = pfs::OpKind::kContigWrite;
+  bad[0].payload = pfs::ContigPayload{0, 512, bytes(16)};
+  bad[1].payload = pfs::ContigPayload{0, 16, bytes(32)};
+  bad[2].op = pfs::OpKind::kListWrite;
+  bad[2].payload = pfs::ListPayload{
+      std::make_shared<const std::vector<RegionRun>>(
+          std::vector<RegionRun>{{0, 64, 1}, {200, 64, 1}}),
+      bytes(100)};
+  for (int i : {3, 4}) {
+    pfs::DatatypePayload dt;
+    dt.encoded_loop = encoded;
+    dt.loop_node_count = row->node_count();
+    dt.count = 1;
+    dt.stream_length = 32;
+    dt.data = bytes(i == 3 ? 40 : 8);
+    bad[static_cast<std::size_t>(i)].op = pfs::OpKind::kDatatypeWrite;
+    bad[static_cast<std::size_t>(i)].payload = std::move(dt);
+  }
+  std::vector<pfs::Reply> replies;
+  bool served = false;
+  cluster.scheduler().spawn(send_bad_then_serve(
+      *client, cluster.network(), cluster.config().client_node(0), bad,
+      replies, served));
+  cluster.run();
+  expect_each_rejected_once(cluster, replies, bad.size());
+  EXPECT_EQ(cluster.server(0).stats().bytes_written, 32u);
+  EXPECT_TRUE(served);
+}
+
+TEST(ServerRobustness, ClientRefusesOutOfRangeContigAndListOps) {
+  // Offset -2000 at 4 servers and 1 KiB strips lands in strip -2, whose
+  // server index is negative: the client must refuse it before mapping,
+  // as it must a negative length and an end past INT64_MAX. Each op
+  // returns kInvalidArgument and sends nothing.
+  pfs::Cluster cluster(small_config(1));
+  auto client = cluster.make_client(0);
+  std::vector<StatusCode> codes;
+  std::uint64_t sent_before = 0;
+  std::uint64_t sent_after = 0;
+  cluster.scheduler().spawn(
+      [](pfs::Client& c, std::vector<StatusCode>& out, std::uint64_t& before,
+         std::uint64_t& after) -> Task<void> {
+        constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+        pfs::MetaResult f = co_await c.create("/refused");
+        EXPECT_TRUE(f.status.is_ok());
+        std::vector<std::uint8_t> buf(64, 5);
+        const std::vector<Region> negative{{-2000, 16}};
+        const std::vector<Region> past_end{{0, 16}, {kMax - 8, 16}};
+        before = c.stats().requests_sent;
+        out.push_back(
+            (co_await c.write_contig(f.handle, -2000, buf.data(), 16)).code());
+        out.push_back(
+            (co_await c.read_contig(f.handle, -2000, buf.data(), 16)).code());
+        out.push_back(
+            (co_await c.write_contig(f.handle, 0, buf.data(), -16)).code());
+        out.push_back(
+            (co_await c.read_contig(f.handle, kMax - 8, buf.data(), 16))
+                .code());
+        out.push_back(
+            (co_await c.write_list(f.handle, negative, buf.data())).code());
+        out.push_back(
+            (co_await c.read_list(f.handle, negative, buf.data())).code());
+        out.push_back(
+            (co_await c.write_list(f.handle, past_end, buf.data())).code());
+        after = c.stats().requests_sent;
+      }(*client, codes, sent_before, sent_after));
+  cluster.run();
+  ASSERT_EQ(codes.size(), 7u);
+  for (const StatusCode code : codes) {
+    EXPECT_EQ(code, StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(sent_after, sent_before);
+  EXPECT_EQ(client->stats().io_ops, 0u);
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(cluster.server(s).stats().bad_requests, 0u);
+  }
+}
+
 // ---- Utilization report ----------------------------------------------------------------
 
 TEST(Utilization, ReportShowsBusyResources) {

@@ -538,9 +538,8 @@ TEST(Applier, RunsMatchPerRegionApply) {
 //
 // The datatype path walks a dataloop window as cursor runs mapped a strip
 // at a time (client: Cursor::process_runs + StripMapper::map_run, as
-// Client::build_access_datatype does; server: the same with the pruning
-// filter and its run filter, into Applier::apply_run, as
-// IOServer::handle_datatype does). The oracle is the per-region walk it
+// Client::build_access does; server: the same with the pruning filter and
+// its run filter, into Applier::apply_run, as IOServer::handle_data does). The oracle is the per-region walk it
 // replaced: Cursor::process() regions, each mapped with StripMapper::map()
 // (client) or applied with Applier::apply() (server) under the span filter
 // alone.
