@@ -356,6 +356,109 @@ TEST(Replication, SameSeedSameReplicatedChaosRun) {
   EXPECT_GT(quorum_a, 0u);
 }
 
+// ---- Retryable replies on replicated reads ----------------------------------
+//
+// Failover moves a read along the replica ring only when a copy is
+// unreachable. A corrupted reply or a shed is retried at the same replica,
+// under the same budget as an unreplicated read, so replication never
+// turns a retryable reply into a failed read.
+
+struct ReadTally {
+  int ok = 0;
+  int failed = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t data_loss_surfaced = 0;
+};
+
+/// One client writes a three-strip file; then each of `clients` clients
+/// makes `reads` one-strip contig reads of it, round-robin over the strips
+/// (so over every server). Counts how the reads fared.
+ReadTally strip_reads(const net::ClusterConfig& cfg, FaultPlan* plan,
+                      int clients, int reads) {
+  pfs::Cluster cluster(cfg);
+  if (plan != nullptr) cluster.set_fault_plan(plan);
+  std::vector<std::unique_ptr<Client>> owned;
+  for (int rank = 0; rank < clients; ++rank) {
+    owned.push_back(cluster.make_client(rank));
+  }
+  const auto data = pattern_bytes(3 * 1024, 86);
+  std::uint64_t handle = 0;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src,
+         std::uint64_t& h) -> Task<void> {
+        MetaResult f = co_await c.create("/strips");
+        EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+        h = f.handle;
+        Status w = co_await c.write_contig(
+            f.handle, 0, src.data(), static_cast<std::int64_t>(src.size()));
+        EXPECT_TRUE(w.is_ok()) << w.to_string();
+      }(*owned[0], data, handle));
+  cluster.run();
+
+  ReadTally tally;
+  for (int rank = 0; rank < clients; ++rank) {
+    cluster.scheduler().spawn(
+        [](Client& c, std::uint64_t h, int rank, int reads,
+           const std::vector<std::uint8_t>& src,
+           ReadTally& tally) -> Task<void> {
+          std::vector<std::uint8_t> back(1024);
+          for (int i = 0; i < reads; ++i) {
+            const int strip = (rank + i) % 3;
+            Status r = co_await c.read_contig(h, strip * 1024, back.data(),
+                                              1024);
+            if (!r.is_ok()) {
+              ++tally.failed;
+              continue;
+            }
+            ++tally.ok;
+            EXPECT_TRUE(std::equal(back.begin(), back.end(),
+                                   src.begin() + strip * 1024));
+          }
+        }(*owned[static_cast<std::size_t>(rank)], handle, rank, reads, data,
+          tally));
+  }
+  cluster.run();
+  for (const auto& c : owned) {
+    tally.retries += c->rpc_retries();
+    tally.data_loss_surfaced += c->data_loss_surfaced();
+  }
+  return tally;
+}
+
+TEST(Replication, CorruptedReadRepliesRetryAtTheReplica) {
+  auto run = [](int r) {
+    const auto cfg = replicated_config(/*servers=*/3, r);
+    FaultPlan plan(mix_seed(cfg.seed, /*salt=*/0xC0DE));
+    plan.set_default_spec(FaultSpec{.corrupt = 0.05});
+    plan.set_scope_max_node(cfg.num_servers);
+    return strip_reads(cfg, &plan, /*clients=*/1, /*reads=*/300);
+  };
+  const ReadTally one = run(1);
+  const ReadTally two = run(2);
+  EXPECT_EQ(one.ok, 300);
+  EXPECT_GT(one.retries, 0u);
+  // Replication 2 retries the corrupted replies the same way.
+  EXPECT_EQ(two.ok, 300) << two.failed << " reads failed";
+  EXPECT_EQ(two.data_loss_surfaced, 0u);
+  EXPECT_GT(two.retries, 0u);
+}
+
+TEST(Replication, ShedReadsFailNoMoreThanUnreplicated) {
+  auto run = [](int r) {
+    auto cfg = replicated_config(/*servers=*/3, r);
+    cfg.num_clients = 8;
+    cfg.server.max_queue_depth = 1;
+    return strip_reads(cfg, nullptr, /*clients=*/8, /*reads=*/50);
+  };
+  const ReadTally one = run(1);
+  const ReadTally two = run(2);
+  EXPECT_EQ(one.ok + one.failed, 400);
+  EXPECT_EQ(two.ok + two.failed, 400);
+  EXPECT_GT(one.retries, 0u);  // the depth bound did shed
+  EXPECT_LE(two.failed, one.failed)
+      << "replication 1 failed " << one.failed << " of 400 reads";
+}
+
 // ---- Oracle equivalence under crash -----------------------------------------
 //
 // The tentpole acceptance: a randomized typed workload on an r=2/w=2
