@@ -76,8 +76,21 @@ bool fits(std::int64_t offset, std::int64_t length,
 
 }  // namespace
 
-RequestCheck check_request(const Request& request,
-                           const dl::Dataloop* loop) noexcept {
+RequestCheck check_request(const Request& request, const dl::Dataloop* loop,
+                           int num_servers) noexcept {
+  // The servers a request names index the cluster, and the echoed strip
+  // divides every offset; with a stripe of at most kMaxFileBytes / 4, any
+  // file offset plus a few stripes stays in int64.
+  const int servers = request.layout_servers;
+  if (servers != 0 &&
+      (servers < 0 || servers > num_servers || request.layout_strip <= 0 ||
+       request.layout_strip > kMaxFileBytes / 4 / servers ||
+       request.layout_start < 0 || request.layout_start >= num_servers)) {
+    return {0, "request layout out of range"};
+  }
+  if (request.replica_of < -1 || request.replica_of >= num_servers) {
+    return {0, "request replica out of range"};
+  }
   struct Visitor {
     const dl::Dataloop* loop;
     RequestCheck operator()(const ContigPayload& p) const {

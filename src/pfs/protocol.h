@@ -99,7 +99,6 @@ struct ListPayload {
 /// dataloop itself — no region list crosses the wire.
 struct DatatypePayload {
   std::shared_ptr<std::vector<std::uint8_t>> encoded_loop;
-  std::int64_t loop_node_count = 0;  ///< decode cost driver
   std::int64_t displacement = 0;
   std::int64_t count = 0;
   std::int64_t stream_offset = 0;
@@ -287,16 +286,20 @@ struct RequestCheck {
   [[nodiscard]] bool ok() const noexcept { return error == nullptr; }
 };
 
-/// The one validity rule for requests that name file bytes, applied by the
-/// I/O server before dispatch and by the client before it maps an access:
-/// every span (contig; each back-to-back list run and the list total; the
-/// file span of a datatype window of `count` instances of `loop`, the
-/// decoded dataloop, null being invalid; each batch sub-op, whose data is
-/// null or exactly `length` bytes) lies in [0, kMaxFileBytes], computed
-/// without overflow. Other requests pass with window 0. Only a server's
-/// walk knows whether carried write data matches the bytes mapped to it.
+/// The one validity rule for requests, applied by the I/O server before
+/// dispatch and by the client before it maps an access. An echoed layout
+/// stripes 1..num_servers servers from a start in the cluster, with a
+/// strip of at least one byte and a stripe of at most kMaxFileBytes / 4;
+/// replica_of is -1 or a server. Every span (contig; each back-to-back
+/// list run and the list total; the file span of a datatype window of
+/// `count` instances of `loop`, the decoded dataloop, null being invalid;
+/// each batch sub-op, whose data is null or exactly `length` bytes) lies
+/// in [0, kMaxFileBytes], computed without overflow. Other requests pass
+/// with window 0. Only a server's walk knows whether carried write data
+/// matches the bytes mapped to it.
 [[nodiscard]] RequestCheck check_request(const Request& request,
-                                         const dl::Dataloop* loop) noexcept;
+                                         const dl::Dataloop* loop,
+                                         int num_servers) noexcept;
 
 /// Human-readable operation name ("contig_read", "meta_stat", ...), used
 /// by logging, tracing, and metric labels.

@@ -4,8 +4,9 @@
 // and 3-D block datatype accesses, FLASH-shaped list accesses, contiguous
 // accesses and write-behind flushes (kBatchWrite). Each mutant changes a
 // few of a seed's offsets, lengths, counts, displacements, run lists,
-// sub-ops, encoded dataloop bytes or carried data, gets its loop and
-// payload CRCs recomputed so that it reaches the door, and goes raw to
+// sub-ops, encoded dataloop bytes, carried data, echoed per-file layout
+// (servers, strip, start) or replica_of, gets its loop and payload CRCs
+// recomputed so that it reaches the door, and goes raw to
 // one I/O server. The checks:
 //   * a mutant check_request refuses is answered kInvalidArgument;
 //   * a mutant it accepts is served, unless it is a write whose carried
@@ -45,11 +46,12 @@ using sim::Task;
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kMaxValidBytes = 64 * 1024;
 constexpr int kShards = 16;
+constexpr int kServers = 4;
 constexpr int kMutantsPerShard = 6250;
 
 net::ClusterConfig fuzz_config(int variant) {
   net::ClusterConfig cfg;
-  cfg.num_servers = 4;
+  cfg.num_servers = kServers;
   cfg.num_clients = 1;
   cfg.strip_size = 1024;
   switch (variant) {
@@ -321,8 +323,37 @@ void mutate_sub_ops(pfs::BatchPayload& p, Rng& rng) {
   }
 }
 
-/// Mutate one field of `r`'s descriptor or data.
+/// Change the per-file layout `r` echoes or the replica it names: half
+/// the time to a small value around the cluster's, half the time to an
+/// interesting() one.
+void mutate_layout(Request& r, Rng& rng) {
+  const bool near = rng.next_below(2) == 0;
+  const auto pick = [&](std::int64_t lo, std::int64_t hi,
+                        std::int64_t original) {
+    return near ? lo + static_cast<std::int64_t>(rng.next_below(
+                           static_cast<std::uint64_t>(hi - lo + 1)))
+                : interesting(rng, original);
+  };
+  switch (rng.next_below(4)) {
+    case 0:
+      r.layout_servers =
+          static_cast<int>(pick(-1, kServers + 1, r.layout_servers));
+      break;
+    case 1:
+      r.layout_strip = pick(-1, 2048, r.layout_strip);
+      break;
+    case 2:
+      r.layout_start = static_cast<int>(pick(-1, kServers, r.layout_start));
+      break;
+    default:
+      r.replica_of = static_cast<int>(pick(-2, kServers, r.replica_of));
+      break;
+  }
+}
+
+/// Mutate one field of `r`'s layout echo, descriptor or data.
 void mutate_once(Request& r, Rng& rng) {
+  if (rng.next_below(8) == 0) return mutate_layout(r, rng);
   std::vector<std::int64_t*> numbers;
   std::visit(
       [&](auto& p) {
@@ -389,7 +420,7 @@ Verdict judge(const Request& r) {
       }
     }
   }
-  Verdict v{pfs::check_request(r, loop.get())};
+  Verdict v{pfs::check_request(r, loop.get(), kServers)};
   if (!v.check.ok()) return v;
   std::int64_t bytes = v.check.window;
   if (const auto* p = std::get_if<pfs::BatchPayload>(&r.payload)) {
