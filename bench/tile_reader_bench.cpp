@@ -7,11 +7,23 @@
 // Configuration mirrors §4.1/§4.2: 16 I/O servers, 64 KiB strips, 6
 // clients (one process per node), 4 MiB sieve/collective buffers.
 //
-// Flags: --frames=N (default 100), --clients-per... (fixed 6 by geometry),
-// --chaos (fault-injection ablation), --overload (degraded-server
-// tail-latency ablation), --cache (server buffer-cache cold/warm
-// ablation); all off by default so the report JSON is byte-identical to
-// an ablation-free build.
+// Flags (the ablations are off by default, so the report JSON is
+// byte-identical to an ablation-free build):
+//   --frames=N          frames played back (default 100; 6 clients, fixed
+//                       by the wall geometry)
+//   --trace=PATH        Chrome trace of the datatype run
+//   --csv               per-method bandwidth as csv lines on stdout
+//   --chaos             fault-injection ablation
+//   --overload          degraded-server tail-latency ablation and the
+//                       overload convoy
+//   --trace-overload=P  the convoy's Chrome trace (default
+//                       trace_overload.json)
+//   --cache             server buffer-cache cold/warm ablation
+//   --replication       replicated-write and degraded-read ablation
+//   --replication-r=N   its replication factor (default 2)
+//   --media-faults      media-fault ablation (checksums, read repair, scrub)
+//   --media-r=N         its replication factor (default 2)
+//   --json=PATH, --no-obs  report path, or no observability (bench_util.h)
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>

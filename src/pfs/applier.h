@@ -1,5 +1,6 @@
 // Applier: how a server applies one data request's logical regions to its
-// own store, shared by the contiguous, list and datatype handlers.
+// own store (IOServer::handle_data: contig, list and datatype requests),
+// and Store, the one way server code moves bytes in and out of a store.
 #pragma once
 
 #include <cstdint>
@@ -14,25 +15,54 @@
 
 namespace dtio::pfs {
 
-/// Shared region-application state for the three data interfaces: walks
-/// logical regions in stream order, clips them to this server's strips,
-/// and moves bytes between the bstream and the request/reply buffers.
+/// One handle's bytes on this server: through the buffer cache when it is
+/// on (physical offsets are server-local and dense, so cache blocks map
+/// directly onto disk adjacency; `plan` collects the disk work the caller
+/// charges afterwards), else straight to the bstream (the caller charges
+/// the bytes to the disk as direct bytes). Each call is one store access.
+struct Store {
+  cache::BlockCache* cache;  ///< null: the bstream directly
+  cache::AccessPlan& plan;
+  Bstream& bstream;
+  std::uint64_t handle;
+
+  /// Write `phys`; `src` is its phys.length bytes, or empty when the run
+  /// carries no data (timing only).
+  void write(Region phys, std::span<const std::uint8_t> src) const {
+    if (cache != nullptr) {
+      cache->write(handle, phys.offset, phys.length, src, plan);
+    } else if (!src.empty()) {
+      bstream.write(phys.offset, src);
+    } else {
+      bstream.note_write(phys.offset, phys.length);
+    }
+  }
+
+  /// Read `phys` into `out` (phys.length bytes, or empty: timing only).
+  void read(Region phys, std::span<std::uint8_t> out) const {
+    if (cache != nullptr) {
+      // Timing-only reads still walk the cache: residency and readahead
+      // are what the timing model is here to capture.
+      cache->read(handle, phys.offset, phys.length, out, plan);
+    } else if (!out.empty()) {
+      bstream.read(phys.offset, out);
+    }
+  }
+};
+
+/// Walks a data request's logical runs in stream order, clips them to
+/// this server's strips a strip at a time, and moves bytes between the
+/// store and the request/reply buffers: one store access per physical
+/// region of a mapped group (a back-to-back run's regions in one strip
+/// are one region; a strided group's rows are one each).
 struct Applier {
   const FileLayout& layout;
   int my_server;
-  Bstream& bstream;
+  Store store;
   bool is_write;
   bool carry_data;
   const DataBuffer& request_data;  ///< write payload (may be null)
   DataBuffer reply_data;           ///< read gather target (may be null)
-  /// When the buffer cache is on, all bstream traffic routes through it
-  /// (physical offsets are server-local and dense, so cache blocks map
-  /// directly onto disk adjacency); `plan` collects the disk work the
-  /// handler charges afterwards. Null: bytes go straight to the bstream
-  /// and the handler charges them to the disk as direct bytes.
-  cache::BlockCache* cache = nullptr;
-  cache::AccessPlan* plan = nullptr;
-  std::uint64_t handle = 0;
   /// When set (replicated writes), every applied physical region is
   /// recorded so the handler can advance the covered strips' write epochs.
   std::vector<Region>* applied_out = nullptr;
@@ -41,13 +71,6 @@ struct Applier {
   /// can verify the visited pages and re-gather after a repair.
   std::vector<Region>* visited_out = nullptr;
 
-  /// Set when a piece has side effects of its own beyond its bytes: the
-  /// buffer cache's stride detector, the per-write replica strip epochs
-  /// (applied_out), per-piece media verification (visited_out) and media
-  /// fault draws per bstream write. apply_run() then applies a run's
-  /// regions one by one instead of a strip at a time.
-  bool per_piece = false;
-
   /// One mapper per request: consecutive regions mostly share a strip.
   StripMapper mapper{layout};
   std::int64_t my_pos = 0;     ///< bytes of MY data consumed/produced
@@ -55,27 +78,13 @@ struct Applier {
   std::int64_t my_pieces = 0;  ///< pieces on this server
   std::int64_t my_bytes = 0;
 
-  void apply(Region logical) {
-    mapper.map(logical, [&](int server, Region phys, std::int64_t) {
-      take(server, RegionRun{phys.offset, phys.length}, 1);
-    });
-  }
-
+  /// Apply `run` (a contig request is one count-1 run).
   void apply_run(const RegionRun& run) {
-    if (!per_piece) {
-      mapper.map_run(run, [&](int server, const RegionRun& phys, std::int64_t,
-                              std::int64_t n) { take(server, phys, n); });
-      return;
-    }
-    if (run.length <= 0) return;  // empty regions map to no pieces
-    for (std::int64_t i = 0; i < run.count; ++i) {
-      apply(Region{run.offset + i * run.stride, run.length});
-    }
+    mapper.map_run(run, [&](int server, const RegionRun& phys, std::int64_t,
+                            std::int64_t n) { take(server, phys, n); });
   }
 
-  /// Apply the physical regions of `phys`, which stand for `n` pieces
-  /// (phys.count > 1 or n > 1 only when !per_piece: one bstream access per
-  /// region of phys).
+  /// Apply the physical regions of `phys`, which stand for `n` pieces.
   void take(int server, const RegionRun& phys, std::int64_t n) {
     pieces += n;
     if (server != my_server) return;
@@ -96,39 +105,22 @@ struct Applier {
         my_pos += phys.length;
         return;
       }
-      const std::span<const std::uint8_t> src =
-          carried ? std::span<const std::uint8_t>(
-                        request_data->data() + my_pos,
-                        static_cast<std::size_t>(phys.length))
-                  : std::span<const std::uint8_t>{};
-      if (cache != nullptr) {
-        cache->write(handle, phys.offset, phys.length, src, *plan);
-      } else if (carried) {
-        bstream.write(phys.offset, src);
-      } else {
-        bstream.note_write(phys.offset, phys.length);
-      }
+      store.write(phys, carried ? std::span<const std::uint8_t>(
+                                      request_data->data() + my_pos,
+                                      static_cast<std::size_t>(phys.length))
+                                : std::span<const std::uint8_t>{});
       if (applied_out != nullptr) applied_out->push_back(phys);
-    } else if (cache != nullptr) {
+    } else {
       std::span<std::uint8_t> out;
       if (carry_data && reply_data) {
         const std::size_t old = reply_data->size();
         reply_data->resize(old + static_cast<std::size_t>(phys.length));
-        out = std::span<std::uint8_t>(
-            reply_data->data() + old, static_cast<std::size_t>(phys.length));
+        out = std::span<std::uint8_t>(reply_data->data() + old,
+                                      static_cast<std::size_t>(phys.length));
       }
-      // Timing-only reads (empty out) still walk the cache: residency
-      // and readahead are what the timing model is here to capture.
-      cache->read(handle, phys.offset, phys.length, out, *plan);
-    } else if (carry_data && reply_data) {
-      const std::size_t old = reply_data->size();
-      reply_data->resize(old + static_cast<std::size_t>(phys.length));
-      bstream.read(phys.offset,
-                   std::span<std::uint8_t>(reply_data->data() + old,
-                                           static_cast<std::size_t>(
-                                               phys.length)));
+      store.read(phys, out);
+      if (visited_out != nullptr) visited_out->push_back(phys);
     }
-    if (!is_write && visited_out != nullptr) visited_out->push_back(phys);
     my_pos += phys.length;
   }
 };

@@ -16,7 +16,8 @@
 //   * after every shard the same server serves a valid write and read.
 // Valid mutants keep their window (and batch bytes) within 64 KiB: a valid
 // but huge access is a resource question, not a validity one, and with
-// page checksums on a read re-verifies a whole page per piece it visits.
+// page checksums on a read re-verifies a whole page per region it visits
+// (a strided datatype row is a region of its own).
 // Under the sanitizer build, this is the memory-safety proof of the check.
 #include <gtest/gtest.h>
 
@@ -55,14 +56,14 @@ net::ClusterConfig fuzz_config(int variant) {
   cfg.num_clients = 1;
   cfg.strip_size = 1024;
   switch (variant) {
-    case 1:  // buffer cache: every piece goes through BlockCache
+    case 1:  // buffer cache: every store access goes through BlockCache
       cfg.server.cache_block_bytes = 1024;
       cfg.server.cache_capacity_bytes = 64 * 1024;
       break;
     case 2:  // decoded loops come from the datatype cache
       cfg.server.dataloop_cache = true;
       break;
-    case 3:  // page checksums: per-piece application and read verification
+    case 3:  // page checksums: per-write CRCs and read verification
       cfg.server.block_checksums = true;
       break;
     default:
