@@ -18,7 +18,7 @@ Network::Network(sim::Scheduler& sched, int num_nodes, NetConfig config)
     endpoints_.push_back(std::make_unique<Endpoint>(sched));
   }
   if (config_.fabric_bandwidth_bytes_per_s > 0) {
-    fabric_ = std::make_unique<sim::Resource>(sched, 1);
+    fabric_ = std::make_unique<sim::Stage>(sched);
   }
 }
 
@@ -74,7 +74,7 @@ sim::Fire Network::duplicate_send(int src, int dst, Box<sim::Message> boxed) {
 
 sim::Task<void> Network::send_impl(int src, int dst, Box<sim::Message> boxed,
                                    SimTime extra_delay, bool deliver) {
-  sim::Message msg = boxed.take();
+  const sim::Message& msg = boxed.peek();
   const std::uint64_t bytes =
       msg.wire_bytes + config_.per_message_overhead_bytes;
   ++total_messages_;
@@ -93,14 +93,8 @@ sim::Task<void> Network::send_impl(int src, int dst, Box<sim::Message> boxed,
   if (src == dst) {
     // Loopback: no link occupancy, only a small local latency. Fault
     // injection never targets loopback, so extra_delay/deliver are moot.
-    sim::Mailbox* box = &endpoint(dst).mailbox;
-    sched_->schedule_call(
-        sched_->now() + config_.loopback_latency,
-        [this, box, net_span, bytes, m = std::move(msg)]() mutable {
-          inflight_wire_bytes_ -= bytes;
-          if (obs_ != nullptr) obs_->spans.end(net_span, sched_->now());
-          box->deliver(std::move(m));
-        });
+    sched_->start_at(sched_->now() + config_.loopback_latency,
+                     delivery(dst, boxed, net_span, 0, true));
     co_return;
   }
 
@@ -109,57 +103,53 @@ sim::Task<void> Network::send_impl(int src, int dst, Box<sim::Message> boxed,
   sender.tx_bytes += bytes;
   receiver.rx_bytes += bytes;
 
+  // Packets hold the tx link one by one, interleaving with the sender's
+  // other messages. As each leaves, it books the fabric and then, after
+  // the wire latency, dst's rx link. Tx completions pop in (time, seq)
+  // order, which is the order packets reach the fabric; fabric ends
+  // increase, so every rx link is booked in its arrival order too.
   std::uint64_t remaining = bytes;
-  while (true) {
+  SimTime rx_end = 0;
+  do {
     const std::uint64_t pkt = std::min<std::uint64_t>(remaining, config_.mtu);
     remaining -= pkt;
-    const bool last = remaining == 0;
     const SimTime wire_time = transfer_time(pkt, config_.bandwidth_bytes_per_s);
-
     co_await sender.tx.use(wire_time);
-    sched_->start(receive_packet(
-        dst, wire_time,
-        last ? Box<sim::Message>(std::move(msg)) : Box<sim::Message>{},
-        last ? net_span : 0, last ? extra_delay : 0, deliver));
-    if (last) break;
-  }
+    SimTime arrive = sched_->now();
+    if (fabric_) {
+      // The fabric carries the bytes the wire time holds at link rate.
+      const std::uint64_t fabric_bytes = static_cast<std::uint64_t>(
+          static_cast<double>(wire_time) / kSecond *
+          config_.bandwidth_bytes_per_s);
+      arrive = fabric_->reserve(
+          arrive,
+          transfer_time(fabric_bytes, config_.fabric_bandwidth_bytes_per_s));
+    }
+    rx_end = receiver.rx.reserve(arrive + config_.latency, wire_time);
+  } while (remaining > 0);
+  sched_->start_at(rx_end,
+                   delivery(dst, boxed, net_span, extra_delay, deliver));
 }
 
-sim::Fire Network::receive_packet(int dst, SimTime rx_hold,
-                                  Box<sim::Message> boxed,
-                                  std::uint64_t net_span, SimTime extra_delay,
-                                  bool deliver) {
-  // Pipeline stages per packet: (tx already held by the sender) ->
-  // shared fabric -> wire latency -> receiver rx. Stages overlap across
-  // packets, so sustained flows see min(stage bandwidths).
-  if (fabric_) {
-    const std::uint64_t pkt_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(rx_hold) / kSecond *
-        config_.bandwidth_bytes_per_s);
-    co_await fabric_->use(
-        transfer_time(pkt_bytes, config_.fabric_bandwidth_bytes_per_s));
-  }
-  co_await sched_->delay(config_.latency);
-  Endpoint& receiver = endpoint(dst);
-  co_await receiver.rx.use(rx_hold);
-  if (boxed.has_value()) {
-    sim::Message msg = boxed.take();
-    inflight_wire_bytes_ -= msg.wire_bytes + config_.per_message_overhead_bytes;
-    if (!deliver) {
-      // Fault-injected loss: the bytes crossed the wire but the message
-      // never reaches the mailbox. Close the span here and mark the loss
-      // with a "lost" instant under it, so traces show where it happened.
-      if (obs_ != nullptr) {
-        obs_->spans.end(net_span, sched_->now());
-        obs_->spans.instant("lost", dst, sched_->now(), net_span, msg.trace,
-                            static_cast<std::int64_t>(msg.wire_bytes));
-      }
-      co_return;
+sim::Fire Network::delivery(int dst, Box<sim::Message> boxed,
+                            std::uint64_t net_span, SimTime extra_delay,
+                            bool deliver) {
+  sim::Message msg = boxed.take();
+  inflight_wire_bytes_ -= msg.wire_bytes + config_.per_message_overhead_bytes;
+  if (!deliver) {
+    // Fault-injected loss: the bytes crossed the wire but the message
+    // never reaches the mailbox. Close the span here and mark the loss
+    // with a "lost" instant under it, so traces show where it happened.
+    if (obs_ != nullptr) {
+      obs_->spans.end(net_span, sched_->now());
+      obs_->spans.instant("lost", dst, sched_->now(), net_span, msg.trace,
+                          static_cast<std::int64_t>(msg.wire_bytes));
     }
-    if (extra_delay > 0) co_await sched_->delay(extra_delay);
-    if (obs_ != nullptr) obs_->spans.end(net_span, sched_->now());
-    receiver.mailbox.deliver(std::move(msg));
+    co_return;
   }
+  if (extra_delay > 0) co_await sched_->delay(extra_delay);
+  if (obs_ != nullptr) obs_->spans.end(net_span, sched_->now());
+  endpoint(dst).mailbox.deliver(std::move(msg));
 }
 
 }  // namespace dtio::net

@@ -4,7 +4,10 @@
 // Contention is physical: a node's outbound packets serialize on its tx
 // link, inbound packets on its rx link, so N clients writing to one server
 // exhibit incast at the server's rx resource exactly as N TCP flows share
-// a fast-ethernet port.
+// a fast-ethernet port. Each packet holds its tx link as an event; when it
+// leaves, it books the shared fabric and then the receiver's rx link in
+// closed form (sim::Stage), so a message's only other event is its
+// delivery at the last packet's rx end.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +42,7 @@ class Network {
 
   [[nodiscard]] sim::Mailbox& mailbox(int node) { return endpoint(node).mailbox; }
   /// Shared fabric stage, or nullptr when disabled (diagnostics).
-  [[nodiscard]] sim::Resource* fabric() noexcept { return fabric_.get(); }
+  [[nodiscard]] sim::Stage* fabric() noexcept { return fabric_.get(); }
 
   /// Attach a fault-injection plan (nullptr detaches). Not owned. When
   /// detached — the default — the send path pays exactly one pointer test.
@@ -61,7 +64,7 @@ class Network {
   /// once per node, in `registry`.
   void publish_metrics(obs::MetricsRegistry& registry) const;
   [[nodiscard]] sim::Resource& tx_link(int node) { return endpoint(node).tx; }
-  [[nodiscard]] sim::Resource& rx_link(int node) { return endpoint(node).rx; }
+  [[nodiscard]] sim::Stage& rx_link(int node) { return endpoint(node).rx; }
 
   [[nodiscard]] int num_nodes() const noexcept {
     return static_cast<int>(endpoints_.size());
@@ -90,9 +93,9 @@ class Network {
  private:
   struct Endpoint {
     explicit Endpoint(sim::Scheduler& sched)
-        : tx(sched, 1), rx(sched, 1), mailbox(sched) {}
+        : tx(sched, 1), rx(sched), mailbox(sched) {}
     sim::Resource tx;
-    sim::Resource rx;
+    sim::Stage rx;
     sim::Mailbox mailbox;
     std::uint64_t tx_bytes = 0;
     std::uint64_t rx_bytes = 0;
@@ -112,17 +115,17 @@ class Network {
   /// Detached transmission of a fault-injected duplicate copy.
   sim::Fire duplicate_send(int src, int dst, Box<sim::Message> boxed);
 
-  /// Per-packet receive side: latency, rx-link occupancy, then (for the
-  /// final packet of a message, which carries the boxed payload) delivery.
-  /// `net_span` is the in-flight transmission span, closed at delivery.
-  sim::Fire receive_packet(int dst, SimTime rx_hold, Box<sim::Message> boxed,
-                           std::uint64_t net_span, SimTime extra_delay,
-                           bool deliver);
+  /// Hand a message that has arrived at `dst` (started at its last
+  /// packet's rx end, or after the loopback latency) to dst's mailbox,
+  /// `extra_delay` later, or drop it when `deliver` is false. `net_span`
+  /// is the in-flight transmission span, closed here.
+  sim::Fire delivery(int dst, Box<sim::Message> boxed, std::uint64_t net_span,
+                     SimTime extra_delay, bool deliver);
 
   sim::Scheduler* sched_;
   NetConfig config_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  std::unique_ptr<sim::Resource> fabric_;  ///< shared bisection stage (optional)
+  std::unique_ptr<sim::Stage> fabric_;  ///< shared bisection stage (optional)
   FaultPlan* fault_ = nullptr;
   obs::Observability* obs_ = nullptr;
   std::uint64_t total_messages_ = 0;

@@ -1,10 +1,12 @@
 // Fire-and-forget coroutines whose frames self-destroy on completion.
 //
-// The network layer spawns one of these per packet in flight; with
-// millions of packets per run, retaining frames (as Scheduler::spawn does
-// for long-lived processes) would exhaust memory. A Fire frame is owned by
-// nobody: it destroys itself at final_suspend. Exceptions escaping a Fire
-// body are parked in a thread-local slot that Scheduler::run rethrows.
+// The network layer starts one of these per message in flight, its
+// delivery, and servers and clients start them for detached work; with
+// millions of messages per run, retaining frames (as Scheduler::spawn
+// does for long-lived processes) would exhaust memory. A Fire frame is
+// owned by nobody: it destroys itself at final_suspend. Exceptions
+// escaping a Fire body are parked in a thread-local slot that
+// Scheduler::run rethrows.
 #pragma once
 
 #include <coroutine>

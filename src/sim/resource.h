@@ -1,12 +1,18 @@
-// FIFO-fair counted resources: disks, NIC links, server CPUs.
+// FIFO-fair counted resources: disks, NIC tx links, server CPUs, and the
+// closed-form stages of the network (the fabric and each rx link).
 //
 // A Resource with capacity 1 serializes its users in simulated time; the
 // `use(hold)` helper models the common "occupy the device for a duration"
-// pattern (e.g. a 64 KiB packet occupies a link for bytes/bandwidth).
-// use(hold) is a plain awaiter, not a coroutine: every link, fabric, CPU
-// and disk hold would otherwise allocate a frame of its own.
+// pattern (e.g. a 64 KiB packet occupies a tx link for bytes/bandwidth).
+// use(hold) is a plain awaiter, not a coroutine: every link, CPU and disk
+// hold would otherwise allocate a frame of its own.
+//
+// A Stage is a capacity-1 FIFO whose users never wait on the event queue:
+// each books its interval up front (Stage::reserve) and learns its end
+// time at once.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -118,6 +124,60 @@ class Resource {
   std::deque<Waiter> waiters_;
   double busy_integral_ = 0.0;
   SimTime last_change_ = 0;
+};
+
+/// A capacity-1 FIFO stage with fixed holds, charged in closed form.
+/// reserve(arrive, hold) starts at max(arrive, end of the previous
+/// reservation) and returns the end, which is exactly when a Resource
+/// would release a use(hold) awaited at `arrive` if its users arrived in
+/// reservation order. Callers must reserve in arrival order; arrivals may
+/// lie in the future.
+class Stage {
+ public:
+  explicit Stage(Scheduler& sched) : sched_(&sched) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  SimTime reserve(SimTime arrive, SimTime hold) {
+    const SimTime now = sched_->now();
+    assert(arrive >= now && hold >= 0);
+    assert(runs_.empty() || arrive >= runs_.back().start);
+    while (!runs_.empty() && runs_.front().end <= now) {
+      past_busy_ += runs_.front().end - runs_.front().start;
+      runs_.pop_front();
+    }
+    if (!runs_.empty() && arrive <= runs_.back().end) {
+      runs_.back().end += hold;
+    } else {
+      runs_.push_back(Run{arrive, arrive + hold});
+    }
+    return runs_.back().end;
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept { return 1; }
+
+  /// Busy time up to now(), as Resource::busy_integral counts it: booked
+  /// time that still lies in the future does not count yet.
+  [[nodiscard]] double busy_integral() const noexcept {
+    const SimTime now = sched_->now();
+    SimTime busy = past_busy_;
+    for (const Run& r : runs_) {
+      if (r.start >= now) break;
+      busy += std::min(r.end, now) - r.start;
+    }
+    return static_cast<double>(busy);
+  }
+
+ private:
+  /// A maximal busy interval [start, end): back-to-back reservations merge.
+  struct Run {
+    SimTime start;
+    SimTime end;
+  };
+
+  Scheduler* sched_;
+  std::deque<Run> runs_;  ///< booked runs not yet wholly in the past
+  SimTime past_busy_ = 0;  ///< busy time of the runs folded out of runs_
 };
 
 /// RAII-style scoped hold for code with multiple exit paths.

@@ -20,13 +20,21 @@ void Scheduler::push(SimTime t, void* frame, std::uint64_t aux) {
     lane_.push_back(Event{t, next_seq_++, frame, aux});
     return;
   }
-  queue_.push_back(Event{t, next_seq_++, frame, aux});
-  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+  const Event ev{t, next_seq_++, frame, aux};
+  std::size_t i = queue_.size();
+  queue_.push_back(ev);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!earlier(ev, queue_[parent])) break;
+    queue_[i] = queue_[parent];
+    i = parent;
+  }
+  queue_[i] = ev;
 }
 
 Scheduler::Event Scheduler::pop_next() {
   if (lane_head_ < lane_.size() &&
-      (queue_.empty() || EventLater{}(queue_.front(), lane_[lane_head_]))) {
+      (queue_.empty() || earlier(lane_[lane_head_], queue_.front()))) {
     const Event ev = lane_[lane_head_++];
     if (lane_head_ == lane_.size()) {
       lane_.clear();
@@ -34,10 +42,28 @@ Scheduler::Event Scheduler::pop_next() {
     }
     return ev;
   }
-  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
-  const Event ev = queue_.back();
+  const Event top = queue_.front();
+  const Event last = queue_.back();
   queue_.pop_back();
-  return ev;
+  const std::size_t n = queue_.size();
+  if (n == 0) return top;
+  // Sift `last` down from the root: move the earliest child up while it
+  // precedes `last`.
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(queue_[c], queue_[best])) best = c;
+    }
+    if (!earlier(queue_[best], last)) break;
+    queue_[i] = queue_[best];
+    i = best;
+  }
+  queue_[i] = last;
+  return top;
 }
 
 void Scheduler::schedule_at(SimTime t, std::coroutine_handle<> h) {
@@ -82,8 +108,6 @@ void Scheduler::spawn(Task<void> process) {
   processes_.push_back(h);
   schedule_at(now_, h);
 }
-
-void Scheduler::start(Fire fire) { schedule_at(now_, fire.handle()); }
 
 void Scheduler::run() {
   while (!queue_.empty() || lane_head_ < lane_.size()) {

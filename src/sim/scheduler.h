@@ -72,7 +72,9 @@ class Scheduler {
   void spawn(Task<void> process);
 
   /// Start a self-destroying Fire coroutine at the current time.
-  void start(Fire fire);
+  void start(Fire fire) { start_at(now_, fire); }
+  /// Start a self-destroying Fire coroutine at absolute time `t` (>= now).
+  void start_at(SimTime t, Fire fire) { schedule_at(t, fire.handle()); }
 
   /// Process events until the queue is empty, then rethrow the first
   /// exception that escaped any spawned process.
@@ -98,12 +100,11 @@ class Scheduler {
     std::uint64_t aux;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  /// (time, seq) order. Keys are unique, so any heap pops the same order.
+  static bool earlier(const Event& a, const Event& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   struct TelemetryEvent {
     SimTime time;
@@ -128,7 +129,10 @@ class Scheduler {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
-  std::vector<Event> queue_;  ///< binary heap under EventLater
+  /// 4-ary min-heap under earlier(): the children of slot i are slots
+  /// 4i+1 .. 4i+4. Half the depth of a binary heap, and a node's four
+  /// children span two cache lines.
+  std::vector<Event> queue_;
   /// Same-time lane: events pushed for time now_, in push (so seq) order.
   /// Every heap event at now_ was pushed before now_ was reached, so it
   /// precedes the whole lane; the lane drains before the clock moves.

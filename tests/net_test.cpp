@@ -1,13 +1,21 @@
 // Unit tests for the simulated interconnect: transfer timing, packet
-// pipelining, link contention, loopback, and byte accounting.
+// pipelining, link contention, loopback, byte accounting, and the
+// closed-form fabric and rx stages against a per-packet event pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/box.h"
+#include "common/rng.h"
 #include "common/units.h"
+#include "net/fault.h"
 #include "net/network.h"
+#include "sim/resource.h"
 #include "sim/scheduler.h"
 
 namespace dtio::net {
@@ -220,6 +228,321 @@ TEST(Network, FabricIdleForLoopback) {
   sched.run();
   ASSERT_NE(net.fabric(), nullptr);
   EXPECT_DOUBLE_EQ(net.fabric()->busy_integral(), 0.0);
+}
+
+TEST(Network, UncontendedMessageCostsOneEventPerPacketPlusDelivery) {
+  // 3 packets through tx, fabric and rx: the sender process's start, one
+  // event per tx hold and one delivery. The fabric and rx stages are
+  // booked in closed form and add none.
+  Scheduler sched;
+  NetConfig cfg = simple_config();
+  cfg.fabric_bandwidth_bytes_per_s = 2e6;
+  Network net(sched, 2, cfg);
+  sched.spawn([](Scheduler&, Network& n) -> Task<void> {
+    co_await n.send(0, 1, Message(kAnySource, 1, 3000, 0));
+  }(sched, net));
+  sched.run();
+  EXPECT_EQ(sched.events_processed(), 1u + 3u + 1u);
+  EXPECT_EQ(net.mailbox(1).queued(), 1u);
+  // tx ends at 3000 us; the last packet's fabric hold (500 us) and
+  // latency take it to rx at 3600 us, where it holds 1000 us.
+  EXPECT_EQ(sched.now(), 4600 * kMicrosecond);
+}
+
+TEST(Network, BusyIntegralCountsOnlyElapsedBookedTime) {
+  // 3 x 1000 B at 1 byte/us on every link and the fabric: tx holds
+  // [0,1), [1,2), [2,3) ms; the fabric is booked [1,2), [2,3), [3,4) ms as
+  // each packet leaves and rx [2.1,3.1), [3.1,4.1), [4.1,5.1) ms, well
+  // before those times come. Reads in between count elapsed busy time only.
+  Scheduler sched;
+  NetConfig cfg = simple_config();
+  cfg.fabric_bandwidth_bytes_per_s = 1e6;
+  Network net(sched, 2, cfg);
+  std::vector<std::pair<double, double>> reads;  // (fabric, rx) per probe
+  sched.spawn([](Scheduler&, Network& n) -> Task<void> {
+    co_await n.send(0, 1, Message(kAnySource, 1, 3000, 0));
+  }(sched, net));
+  for (SimTime t : {1500, 2600, 4600, 5000}) {
+    sched.schedule_telemetry(t * kMicrosecond, [&net, &reads] {
+      reads.emplace_back(net.fabric()->busy_integral(),
+                         net.rx_link(1).busy_integral());
+    });
+  }
+  sched.run();
+  const double us = static_cast<double>(kMicrosecond);
+  ASSERT_EQ(reads.size(), 4u);
+  EXPECT_EQ(reads[0], std::make_pair(500 * us, 0.0));
+  EXPECT_EQ(reads[1], std::make_pair(1600 * us, 500 * us));
+  EXPECT_EQ(reads[2], std::make_pair(3000 * us, 2500 * us));
+  EXPECT_EQ(reads[3], std::make_pair(3000 * us, 2900 * us));
+  EXPECT_EQ(sched.now(), 5100 * kMicrosecond);
+  EXPECT_EQ(net.rx_link(1).busy_integral(), 3000 * us);
+  EXPECT_EQ(net.rx_link(0).busy_integral(), 0.0);
+}
+
+TEST(Network, StageBooksGapsInTheFuture) {
+  // Arrivals booked ahead of the clock, with an idle gap between them,
+  // count only once the clock passes them.
+  Scheduler sched;
+  sim::Stage stage(sched);
+  EXPECT_EQ(stage.reserve(100, 50), 150);
+  EXPECT_EQ(stage.reserve(120, 50), 200);  // queues behind the first
+  EXPECT_EQ(stage.reserve(300, 10), 310);  // after an idle gap
+  std::vector<double> reads;
+  for (SimTime t : {50, 175, 250, 305, 400}) {
+    sched.schedule_telemetry(
+        t, [&stage, &reads] { reads.push_back(stage.busy_integral()); });
+  }
+  sched.schedule_call(400, [] {});
+  sched.run();
+  EXPECT_EQ(reads, (std::vector<double>{0, 75, 100, 105, 110}));
+}
+
+// ---------------------------------------------------------------------------
+// The closed-form stages against the per-packet pipeline they replace.
+
+// Reference model: every packet is a Fire that holds the shared fabric,
+// waits out the wire latency and then holds the receiver's rx link, each
+// as sim::Resource events; the last packet then delivers the message.
+// Sends, faults, loopback and tx are as in Network.
+class PacketPipeline {
+ public:
+  PacketPipeline(Scheduler& sched, int num_nodes, NetConfig config)
+      : sched_(&sched), config_(config) {
+    for (int i = 0; i < num_nodes; ++i) {
+      tx_.push_back(std::make_unique<sim::Resource>(sched, 1));
+      rx_.push_back(std::make_unique<sim::Resource>(sched, 1));
+      mailboxes_.push_back(std::make_unique<sim::Mailbox>(sched));
+    }
+    if (config_.fabric_bandwidth_bytes_per_s > 0) {
+      fabric_ = std::make_unique<sim::Resource>(sched, 1);
+    }
+  }
+
+  void set_fault_plan(FaultPlan* plan) noexcept { fault_ = plan; }
+  sim::Mailbox& mailbox(int node) { return *mailboxes_[idx(node)]; }
+  sim::Resource& rx_link(int node) { return *rx_[idx(node)]; }
+  sim::Resource* fabric() { return fabric_.get(); }
+
+  Task<void> send(int src, int dst, Message msg) {
+    msg.src = src;
+    SimTime extra_delay = 0;
+    bool deliver = true;
+    if (fault_ != nullptr && src != dst) {
+      FaultPlan::Decision d = fault_->apply(src, dst, sched_->now(), msg);
+      extra_delay = d.extra_delay;
+      deliver = d.deliver;
+      if (d.duplicate_copy.has_value()) {
+        sched_->start(duplicate_send(
+            src, dst, Box<Message>(std::move(*d.duplicate_copy))));
+      }
+    }
+    return send_impl(src, dst, Box<Message>(std::move(msg)), extra_delay,
+                     deliver);
+  }
+
+ private:
+  static std::size_t idx(int node) { return static_cast<std::size_t>(node); }
+
+  sim::Fire duplicate_send(int src, int dst, Box<Message> boxed) {
+    co_await send_impl(src, dst, boxed, 0, true);
+  }
+
+  Task<void> send_impl(int src, int dst, Box<Message> boxed,
+                       SimTime extra_delay, bool deliver) {
+    Message msg = boxed.take();
+    if (src == dst) {
+      sim::Mailbox* box = &mailbox(dst);
+      sched_->schedule_call(sched_->now() + config_.loopback_latency,
+                            [box, m = std::move(msg)]() mutable {
+                              box->deliver(std::move(m));
+                            });
+      co_return;
+    }
+    std::uint64_t remaining =
+        msg.wire_bytes + config_.per_message_overhead_bytes;
+    while (true) {
+      const std::uint64_t pkt =
+          std::min<std::uint64_t>(remaining, config_.mtu);
+      remaining -= pkt;
+      const bool last = remaining == 0;
+      const SimTime wire_time =
+          transfer_time(pkt, config_.bandwidth_bytes_per_s);
+      co_await tx_[idx(src)]->use(wire_time);
+      sched_->start(receive_packet(
+          dst, wire_time, last ? Box<Message>(std::move(msg)) : Box<Message>{},
+          last ? extra_delay : 0, deliver));
+      if (last) break;
+    }
+  }
+
+  sim::Fire receive_packet(int dst, SimTime rx_hold, Box<Message> boxed,
+                           SimTime extra_delay, bool deliver) {
+    if (fabric_) {
+      const std::uint64_t pkt_bytes = static_cast<std::uint64_t>(
+          static_cast<double>(rx_hold) / kSecond *
+          config_.bandwidth_bytes_per_s);
+      co_await fabric_->use(
+          transfer_time(pkt_bytes, config_.fabric_bandwidth_bytes_per_s));
+    }
+    co_await sched_->delay(config_.latency);
+    co_await rx_link(dst).use(rx_hold);
+    if (!boxed.has_value()) co_return;
+    Message msg = boxed.take();
+    if (!deliver) co_return;
+    if (extra_delay > 0) co_await sched_->delay(extra_delay);
+    mailbox(dst).deliver(std::move(msg));
+  }
+
+  Scheduler* sched_;
+  NetConfig config_;
+  std::vector<std::unique_ptr<sim::Resource>> tx_;
+  std::vector<std::unique_ptr<sim::Resource>> rx_;
+  std::vector<std::unique_ptr<sim::Mailbox>> mailboxes_;
+  std::unique_ptr<sim::Resource> fabric_;
+  FaultPlan* fault_ = nullptr;
+};
+
+struct Arrival {
+  int src;
+  std::uint64_t tag;
+  SimTime at;
+  friend bool operator==(const Arrival&, const Arrival&) = default;
+};
+
+struct PipelineOutcome {
+  std::vector<std::vector<Arrival>> mailboxes;  ///< per node, queue order
+  std::vector<std::vector<double>> probes;  ///< rx busy per node, then fabric
+  std::vector<FaultEvent> faults;
+  SimTime end = 0;
+};
+
+constexpr int kPipelineNodes = 8;
+constexpr int kSendersPerNode = 2;
+constexpr int kMessagesPerSender = 40;
+
+// Every node runs two sender processes. Each sends 40 messages after
+// random gaps (a fifth of them zero): a third to node 0 (incast), one in
+// ten to itself (loopback), the rest anywhere; sizes are empty, below, at
+// and above the MTU. Probes read every rx link and the fabric mid-run.
+template <typename Net>
+PipelineOutcome run_pipeline(std::uint64_t seed, const NetConfig& cfg,
+                             bool faulty) {
+  Scheduler sched;
+  FaultPlan plan(seed);
+  plan.set_log_events(true);
+  FaultSpec spec;
+  spec.drop = 0.1;
+  spec.duplicate = 0.1;
+  spec.delay = 0.2;
+  spec.delay_min = 0;
+  spec.delay_max = 2 * kMillisecond;
+  plan.set_default_spec(spec);
+  Net net(sched, kPipelineNodes, cfg);
+  if (faulty) net.set_fault_plan(&plan);
+
+  for (int node = 0; node < kPipelineNodes; ++node) {
+    for (int proc = 0; proc < kSendersPerNode; ++proc) {
+      const std::uint64_t stream =
+          seed * 1000 + static_cast<std::uint64_t>(node * 10 + proc);
+      sched.spawn([](Scheduler& s, Net& n, const NetConfig& c, int src,
+                     int proc_, std::uint64_t stream_) -> Task<void> {
+        Rng rng(stream_);
+        for (int i = 0; i < kMessagesPerSender; ++i) {
+          if (rng.next_below(5) != 0) {
+            co_await s.delay(static_cast<SimTime>(1 + rng.next_below(400)) *
+                             kMicrosecond);
+          }
+          const std::uint64_t pick = rng.next_below(10);
+          int dst = static_cast<int>(rng.next_below(kPipelineNodes));
+          if (pick < 3) dst = 0;
+          if (pick == 3) dst = src;
+          std::uint64_t bytes = 0;
+          switch (rng.next_below(4)) {
+            case 0:
+              bytes = rng.next_below(c.mtu);
+              break;
+            case 1:
+              bytes = c.mtu - c.per_message_overhead_bytes;
+              break;
+            default:
+              bytes = c.mtu + rng.next_below(3 * c.mtu);
+              break;
+          }
+          const std::uint64_t tag =
+              static_cast<std::uint64_t>((src * 10 + proc_) * 1000 + i);
+          co_await n.send(src, dst, Message(kAnySource, tag, bytes, 0));
+        }
+      }(sched, net, cfg, node, proc, stream));
+    }
+  }
+
+  PipelineOutcome out;
+  for (int k = 1; k <= 400; ++k) {
+    sched.schedule_telemetry(k * 97 * kMicrosecond, [&net, &out] {
+      std::vector<double> row;
+      for (int node = 0; node < kPipelineNodes; ++node) {
+        row.push_back(net.rx_link(node).busy_integral());
+      }
+      if (net.fabric() != nullptr) row.push_back(net.fabric()->busy_integral());
+      out.probes.push_back(std::move(row));
+    });
+  }
+  sched.run();
+  out.end = sched.now();
+  out.faults = plan.events();
+
+  // Drain each mailbox in queue order (a wildcard recv takes the earliest).
+  out.mailboxes.resize(kPipelineNodes);
+  for (int node = 0; node < kPipelineNodes; ++node) {
+    sched.spawn([](Net& n, int node_,
+                   std::vector<Arrival>& got) -> Task<void> {
+      const std::size_t queued = n.mailbox(node_).queued();
+      for (std::size_t i = 0; i < queued; ++i) {
+        Message m = *co_await n.mailbox(node_).recv();
+        got.push_back(Arrival{m.src, m.tag, m.delivered_at});
+      }
+    }(net, node, out.mailboxes[static_cast<std::size_t>(node)]));
+  }
+  sched.run();
+  std::vector<double> final_row;
+  for (int node = 0; node < kPipelineNodes; ++node) {
+    final_row.push_back(net.rx_link(node).busy_integral());
+  }
+  if (net.fabric() != nullptr) final_row.push_back(net.fabric()->busy_integral());
+  out.probes.push_back(std::move(final_row));
+  return out;
+}
+
+TEST(Network, ClosedFormStagesMatchThePerPacketPipeline) {
+  NetConfig cfg;
+  cfg.bandwidth_bytes_per_s = 12.5e6;  // wire times round up to the ns
+  cfg.latency = 30 * kMicrosecond;
+  cfg.mtu = 1500;
+  cfg.per_message_overhead_bytes = 64;
+  for (const double fabric : {0.0, 30e6}) {
+    cfg.fabric_bandwidth_bytes_per_s = fabric;
+    for (const bool faulty : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(testing::Message() << "fabric " << fabric << " faults "
+                                        << faulty << " seed " << seed);
+        const PipelineOutcome want =
+            run_pipeline<PacketPipeline>(seed, cfg, faulty);
+        const PipelineOutcome got = run_pipeline<Network>(seed, cfg, faulty);
+        std::size_t delivered = 0;
+        for (const auto& box : want.mailboxes) delivered += box.size();
+        ASSERT_GT(delivered, 0u);
+        EXPECT_EQ(want.faults.empty(), !faulty);
+        EXPECT_EQ(got.faults, want.faults);
+        EXPECT_EQ(got.end, want.end);
+        for (std::size_t node = 0; node < want.mailboxes.size(); ++node) {
+          EXPECT_EQ(got.mailboxes[node], want.mailboxes[node])
+              << "mailbox " << node;
+        }
+        EXPECT_EQ(got.probes, want.probes);
+      }
+    }
+  }
 }
 
 }  // namespace
