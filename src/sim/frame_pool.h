@@ -1,11 +1,11 @@
 // Recycled coroutine frames.
 //
 // Every Task and Fire frame comes from here. A simulation creates and
-// destroys frames at a high rate (request handlers, per-packet Fire
-// frames, RPC helpers) but from a small set of sizes, so freed frames go
-// onto per-thread free lists by size class (64-byte grain) and the next
-// frame of that class reuses one instead of going through malloc. Frames
-// above the largest class go straight to operator new.
+// destroys frames at a high rate (request handlers, RPC helpers, message
+// deliveries) but from a small set of sizes, so freed frames go onto
+// per-thread free lists by size class (64-byte grain) and the next frame
+// of that class reuses one instead of going through malloc. Frames above
+// the largest class go straight to operator new.
 //
 // Under AddressSanitizer the pool is compiled out and every frame is a
 // plain allocation, so a use of a destroyed frame is still reported
@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
 
 namespace dtio::sim::detail {
 
@@ -32,16 +33,30 @@ inline constexpr bool kFramePoolEnabled = true;
 inline constexpr bool kFramePoolEnabled = true;
 #endif
 
+/// Frees this thread's pooled blocks when the thread exits. Armed by the
+/// first fresh block (FramePool::allocate_fresh), off the allocation fast
+/// path.
+struct FramePoolReaper {
+  FramePoolReaper() = default;
+  FramePoolReaper(const FramePoolReaper&) = delete;
+  FramePoolReaper& operator=(const FramePoolReaper&) = delete;
+  ~FramePoolReaper();
+};
+
 class FramePool {
  public:
   static constexpr std::size_t kGrain = 64;
   static constexpr std::size_t kClasses = 32;  ///< pooled frames < 2 KiB
   static constexpr bool kEnabled = kFramePoolEnabled;
 
-  FramePool() = default;
+  // Trivially destructible on purpose (see t_frame_pool): release()
+  // hands the free blocks back.
+  constexpr FramePool() noexcept = default;
   FramePool(const FramePool&) = delete;
   FramePool& operator=(const FramePool&) = delete;
-  ~FramePool() {
+
+  /// Return every block on the free lists to ::operator delete.
+  void release() noexcept {
     for (Block*& head : free_) {
       while (head != nullptr) {
         Block* next = head->next;
@@ -85,9 +100,10 @@ class FramePool {
   /// (-Wmismatched-new-delete, at -O2) would then flag the promise's
   /// class operator delete that frees the frame as mismatched with it. The
   /// pairing is sound: deallocate() (at once, or through the free list and
-  /// ~FramePool) hands every block back to ::operator delete, so that
-  /// warning is a false positive.
+  /// release()) hands every block back to ::operator delete, so that
+  /// warning is a false positive. Also arms this thread's exit reaper.
   [[gnu::noinline]] static void* allocate_fresh(std::size_t n) {
+    static thread_local FramePoolReaper reaper;
     const std::size_t c = size_class(n);
     return ::operator new(kEnabled && c < kClasses ? c * kGrain : n);
   }
@@ -97,13 +113,17 @@ class FramePool {
   };
   Block* free_[kClasses] = {};
 };
+static_assert(std::is_trivially_destructible_v<FramePool>);
 
-/// This thread's pool. The scheduler is single-threaded; a frame freed on
-/// another thread would simply join that thread's pool.
-inline FramePool& frame_pool() noexcept {
-  static thread_local FramePool pool;
-  return pool;
-}
+/// This thread's pool. Constant-initialised and trivially destructible,
+/// so every frame allocation and free reads it directly, with no TLS
+/// init guard. The scheduler is single-threaded; a frame freed on another
+/// thread would simply join that thread's pool.
+inline constinit thread_local FramePool t_frame_pool;
+
+inline FramePool& frame_pool() noexcept { return t_frame_pool; }
+
+inline FramePoolReaper::~FramePoolReaper() { t_frame_pool.release(); }
 
 /// Base for promise types: routes the frame's allocation through the pool.
 struct PooledFrame {
