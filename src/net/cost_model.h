@@ -80,9 +80,12 @@ struct ServerConfig {
   dtio::SimTime dataloop_decode_cost_per_node = 2 * dtio::kMicrosecond;
 
   /// Server-side datatype cache (the paper's S5 future-work item, after
-  /// the RMA datatype caching of Traff et al.): remember decoded dataloops
-  /// by wire hash and skip the decode on repeated requests -- e.g. the
-  /// tile reader ships the same filetype 100 frames in a row.
+  /// the RMA datatype caching of Traff et al.): a request whose dataloop
+  /// is in the server's decoded-loop table skips the decode charge -- e.g.
+  /// the tile reader ships the same filetype 100 frames in a row. Off,
+  /// every request is charged its decode. The table, bounded by
+  /// dataloop_cache_entries, is kept either way; the knob sets only the
+  /// charge.
   bool dataloop_cache = false;
   std::size_t dataloop_cache_entries = 64;
 

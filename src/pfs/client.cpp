@@ -878,6 +878,7 @@ sim::Task<MetaResult> Client::stat_handle(std::uint64_t handle) {
 
 std::int64_t Client::build_access(const Request& prototype,
                                   const dl::DataloopPtr& filetype,
+                                  bool with_extents,
                                   std::vector<ServerAccess>& out) const {
   assert(out.empty());
   out.resize(static_cast<std::size_t>(config_->num_servers));
@@ -903,7 +904,7 @@ std::int64_t Client::build_access(const Request& prototype,
     mapper.map_run(run, [&](int server, const RegionRun& phys,
                             std::int64_t stream_pos, std::int64_t n) {
       auto& acc = out[static_cast<std::size_t>(server)];
-      acc.extents.push_back({phys, stream_pos, n});
+      if (with_extents) acc.extents.push_back({phys, stream_pos, n});
       acc.total_bytes += phys.length * phys.count;
       pieces += n;
     });
@@ -1032,14 +1033,22 @@ sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
     co_return invalid_argument(check.error);
   }
   ++stats_.io_ops;
+  const bool is_write = is_data_write(prototype.op);
+  // Extents are read only to move bytes (gather, scatter) and by
+  // write-behind (staging, read-overlap checks); a timing-only op without
+  // write-behind needs just the per-server totals.
+  const bool with_extents =
+      write_behind_enabled() ||
+      (transfer_data_ &&
+       (is_write ? write_stream != nullptr : read_stream != nullptr));
   std::vector<ServerAccess> access;
-  const std::int64_t pieces = build_access(prototype, filetype, access);
+  const std::int64_t pieces =
+      build_access(prototype, filetype, with_extents, access);
   stats_.regions_client += static_cast<std::uint64_t>(pieces);
   const SimTime client_cpu_cost =
       (filetype ? config_->client.dataloop_cost_per_region
                 : config_->client.flatten_cost_per_region) *
       pieces;
-  const bool is_write = is_data_write(prototype.op);
 
   std::int64_t total_bytes = 0;
   for (const ServerAccess& acc : access) total_bytes += acc.total_bytes;

@@ -291,9 +291,10 @@ class Client {
 
   /// The client half of job building: map a checked contig, list or
   /// datatype prototype (`filetype`: a datatype op's dataloop) into
-  /// per-server access lists. Returns pieces walked, counted per region.
+  /// per-server access lists, with their extents only if `with_extents`
+  /// (totals always). Returns pieces walked, counted per region.
   std::int64_t build_access(const Request& prototype,
-                            const dl::DataloopPtr& filetype,
+                            const dl::DataloopPtr& filetype, bool with_extents,
                             std::vector<ServerAccess>& out) const;
 
   sim::Task<MetaResult> meta_op(OpKind op, Box<std::string> path,

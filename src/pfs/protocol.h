@@ -105,8 +105,9 @@ struct DatatypePayload {
   std::int64_t stream_length = 0;
   DataBuffer data;
   /// CRC32 of *encoded_loop (0 when unset): verified before decode so a
-  /// corrupted descriptor is rejected instead of poisoning the dataloop
-  /// cache or decoding into a wrong-but-valid access pattern.
+  /// corrupted descriptor is rejected instead of entering the server's
+  /// dataloop table or decoding into a wrong-but-valid access pattern.
+  /// The table also uses it as its hash.
   std::uint32_t loop_crc = 0;
 };
 

@@ -118,11 +118,11 @@ void IOServer::crash() {
   ++stats_.crashes;
   const std::size_t dropped = network_->mailbox(server_index_).clear_queue();
   stats_.crash_discarded += dropped;
-  // Process state dies with the process: decoded-datatype cache and the
+  // Process state dies with the process: decoded-dataloop table and the
   // replay window restart cold. Namespace, bstreams, and the lock table
   // model durable storage and survive.
-  loop_cache_.clear();
-  loop_cache_order_.clear();
+  loops_.clear();
+  loop_index_.clear();
   replay_.clear();
   // Lock state (whole-file and striped alike) is process state too:
   // holders evaporate, and the parked waiters are stashed for
@@ -454,8 +454,8 @@ bool IOServer::verify_integrity(const Request& request, Reply& reply) {
     }
   }
   if (const auto* p = std::get_if<DatatypePayload>(&request.payload)) {
-    // Verified BEFORE the dataloop cache lookup and decode: a corrupted
-    // descriptor must neither poison the cache nor expand into a
+    // Verified BEFORE the dataloop table lookup and decode: a corrupted
+    // descriptor must neither enter the table nor expand into a
     // wrong-but-valid access pattern.
     if (p->loop_crc != 0 && p->encoded_loop &&
         crc32(*p->encoded_loop) != p->loop_crc) {
@@ -931,45 +931,37 @@ sim::Task<void> IOServer::handle_batch(Request& request) {
   send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
 }
 
-namespace {
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 sim::Task<dl::DataloopPtr> IOServer::request_loop(const DatatypePayload& p) {
   if (!p.encoded_loop) co_return nullptr;
-  // From the datatype cache when enabled (the paper's S5 future-work
-  // optimisation) or by decoding the shipped bytes — the only descriptor
-  // cost datatype I/O pays per request.
-  dl::DataloopPtr loop;
-  std::uint64_t cache_key = 0;
-  if (config_->server.dataloop_cache) {
-    cache_key = fnv1a(*p.encoded_loop);
-    const auto it = loop_cache_.find(cache_key);
-    if (it != loop_cache_.end()) {
-      // LRU touch: move to the back of the recency list.
-      loop_cache_order_.splice(loop_cache_order_.end(), loop_cache_order_,
-                               it->second.pos);
-      ++stats_.dataloop_cache_hits;
-      co_return it->second.loop;
-    }
+  const std::vector<std::uint8_t>& bytes = *p.encoded_loop;
+  // verify_integrity already matched a nonzero loop_crc against the bytes.
+  const std::uint32_t crc = p.loop_crc != 0 ? p.loop_crc : crc32(bytes);
+  const DecodedLoop* known = find_loop(crc, bytes);
+  if (known != nullptr && config_->server.dataloop_cache) {
+    // The paper's S5 future-work optimisation: a cached type costs
+    // nothing to reuse.
+    ++stats_.dataloop_cache_hits;
+    co_return known->loop;
   }
-  try {
-    loop = dl::decode(*p.encoded_loop);
-  } catch (const std::invalid_argument&) {
-    co_return nullptr;  // malformed: the door check refuses the request
+  // Decoding the shipped bytes is the only descriptor cost datatype I/O
+  // pays per request. Without the knob every request pays it, though the
+  // host reuses the table's loop.
+  const bool fresh = known == nullptr;
+  dl::DataloopPtr loop;
+  std::int64_t nodes = 0;
+  if (!fresh) {
+    loop = known->loop;
+    nodes = known->nodes;
+  } else {
+    try {
+      loop = dl::decode(bytes);
+    } catch (const std::invalid_argument&) {
+      co_return nullptr;  // malformed: the door check refuses the request
+    }
+    nodes = loop->node_count();
   }
   ++stats_.dataloops_decoded;
   if (config_->server.dataloop_cache) ++stats_.dataloop_cache_misses;
-  const std::int64_t nodes = loop->node_count();
   obs::SpanId decode_span = 0;
   if (obs_ != nullptr) {
     decode_span = obs_->spans.begin("dataloop_decode", server_index_,
@@ -980,16 +972,41 @@ sim::Task<dl::DataloopPtr> IOServer::request_loop(const DatatypePayload& p) {
   co_await sched_->delay(
       scaled(config_->server.dataloop_decode_cost_per_node * nodes));
   if (obs_ != nullptr) obs_->spans.end(decode_span, sched_->now());
-  if (config_->server.dataloop_cache) {
-    loop_cache_order_.push_back(cache_key);
-    loop_cache_.emplace(cache_key,
-                        CachedLoop{loop, std::prev(loop_cache_order_.end())});
-    if (loop_cache_order_.size() > config_->server.dataloop_cache_entries) {
-      loop_cache_.erase(loop_cache_order_.front());
-      loop_cache_order_.pop_front();
+  // Entered only once charged, so with the knob on a request arriving
+  // during this decode misses too.
+  if (fresh) remember_loop(crc, bytes, loop, nodes);
+  co_return loop;
+}
+
+const IOServer::DecodedLoop* IOServer::find_loop(
+    std::uint32_t crc, const std::vector<std::uint8_t>& bytes) {
+  for (auto [it, end] = loop_index_.equal_range(crc); it != end; ++it) {
+    if (it->second->encoded == bytes) {
+      loops_.splice(loops_.begin(), loops_, it->second);  // LRU touch
+      return &loops_.front();
     }
   }
-  co_return loop;
+  return nullptr;
+}
+
+void IOServer::remember_loop(std::uint32_t crc,
+                             const std::vector<std::uint8_t>& bytes,
+                             const dl::DataloopPtr& loop, std::int64_t nodes) {
+  // A concurrent miss may have entered the same bytes meanwhile.
+  if (find_loop(crc, bytes) != nullptr) return;
+  loops_.push_front(DecodedLoop{crc, bytes, loop, nodes});
+  loop_index_.emplace(crc, loops_.begin());
+  while (loops_.size() > config_->server.dataloop_cache_entries) {
+    const auto victim = std::prev(loops_.end());
+    for (auto [it, end] = loop_index_.equal_range(victim->crc); it != end;
+         ++it) {
+      if (it->second == victim) {
+        loop_index_.erase(it);
+        break;
+      }
+    }
+    loops_.pop_back();
+  }
 }
 
 sim::Task<void> IOServer::handle_data(Request& request,

@@ -50,7 +50,7 @@ struct ServerStats {
   std::uint64_t my_pieces = 0;        ///< pieces that landed on this server
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
-  std::uint64_t dataloops_decoded = 0;
+  std::uint64_t dataloops_decoded = 0;     ///< decodes charged
   std::uint64_t dataloop_cache_hits = 0;
   std::uint64_t dataloop_cache_misses = 0;  ///< decodes with the cache on
   std::uint64_t bad_requests = 0;     ///< malformed requests answered with errors
@@ -140,7 +140,7 @@ class IOServer {
   /// Fault injection: crash this server at simulated time `at` and bring
   /// it back `restart_delay` later. A crashed server loses its mailbox
   /// queue and every in-flight request (their replies are suppressed), and
-  /// restarts with caches cold — dataloop cache and replay window empty.
+  /// restarts with caches cold — dataloop table and replay window empty.
   /// Durable state (namespace, bstreams, lock table) survives, modelling
   /// an iod whose storage outlives the process.
   void schedule_crash(SimTime at, SimTime restart_delay);
@@ -331,9 +331,19 @@ class IOServer {
   /// cursor, charging the disk, repairing bad strips from peers.
   sim::Task<void> scrub_pass(std::uint64_t my_epoch);
 
-  /// A datatype request's dataloop: from the datatype cache or decoded,
-  /// with the decode charged; null when absent or malformed.
+  /// A datatype request's dataloop, from the decoded-loop table or
+  /// decoded into it; the decode is charged unless dataloop_cache is on
+  /// and the table hit. Null when absent or malformed.
   sim::Task<dl::DataloopPtr> request_loop(const DatatypePayload& p);
+  struct DecodedLoop;
+  /// The table entry for `bytes` (hash `crc`), touched as most recently
+  /// used; null when absent.
+  const DecodedLoop* find_loop(std::uint32_t crc,
+                               const std::vector<std::uint8_t>& bytes);
+  /// Enter a freshly decoded loop as most recently used (unless present),
+  /// evicting the least recently used past dataloop_cache_entries.
+  void remember_loop(std::uint32_t crc, const std::vector<std::uint8_t>& bytes,
+                     const dl::DataloopPtr& loop, std::int64_t nodes);
   /// A contig, list or datatype request that passed the door check: walk
   /// it (`loop`: a datatype request's dataloop) into a DataAccess sized by
   /// `window`, charge, verify read media, then count, ack and reply.
@@ -505,16 +515,22 @@ class IOServer {
   // (the window is process state, not durable).
   ReplayWindow replay_;
 
-  // Decoded-dataloop cache (enabled by ServerConfig::dataloop_cache),
-  // keyed by a hash of the encoded bytes; bounded true-LRU eviction (a
-  // cache hit moves the entry to the back of the recency list, so a hot
-  // datatype survives a stream of one-shot ones).
-  struct CachedLoop {
+  // Decoded-dataloop table: one per server, keyed by the encoded bytes
+  // (found by their CRC32, confirmed by byte equality), a true LRU bounded
+  // by ServerConfig::dataloop_cache_entries (a hit moves the entry to the
+  // front, so a hot datatype survives a stream of one-shot ones). The host
+  // decodes each descriptor once per server whatever dataloop_cache says;
+  // the knob decides only the simulated charge (see request_loop). Only
+  // bytes that passed the door's CRC and decoded enter it.
+  struct DecodedLoop {
+    std::uint32_t crc = 0;
+    std::vector<std::uint8_t> encoded;
     dl::DataloopPtr loop;
-    std::list<std::uint64_t>::iterator pos;  ///< entry in loop_cache_order_
+    std::int64_t nodes = 0;  ///< loop->node_count(), the decode charge
   };
-  std::unordered_map<std::uint64_t, CachedLoop> loop_cache_;
-  std::list<std::uint64_t> loop_cache_order_;  ///< LRU at front, MRU at back
+  std::list<DecodedLoop> loops_;  ///< MRU at front, LRU at back
+  std::unordered_multimap<std::uint32_t, std::list<DecodedLoop>::iterator>
+      loop_index_;  ///< crc -> entry in loops_
 
   // ---- Metadata shard state (servers with index < meta_shards; at the
   // default of one shard this is the legacy "server 0 is the mds" role).

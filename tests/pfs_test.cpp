@@ -19,12 +19,14 @@
 #include "common/rng.h"
 #include "dataloop/cursor.h"
 #include "dataloop/dataloop.h"
+#include "dataloop/serialize.h"
 #include "cache/buffer_cache.h"
 #include "pfs/applier.h"
 #include "pfs/bstream.h"
 #include "pfs/cluster.h"
 #include "pfs/layout.h"
 #include "pfs/replay_window.h"
+#include "pfs/protocol.h"
 
 namespace dtio::pfs {
 namespace {
@@ -1668,6 +1670,284 @@ TEST(EndToEnd, DataloopCacheEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(finished);
   EXPECT_EQ(cluster.server(0).stats().dataloops_decoded, 3u);
   EXPECT_EQ(cluster.server(0).stats().dataloop_cache_hits, 2u);
+}
+
+
+TEST(EndToEnd, DataloopTableWithTheKnobOffChargesEveryDecode) {
+  // The same A B A C A pattern with the knob off: the host reuses its
+  // decoded loops, but every request is charged a decode, so the counts
+  // and the end time are what decoding every request gives.
+  net::ClusterConfig cfg = small_config(1, 1);
+  cfg.server.dataloop_cache_entries = 2;
+  Cluster cluster(cfg);
+  auto client = cluster.make_client(0);
+  auto type_a = dl::make_vector(4, 8, 32, dl::make_leaf(1));
+  auto type_b = dl::make_vector(2, 16, 64, dl::make_leaf(1));
+  auto type_c = dl::make_vector(8, 4, 16, dl::make_leaf(1));
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](Client& c, dl::DataloopPtr a, dl::DataloopPtr b, dl::DataloopPtr cc,
+         bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/lru_off");
+        EXPECT_TRUE(f.status.is_ok());
+        std::vector<std::uint8_t> buf(64, 0);
+        for (const dl::DataloopPtr& type : {a, b, a, cc, a}) {
+          EXPECT_TRUE((co_await c.read_datatype(f.handle, type, 0, 1, 0,
+                                                type->size, buf.data()))
+                          .is_ok());
+        }
+        done = true;
+      }(*client, type_a, type_b, type_c, finished));
+  cluster.run();
+  EXPECT_TRUE(finished);
+  const ServerStats& stats = cluster.server(0).stats();
+  EXPECT_EQ(stats.dataloops_decoded, 5u);
+  EXPECT_EQ(stats.dataloop_cache_hits, 0u);
+  EXPECT_EQ(stats.dataloop_cache_misses, 0u);
+  // The end time of the code that decoded every request on the host.
+  EXPECT_EQ(cluster.scheduler().now(), 8262894);
+}
+
+TEST(EndToEnd, DataloopTableKeysByTheEncodedBytes) {
+  // Pairs of same-length descriptors read alternately; each read must map
+  // its own type, whatever the knob. The first pair differs in a single
+  // byte. The second differs by the CRC-32 generator polynomial (reflected,
+  // 33 bits) XORed into one offset, so both share one CRC32: only the byte
+  // comparison tells them apart.
+  constexpr std::int64_t kHigh = std::int64_t{3} << 32;
+  constexpr std::int64_t kCrcPoly = 0x1DB710641;
+  const std::vector<std::pair<std::vector<std::int64_t>,
+                              std::vector<std::int64_t>>>
+      pairs{{{0, 40, 96, 120}, {0, 40, 104, 120}},
+            {{0, 100, kHigh}, {0, 100 ^ kCrcPoly, kHigh}}};
+  for (std::size_t pair = 0; pair < pairs.size(); ++pair) {
+    const auto& [offs_a, offs_b] = pairs[pair];
+    const auto type_a = dl::make_blockindexed(
+        static_cast<std::int64_t>(offs_a.size()), 8, offs_a,
+        dl::make_leaf(1));
+    const auto type_b = dl::make_blockindexed(
+        static_cast<std::int64_t>(offs_b.size()), 8, offs_b,
+        dl::make_leaf(1));
+    std::vector<std::uint8_t> enc_a;
+    std::vector<std::uint8_t> enc_b;
+    dl::encode(*type_a, enc_a);
+    dl::encode(*type_b, enc_b);
+    ASSERT_EQ(enc_a.size(), enc_b.size());
+    ASSERT_NE(enc_a, enc_b);
+    if (pair == 0) {
+      std::size_t differing = 0;
+      for (std::size_t i = 0; i < enc_a.size(); ++i) {
+        differing += enc_a[i] != enc_b[i] ? 1 : 0;
+      }
+      ASSERT_EQ(differing, 1u);
+    } else {
+      ASSERT_EQ(crc32(enc_a), crc32(enc_b));
+    }
+    // List reads of the same blocks are the oracle.
+    auto runs_of_offsets = [](const std::vector<std::int64_t>& offs) {
+      auto runs = std::make_shared<std::vector<RegionRun>>();
+      for (const std::int64_t off : offs) runs->push_back(RegionRun{off, 8, 1});
+      return ListRuns(std::move(runs));
+    };
+    for (const bool cache : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pair " << pair << " dataloop_cache " << cache);
+      net::ClusterConfig cfg = small_config(1, 1);
+      cfg.server.dataloop_cache = cache;
+      Cluster cluster(cfg);
+      auto client = cluster.make_client(0);
+      std::vector<std::vector<std::uint8_t>> got;
+      std::vector<std::vector<std::uint8_t>> want;
+      cluster.scheduler().spawn(
+          [](Client& c, std::vector<dl::DataloopPtr> types,
+             std::vector<ListRuns> oracle,
+             std::vector<std::vector<std::uint8_t>>& out,
+             std::vector<std::vector<std::uint8_t>>& expect) -> Task<void> {
+            MetaResult f = co_await c.create("/same_length");
+            const auto src = pattern_bytes(256, 31);
+            EXPECT_TRUE((co_await c.write_contig(f.handle, 0, src.data(), 256))
+                            .is_ok());
+            for (int i = 0; i < 6; ++i) {
+              const dl::DataloopPtr& t = types[static_cast<std::size_t>(i % 2)];
+              std::vector<std::uint8_t> buf(static_cast<std::size_t>(t->size));
+              EXPECT_TRUE((co_await c.read_datatype(f.handle, t, 0, 1, 0,
+                                                    t->size, buf.data()))
+                              .is_ok());
+              out.push_back(std::move(buf));
+            }
+            for (const ListRuns& r : oracle) {
+              std::vector<std::uint8_t> buf(8 * r->size());
+              EXPECT_TRUE(
+                  (co_await c.read_list(f.handle, r, buf.data())).is_ok());
+              expect.push_back(std::move(buf));
+            }
+          }(*client, {type_a, type_b},
+            {runs_of_offsets(offs_a), runs_of_offsets(offs_b)}, got, want));
+      cluster.run();
+      ASSERT_EQ(got.size(), 6u);
+      ASSERT_EQ(want.size(), 2u);
+      EXPECT_NE(want[0], want[1]);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i % 2]) << "read " << i;
+      }
+      const ServerStats& stats = cluster.server(0).stats();
+      EXPECT_EQ(stats.dataloops_decoded, cache ? 2u : 6u);
+      EXPECT_EQ(stats.dataloop_cache_hits, cache ? 4u : 0u);
+    }
+  }
+}
+
+TEST(EndToEnd, DataloopTableIsColdAfterACrash) {
+  // With the knob on, a type decoded before a crash is a miss after the
+  // restart: decoded loops are process state.
+  net::ClusterConfig cfg = small_config(1, 1);
+  cfg.server.dataloop_cache = true;
+  Cluster cluster(cfg);
+  auto client = cluster.make_client(0);
+  cluster.schedule_server_crash(0, kSecond, kMillisecond);
+  auto type = dl::make_vector(4, 8, 32, dl::make_leaf(1));
+  bool finished = false;
+  cluster.scheduler().spawn(
+      [](Client& c, sim::Scheduler& sched, dl::DataloopPtr t,
+         bool& done) -> Task<void> {
+        MetaResult f = co_await c.create("/crash");
+        EXPECT_TRUE(f.status.is_ok());
+        std::vector<std::uint8_t> buf(static_cast<std::size_t>(t->size));
+        EXPECT_TRUE(
+            (co_await c.read_datatype(f.handle, t, 0, 1, 0, t->size, buf.data()))
+                .is_ok());
+        EXPECT_LT(sched.now(), kSecond);
+        co_await sched.delay(2 * kSecond - sched.now());  // past the restart
+        for (int i = 0; i < 2; ++i) {
+          EXPECT_TRUE((co_await c.read_datatype(f.handle, t, 0, 1, 0, t->size,
+                                                buf.data()))
+                          .is_ok());
+        }
+        done = true;
+      }(*client, cluster.scheduler(), type, finished));
+  cluster.run();
+  EXPECT_TRUE(finished);
+  const ServerStats& stats = cluster.server(0).stats();
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.dataloops_decoded, 2u);
+  EXPECT_EQ(stats.dataloop_cache_misses, 2u);
+  EXPECT_EQ(stats.dataloop_cache_hits, 1u);
+}
+
+TEST(EndToEnd, CorruptedDescriptorNeverEntersTheDataloopTable) {
+  // The first datatype request has a byte of its descriptor flipped in
+  // flight, so its loop_crc no longer matches: the server refuses it
+  // before decoding, and the clean retry is the first decode, a miss.
+  net::ClusterConfig cfg = small_config(1, 1);
+  cfg.server.dataloop_cache = true;
+  Cluster cluster(cfg);
+  net::FaultPlan plan(7);
+  plan.set_default_spec({.corrupt = 1.0});
+  cluster.set_fault_plan(&plan);
+  bool corrupted = false;
+  plan.set_corruptor([&corrupted](sim::Message& msg, Rng&) {
+    auto* request = std::any_cast<Request>(&msg.body);
+    if (corrupted || request == nullptr) return false;
+    auto* p = std::get_if<DatatypePayload>(&request->payload);
+    if (p == nullptr) return false;
+    auto bytes = std::make_shared<std::vector<std::uint8_t>>(*p->encoded_loop);
+    bytes->back() ^= 0x01;
+    p->encoded_loop = std::move(bytes);
+    corrupted = true;
+    return true;
+  });
+  auto client = cluster.make_client(0);
+  const auto file = pattern_bytes(128, 41);
+  auto type = dl::make_vector(4, 8, 32, dl::make_leaf(1));
+  std::vector<std::vector<std::uint8_t>> got;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src, dl::DataloopPtr t,
+         std::vector<std::vector<std::uint8_t>>& out) -> Task<void> {
+        MetaResult f = co_await c.create("/bad_loop");
+        EXPECT_TRUE((co_await c.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        for (int i = 0; i < 2; ++i) {
+          std::vector<std::uint8_t> buf(static_cast<std::size_t>(t->size));
+          EXPECT_TRUE((co_await c.read_datatype(f.handle, t, 0, 1, 0, t->size,
+                                                buf.data()))
+                          .is_ok());
+          out.push_back(std::move(buf));
+        }
+      }(*client, file, type, got));
+  cluster.run();
+  EXPECT_TRUE(corrupted);
+  std::vector<std::uint8_t> want(32);
+  for (int k = 0; k < 4; ++k) {
+    std::copy_n(file.begin() + k * 32, 8, want.begin() + k * 8);
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], want);
+  EXPECT_EQ(got[1], want);
+  const ServerStats& stats = cluster.server(0).stats();
+  EXPECT_EQ(stats.crc_rejects, 1u);
+  EXPECT_EQ(stats.dataloops_decoded, 1u);
+  EXPECT_EQ(stats.dataloop_cache_misses, 1u);
+  EXPECT_EQ(stats.dataloop_cache_hits, 1u);
+}
+
+TEST(EndToEnd, TimingOnlyOpsCostWhatDataCarryingOpsCost) {
+  // A timing-only op builds no client extents unless write-behind needs
+  // them; it must still send, count and take exactly what a data-carrying
+  // op does, with write-behind on (staging, read-overlap flushes) and off.
+  auto filetype = dl::make_vector(24, 40, 100, dl::make_leaf(1));
+  auto runs = std::make_shared<const std::vector<RegionRun>>(
+      std::vector<RegionRun>{RegionRun{5000, 300, 7}, RegionRun{3000, 64, 1}});
+  const auto dt_data = pattern_bytes(static_cast<std::size_t>(filetype->size), 51);
+  const auto list_data = pattern_bytes(300 * 7 + 64, 52);
+  for (const bool write_behind : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "write_behind " << write_behind);
+    auto run = [&](bool transfer) {
+      net::ClusterConfig cfg = small_config(4, 1);
+      if (write_behind) cfg.client.write_behind_bytes = 1 << 20;
+      Cluster cluster(cfg);
+      auto client = cluster.make_client(0);
+      client->set_transfer_data(transfer);
+      std::vector<std::vector<std::uint8_t>> back;
+      cluster.scheduler().spawn(
+          [](Client& c, dl::DataloopPtr t, ListRuns r,
+             const std::vector<std::uint8_t>& dt_src,
+             const std::vector<std::uint8_t>& list_src,
+             std::vector<std::vector<std::uint8_t>>& out) -> Task<void> {
+            MetaResult f = co_await c.create("/timing_only");
+            EXPECT_TRUE((co_await c.write_datatype(f.handle, t, 0, 1, 0,
+                                                   t->size, dt_src.data()))
+                            .is_ok());
+            EXPECT_TRUE(
+                (co_await c.write_list(f.handle, r, list_src.data())).is_ok());
+            // Reads overlap the writes, so staged bytes drain first.
+            std::vector<std::uint8_t> dt_back(dt_src.size());
+            EXPECT_TRUE((co_await c.read_datatype(f.handle, t, 0, 1, 0,
+                                                  t->size, dt_back.data()))
+                            .is_ok());
+            std::vector<std::uint8_t> list_back(list_src.size());
+            EXPECT_TRUE(
+                (co_await c.read_list(f.handle, r, list_back.data())).is_ok());
+            EXPECT_TRUE((co_await c.flush_write_behind()).is_ok());
+            out.push_back(std::move(dt_back));
+            out.push_back(std::move(list_back));
+          }(*client, filetype, runs, dt_data, list_data, back));
+      cluster.run();
+      if (transfer) {
+        EXPECT_EQ(back.at(0), dt_data);
+        EXPECT_EQ(back.at(1), list_data);
+      }
+      const IoStats& st = client->stats();
+      return std::vector<std::uint64_t>{
+          st.requests_sent, st.request_bytes, st.regions_client,
+          st.accessed_bytes, client->wb_batches(),
+          static_cast<std::uint64_t>(cluster.scheduler().now())};
+    };
+    const std::vector<std::uint64_t> carrying = run(true);
+    EXPECT_EQ(carrying, run(false));
+    EXPECT_EQ(carrying[4] > 0, write_behind);
+  }
 }
 
 }  // namespace
