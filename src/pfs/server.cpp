@@ -228,6 +228,30 @@ void IOServer::note_strip_writes(std::uint64_t handle, int primary,
   }
 }
 
+bool IOServer::resync_reply_ok(const Reply& reply) const noexcept {
+  const int n = config_->num_servers;
+  const int r = std::min(config_->replication, n);
+  const auto strip_size = static_cast<std::int64_t>(config_->strip_size);
+  for (const ResyncExtent& e : reply.resync) {
+    if (e.primary < 0 || e.primary >= n ||
+        !layout_.holds_replica_of(server_index_, e.primary, r)) {
+      return false;
+    }
+    // offset == strip * strip_size with strip >= 0, and no product a
+    // hostile strip could overflow.
+    if (e.offset < 0 || e.offset % strip_size != 0 ||
+        e.offset / strip_size != e.strip) {
+      return false;
+    }
+    if (e.length < 0 || e.length > strip_size) return false;
+    if (e.data && !e.data->empty() &&
+        e.data->size() != static_cast<std::size_t>(e.length)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 sim::Task<void> IOServer::resync() {
   ++stats_.resyncs;
   const std::uint64_t my_epoch = epoch_;
@@ -289,9 +313,10 @@ sim::Task<void> IOServer::resync() {
       }
       if (!maybe.has_value()) continue;  // pull timed out; retry
       Reply reply = maybe->take<Reply>();
-      if (!reply.ok) {
-        // Peer refused — typically because it is resyncing itself. Give it
-        // one deadline's worth of time and try again.
+      if (!reply.ok || !resync_reply_ok(reply)) {
+        // Peer refused — typically because it is resyncing itself — or
+        // sent extents this server must not apply. Give it one deadline's
+        // worth of time and try again.
         co_await sched_->delay(config_->server.resync_pull_timeout);
         if (crashed_ || epoch_ != my_epoch) {
           if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
@@ -1409,7 +1434,9 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
       if (!maybe.has_value()) continue;  // pull timed out; retry this peer
       Reply reply = maybe->take<Reply>();
-      if (!reply.ok) break;  // peer resyncing — move on to the next peer
+      // Peer resyncing, or extents this server must not apply: move on to
+      // the next peer.
+      if (!reply.ok || !resync_reply_ok(reply)) break;
       for (ResyncExtent& ext : reply.resync) {
         if (!ext.data || ext.data->empty()) continue;
         Bstream& target = ext.primary == server_index_

@@ -276,6 +276,11 @@ class IOServer {
   /// Donor side of resync: answer a peer's kResyncPull with the extents
   /// (and epochs) of every shared strip this server is ahead on.
   sim::Task<void> handle_resync_pull(Request& request);
+  /// May a peer's resync reply be applied? Every extent must name a
+  /// primary this server replicates, cover exactly one strip from its
+  /// start, and carry no data or exactly `length` bytes. Both pullers
+  /// (resync and repair_strips) treat a failing reply as a refusal.
+  [[nodiscard]] bool resync_reply_ok(const Reply& reply) const noexcept;
   /// Advance the per-strip write epochs covered by an applied physical
   /// write region (acting as `primary`). No-op at replication 1.
   void note_strip_writes(std::uint64_t handle, int primary,

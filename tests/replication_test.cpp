@@ -235,6 +235,86 @@ TEST(Replication, ResyncRecoversDirtyWriteBackBytesLostInCrash) {
   EXPECT_EQ(raw, data);
 }
 
+TEST(Replication, ResyncRefusesHostileExtents) {
+  // The resync scenario above, with the first resync reply rewritten in
+  // flight. Each rewrite breaks one rule of an applicable extent; the
+  // puller must treat the whole reply as a refusal and retry, so the
+  // clean second reply restores every byte and nothing lands out of
+  // bounds or in a store for a server that does not exist.
+  enum class Hostile { kNegativeOffset, kBadPrimary, kShortData };
+  for (const Hostile kind : {Hostile::kNegativeOffset, Hostile::kBadPrimary,
+                             Hostile::kShortData}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    auto cfg = replicated_config(/*servers=*/2, /*r=*/2);
+    cfg.server.cache_block_bytes = 256;
+    cfg.server.cache_capacity_bytes = 16 * 256;
+    cfg.server.cache_dirty_watermark = 1.0;
+    pfs::Cluster cluster(cfg);
+    FaultPlan plan(mix_seed(cfg.seed, /*salt=*/0x5E5C));
+    plan.set_default_spec(FaultSpec{.corrupt = 1.0});
+    // After set_fault_plan, which installs the payload bit-flipper: only
+    // the rewrite below corrupts anything.
+    cluster.set_fault_plan(&plan);
+    bool rewritten = false;
+    plan.set_corruptor([&rewritten, kind](sim::Message& msg, Rng&) {
+      auto* reply = std::any_cast<pfs::Reply>(&msg.body);
+      if (rewritten || reply == nullptr || reply->resync.empty()) return false;
+      pfs::ResyncExtent& ext = reply->resync.front();
+      switch (kind) {
+        case Hostile::kNegativeOffset:
+          ext.offset = -16;
+          break;
+        case Hostile::kBadPrimary:
+          ext.primary = -1;
+          break;
+        case Hostile::kShortData:
+          ext.data = std::make_shared<std::vector<std::uint8_t>>(
+              ext.data->begin(), ext.data->begin() + ext.length / 2);
+          break;
+      }
+      rewritten = true;
+      return true;
+    });
+    auto client = cluster.make_client(0);
+    const auto data = pattern_bytes(2048, 85);
+    cluster.schedule_server_crash(/*index=*/0, /*at=*/50 * kMillisecond,
+                                  /*restart_delay=*/10 * kMillisecond);
+
+    std::uint64_t handle = 0;
+    std::vector<std::uint8_t> back(2048, 0xFF);
+    bool finished = false;
+    cluster.scheduler().spawn(
+        [](sim::Scheduler& sched, Client& c,
+           const std::vector<std::uint8_t>& src, std::uint64_t& h,
+           std::vector<std::uint8_t>& out, bool& done) -> Task<void> {
+          MetaResult f = co_await c.create("/hostile");
+          EXPECT_TRUE(f.status.is_ok()) << f.status.to_string();
+          h = f.handle;
+          Status w = co_await c.write_contig(
+              f.handle, 0, src.data(), static_cast<std::int64_t>(src.size()));
+          EXPECT_TRUE(w.is_ok()) << w.to_string();
+          co_await sched.delay(400 * kMillisecond - sched.now());
+          Status r = co_await c.read_contig(
+              f.handle, 0, out.data(), static_cast<std::int64_t>(out.size()));
+          EXPECT_TRUE(r.is_ok()) << r.to_string();
+          done = true;
+        }(cluster.scheduler(), *client, data, handle, back, finished));
+    cluster.run();
+    ASSERT_TRUE(finished);
+    EXPECT_TRUE(rewritten);
+    EXPECT_EQ(back, data);
+    const pfs::ServerStats& s0 = cluster.server(0).stats();
+    EXPECT_EQ(s0.resyncs, 1u);
+    EXPECT_GT(s0.resync_strips_pulled, 0u);
+    EXPECT_EQ(s0.resync_peers_skipped, 0u);
+    // The recovered strip reached server 0's own store, and the bogus
+    // primary got no store of its own.
+    EXPECT_EQ(bstream_bytes(cluster.server(0).find_bstream(handle), 0, 1024),
+              std::vector<std::uint8_t>(data.begin(), data.begin() + 1024));
+    EXPECT_EQ(cluster.server(0).find_replica_bstream(handle, -1), nullptr);
+  }
+}
+
 TEST(Replication, WriteQuorumOneCompletesWhileReplicaIsDown) {
   // w=1: the primary's ack alone completes the write; the mirror to the
   // crashed replica keeps retrying in the background and the replica
