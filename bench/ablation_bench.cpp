@@ -16,20 +16,15 @@
 //
 // All timings are simulated seconds.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "dataloop/serialize.h"
-#include "workloads/tile.h"
-#include "collective/comm.h"
 #include "dataloop/cursor.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
+#include "dataloop/serialize.h"
 #include "workloads/block3d.h"
 #include "workloads/flash.h"
+#include "workloads/tile.h"
 
 namespace dtio {
 namespace {
@@ -85,24 +80,9 @@ void ablate_coalescing(obs::RunReport& report) {
 double run_flash_once(net::ClusterConfig cfg, Method method, int nclients) {
   workloads::FlashConfig flash;
   cfg.num_clients = nclients;
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), nclients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < nclients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/a", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg);
+  pfs::Cluster& cluster = rig.cluster;
+  const SimTime t0 = rig.create("/a");
   for (int r = 0; r < nclients; ++r) {
     cluster.scheduler().spawn(
         [](mpiio::File& f, coll::Communicator& c,
@@ -112,7 +92,7 @@ double run_flash_once(net::ClusterConfig cfg, Method method, int nclients) {
           f.set_view(fl.displacement(rank), types::byte_t(), fl.filetype(n));
           auto memtype = fl.memtype();
           (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-        }(*files[r], comm, flash, r, nclients, method));
+        }(*rig.files[r], rig.comm, flash, r, nclients, method));
   }
   cluster.run();
   return to_seconds(cluster.scheduler().now() - t0);
@@ -148,24 +128,9 @@ double run_block3d_read(net::ClusterConfig cfg, int blocks_per_edge) {
   workloads::Block3dConfig block{.dim = 600,
                                  .blocks_per_edge = blocks_per_edge};
   cfg.num_clients = block.num_clients();
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/b", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg);
+  pfs::Cluster& cluster = rig.cluster;
+  const SimTime t0 = rig.create("/b");
   for (int r = 0; r < cfg.num_clients; ++r) {
     cluster.scheduler().spawn(
         [](mpiio::File& f, coll::Communicator& c,
@@ -175,7 +140,7 @@ double run_block3d_read(net::ClusterConfig cfg, int blocks_per_edge) {
           auto memtype = b.memtype();
           (void)co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype,
                                        Method::kDatatype);
-        }(*files[r], comm, block, r));
+        }(*rig.files[r], rig.comm, block, r));
   }
   cluster.run();
   return to_seconds(cluster.scheduler().now() - t0);
@@ -314,24 +279,9 @@ double run_sparse_collective_write(net::CbWriteMode mode) {
   net::ClusterConfig cfg;
   cfg.cb_write_noncontig = mode;
   cfg.num_clients = kRanks;
-  pfs::Cluster cluster(cfg);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), kRanks);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < kRanks; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/sparse", true);
-  }(*files[0]));
-  cluster.run();
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg);
+  pfs::Cluster& cluster = rig.cluster;
+  const SimTime t0 = rig.create("/sparse");
   for (int r = 0; r < kRanks; ++r) {
     cluster.scheduler().spawn(
         [](mpiio::File& f, coll::Communicator& c, int rank) -> Task<void> {
@@ -342,7 +292,7 @@ double run_sparse_collective_write(net::CbWriteMode mode) {
           auto memtype = types::contiguous(8192 * 1024, types::byte_t());
           (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype,
                                         Method::kTwoPhase);
-        }(*files[r], comm, r));
+        }(*rig.files[r], rig.comm, r));
   }
   cluster.run();
   return to_seconds(cluster.scheduler().now() - t0);

@@ -1,6 +1,7 @@
-// Shared plumbing for the paper-reproduction benches: flag parsing,
-// aligned table printing, and the per-method result record every figure
-// bench reports.
+// Shared plumbing for the paper-reproduction benches: flag parsing, the
+// MPI rig and single-client helpers the runs are built from, aligned
+// table printing, and the per-method result record every figure bench
+// reports.
 //
 // These benches measure SIMULATED time (the discrete-event clock), not
 // wall time, which is why they use a custom main() rather than
@@ -12,14 +13,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "collective/comm.h"
 #include "common/stats.h"
 #include "common/units.h"
+#include "io/methods.h"
 #include "mpiio/file.h"
 #include "obs/observability.h"
 #include "obs/run_report.h"
+#include "pfs/cluster.h"
 
 namespace dtio::bench {
 
@@ -60,6 +66,94 @@ inline bool obs_enabled(int argc, char** argv) {
   return !flag_set(argc, argv, "--no-obs");
 }
 
+// ---- Runs --------------------------------------------------------------------
+
+/// An MPI job of `cfg.num_clients` ranks on a fresh cluster: a
+/// communicator, and per rank a timing-only client (no payload bytes move
+/// at paper scale), its I/O context and an MPI file. `obs`, when given, is
+/// attached before the clients are made and must outlive the rig. A fault
+/// plan may be attached to `cluster` before create().
+struct Rig {
+  explicit Rig(const net::ClusterConfig& cfg, obs::Observability* obs = nullptr)
+      : cluster(cfg),
+        comm(cluster.scheduler(), cluster.network(), cluster.config(),
+             cfg.num_clients) {
+    if (obs != nullptr) cluster.set_observability(obs);
+    for (int r = 0; r < cfg.num_clients; ++r) {
+      clients.push_back(cluster.make_client(r));
+      clients.back()->set_transfer_data(false);
+      contexts.push_back(std::make_unique<io::Context>(
+          io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
+      files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
+    }
+  }
+
+  /// Rank 0 creates `path` and the cluster drains; returns the time the
+  /// timed job starts at. The other ranks open `path` in the job itself.
+  SimTime create(const char* path) {
+    cluster.scheduler().spawn(
+        [](mpiio::File& f, const char* p) -> sim::Task<void> {
+          (void)co_await f.open(p, true);
+        }(*files[0], path));
+    cluster.run();
+    return cluster.scheduler().now();
+  }
+
+  pfs::Cluster cluster;
+  coll::Communicator comm;
+  std::vector<std::unique_ptr<pfs::Client>> clients;
+  std::vector<std::unique_ptr<io::Context>> contexts;
+  std::vector<std::unique_ptr<mpiio::File>> files;
+};
+
+/// The preamble of the single-client runs: create `path` (its handle goes
+/// to `handle`), then write `chunk` `chunks` times back to back from
+/// offset 0. A failed create or write counts once in `failures`; after a
+/// failed create `handle` stays 0.
+inline sim::Task<void> create_and_write(pfs::Client& c, const char* path,
+                                        std::span<const std::uint8_t> chunk,
+                                        int chunks, std::uint64_t& handle,
+                                        int& failures) {
+  pfs::MetaResult f = co_await c.create(path);
+  if (!f.status.is_ok()) {
+    ++failures;
+    co_return;
+  }
+  handle = f.handle;
+  const auto len = static_cast<std::int64_t>(chunk.size());
+  for (int i = 0; i < chunks; ++i) {
+    Status w = co_await c.write_contig(handle, i * len, chunk.data(), len);
+    if (!w.is_ok()) ++failures;
+  }
+}
+
+/// Open-loop paced reads of `bytes` at offset 0: read i starts at
+/// t0 + i * pace, so a slow op cannot shield the ones behind it from a
+/// fault window. Records read i's latency in latencies[i] and counts it
+/// in `ok` or `failed` (either may be null); the cluster then drains.
+inline void paced_reads(pfs::Cluster& cluster, pfs::Client& client,
+                        std::uint64_t handle, std::size_t bytes, SimTime t0,
+                        SimTime pace, std::vector<SimTime>& latencies,
+                        int* ok, int* failed) {
+  for (std::size_t i = 0; i < latencies.size(); ++i) {
+    cluster.scheduler().spawn(
+        [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
+           std::size_t n, SimTime due, SimTime& slot, int* ok,
+           int* failed) -> sim::Task<void> {
+          co_await sched.delay(due - sched.now());
+          std::vector<std::uint8_t> buf(n);
+          const SimTime start = sched.now();
+          Status r = co_await c.read_contig(h, 0, buf.data(),
+                                            static_cast<std::int64_t>(n));
+          slot = sched.now() - start;
+          int* count = r.is_ok() ? ok : failed;
+          if (count != nullptr) ++*count;
+        }(cluster.scheduler(), client, handle, bytes,
+          t0 + static_cast<SimTime>(i) * pace, latencies[i], ok, failed));
+  }
+  cluster.run();
+}
+
 // ---- Results -----------------------------------------------------------------
 
 struct MethodResult {
@@ -74,7 +168,6 @@ struct MethodResult {
   std::uint64_t spans_dropped = 0;   ///< spans lost to capacity (should be 0)
 };
 
-inline double to_mib(double bytes) { return bytes / (1024.0 * 1024.0); }
 inline double to_mb(double bytes) { return bytes / 1e6; }
 
 /// Pull the merged client-op latency distribution out of a finished run's
@@ -129,6 +222,16 @@ inline void write_report(const obs::RunReport& report, int argc, char** argv,
   }
 }
 
+/// Echo one ablation section, every scalar of `report` whose key starts
+/// with `prefix`, to stdout in key order.
+inline void print_scalars(const obs::RunReport& report,
+                          const std::string& prefix) {
+  for (auto it = report.scalars.lower_bound(prefix);
+       it != report.scalars.end() && it->first.starts_with(prefix); ++it) {
+    std::printf("  %-36s %.6g\n", it->first.c_str(), it->second);
+  }
+}
+
 /// "Figure 8"-style row: method, aggregate MB/s, simulated seconds.
 inline void print_figure_row(const MethodResult& r) {
   if (!r.supported) {
@@ -174,7 +277,5 @@ inline void print_table_header(const char* title) {
   std::printf("  %-18s %11s %11s %11s %11s\n", "method", "desired/cli",
               "accessed", "io ops/cli", "resent/cli");
 }
-
-inline const char* paper_note(const char* text) { return text; }
 
 }  // namespace dtio::bench

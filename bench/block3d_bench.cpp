@@ -10,14 +10,9 @@
 //        (POSIX at 600^3 issues 90 000+ ops per client and dominates the
 //        bench's wall time; it is on by default because the paper ran it)
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "collective/comm.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
 #include "workloads/block3d.h"
 
 namespace dtio {
@@ -31,29 +26,10 @@ MethodResult run_block3d(Method method, const workloads::Block3dConfig& block,
                          bool is_write, bool use_obs) {
   net::ClusterConfig cfg;
   cfg.num_clients = block.num_clients();
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 16);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/block3d", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg, use_obs ? &obs : nullptr);
+  pfs::Cluster& cluster = rig.cluster;
+  const SimTime t0 = rig.create("/block3d");
   int unsupported = 0;
   for (int r = 0; r < cfg.num_clients; ++r) {
     cluster.scheduler().spawn(
@@ -70,7 +46,7 @@ MethodResult run_block3d(Method method, const workloads::Block3dConfig& block,
             s = co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype, m);
           }
           if (s.code() == StatusCode::kUnsupported) ++unsup;
-        }(*files[r], comm, block, r, method, is_write, unsupported));
+        }(*rig.files[r], rig.comm, block, r, method, is_write, unsupported));
   }
   cluster.run();
 
@@ -83,7 +59,7 @@ MethodResult run_block3d(Method method, const workloads::Block3dConfig& block,
   result.seconds = to_seconds(cluster.scheduler().now() - t0);
   result.bandwidth = static_cast<double>(block.block_bytes()) *
                      block.num_clients() / result.seconds;
-  result.per_client = clients[0]->stats();
+  result.per_client = rig.clients[0]->stats();
   result.events = cluster.scheduler().events_processed();
   if (use_obs) bench::capture_latency(result, obs);
   return result;

@@ -15,14 +15,9 @@
 //                          983 040 requests per client)
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "collective/comm.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
-#include "pfs/cluster.h"
 #include "workloads/flash.h"
 
 namespace dtio {
@@ -46,29 +41,10 @@ MethodResult run_flash(Method method, const workloads::FlashConfig& flash,
   net::ClusterConfig cfg;
   cfg.num_clients = nclients;
   cfg.client.write_behind_bytes = write_behind;
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 16);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), nclients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < nclients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/checkpoint", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg, use_obs ? &obs : nullptr);
+  pfs::Cluster& cluster = rig.cluster;
+  const SimTime t0 = rig.create("/checkpoint");
   for (int r = 0; r < nclients; ++r) {
     cluster.scheduler().spawn(
         [](mpiio::File& f, coll::Communicator& c,
@@ -78,7 +54,7 @@ MethodResult run_flash(Method method, const workloads::FlashConfig& flash,
           f.set_view(fl.displacement(rank), types::byte_t(), fl.filetype(n));
           auto memtype = fl.memtype();
           (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-        }(*files[r], comm, flash, r, nclients, method));
+        }(*rig.files[r], rig.comm, flash, r, nclients, method));
   }
   cluster.run();
 
@@ -87,10 +63,10 @@ MethodResult run_flash(Method method, const workloads::FlashConfig& flash,
   result.seconds = to_seconds(cluster.scheduler().now() - t0);
   result.bandwidth =
       static_cast<double>(flash.bytes_per_proc()) * nclients / result.seconds;
-  result.per_client = clients[0]->stats();
+  result.per_client = rig.clients[0]->stats();
   result.events = cluster.scheduler().events_processed();
   if (wb != nullptr) {
-    for (const auto& client : clients) {
+    for (const auto& client : rig.clients) {
       wb->flushes += static_cast<double>(client->wb_flushes());
       wb->batches += static_cast<double>(client->wb_batches());
       wb->coalesced += static_cast<double>(client->wb_coalesced_ops());
@@ -171,30 +147,23 @@ int flash_main(int argc, char** argv) {
   if (bench::flag_set(argc, argv, "--write-behind")) {
     const int wb_clients = 16;
     const std::int64_t wb_bytes = std::int64_t{4} << 20;
-    std::printf("\n== Write-behind ablation: list I/O at %d clients ==\n",
-                wb_clients);
     MethodResult off = run_flash(Method::kList, flash, wb_clients, false);
     WbTotals totals;
     MethodResult on = run_flash(Method::kList, flash, wb_clients, false,
                                 false, wb_bytes, &totals);
-    const double ratio = on.bandwidth / off.bandwidth;
-    std::printf("  off: %10.2f MB/s  (%.3f sim s)\n",
-                bench::to_mb(off.bandwidth), off.seconds);
-    std::printf("  on:  %10.2f MB/s  (%.3f sim s)  %.1fx\n",
-                bench::to_mb(on.bandwidth), on.seconds, ratio);
-    std::printf("       %.0f staged ops -> %.0f batch RPCs over %.0f "
-                "flushes (%.0f runs coalesced)\n",
-                totals.staged_ops, totals.batches, totals.flushes,
-                totals.coalesced);
     report.scalars["wb_off_mbps"] = bench::to_mb(off.bandwidth);
     report.scalars["wb_on_mbps"] = bench::to_mb(on.bandwidth);
-    report.scalars["wb_ratio"] = ratio;
+    report.scalars["wb_ratio"] = on.bandwidth / off.bandwidth;
     report.scalars["wb_off_sim_seconds"] = off.seconds;
     report.scalars["wb_on_sim_seconds"] = on.seconds;
     report.scalars["wb_flushes"] = totals.flushes;
     report.scalars["wb_batches"] = totals.batches;
     report.scalars["wb_coalesced_ops"] = totals.coalesced;
     report.scalars["wb_staged_ops"] = totals.staged_ops;
+    std::printf("\n== Write-behind ablation: list I/O at %d clients, "
+                "staging off vs on ==\n",
+                wb_clients);
+    bench::print_scalars(report, "wb_");
   }
 
   bench::write_report(report, argc, argv, "BENCH_flash_io.json");

@@ -8,7 +8,8 @@
 // clients (one process per node), 4 MiB sieve/collective buffers.
 //
 // Flags (the ablations are off by default, so the report JSON is
-// byte-identical to an ablation-free build):
+// byte-identical to an ablation-free build; each ablation echoes its
+// report scalars to stdout):
 //   --frames=N          frames played back (default 100; 6 clients, fixed
 //                       by the wall geometry)
 //   --trace=PATH        Chrome trace of the datatype run
@@ -20,9 +21,9 @@
 //                       trace_overload.json)
 //   --cache             server buffer-cache cold/warm ablation
 //   --replication       replicated-write and degraded-read ablation
-//   --replication-r=N   its replication factor (default 2)
-//   --media-faults      media-fault ablation (checksums, read repair, scrub)
-//   --media-r=N         its replication factor (default 2)
+//   --replication-r=N   its replicated arm's factor (default 2)
+//   --media-faults      media-fault ablation (checksums, read repair, scrub),
+//                       r=1 vs r=2
 //   --json=PATH, --no-obs  report path, or no observability (bench_util.h)
 #include <algorithm>
 #include <cstdint>
@@ -31,13 +32,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "collective/comm.h"
 #include "common/rng.h"
-#include "io/methods.h"
-#include "mpiio/file.h"
 #include "net/fault.h"
 #include "obs/phase.h"
-#include "pfs/cluster.h"
 #include "workloads/tile.h"
 
 namespace dtio {
@@ -63,30 +60,11 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   net::ClusterConfig cfg;  // paper defaults: 16 servers, 64 KiB strips
   cfg.num_clients = tile.num_clients();
   cfg.server.pruned_expansion = pruned_expansion;
-
-  pfs::Cluster cluster(cfg);
   obs::Observability obs(1 << 18);
-  if (use_obs) cluster.set_observability(&obs);
-  coll::Communicator comm(cluster.scheduler(), cluster.network(),
-                          cluster.config(), cfg.num_clients);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-
-  // Create the frame file (contents are irrelevant for read timing).
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/frames", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
+  bench::Rig rig(cfg, use_obs ? &obs : nullptr);
+  pfs::Cluster& cluster = rig.cluster;
+  // The frame file's contents are irrelevant for read timing.
+  const SimTime t0 = rig.create("/frames");
   int failures = 0;
   int unsupported = 0;
   for (int r = 0; r < cfg.num_clients; ++r) {
@@ -110,7 +88,8 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
               co_return;
             }
           }
-        }(*files[r], comm, tile, r, frames, method, failures, unsupported));
+        }(*rig.files[r], rig.comm, tile, r, frames, method, failures,
+          unsupported));
   }
   cluster.run();
 
@@ -124,7 +103,7 @@ MethodResult run_tile(Method method, const workloads::TileConfig& tile,
   const double desired_total = static_cast<double>(tile.tile_bytes()) *
                                tile.num_clients() * frames;
   result.bandwidth = desired_total / result.seconds;
-  result.per_client = clients[0]->stats();
+  result.per_client = rig.clients[0]->stats();
   // Per-frame characteristics for Table 1.
   result.per_client.desired_bytes /= static_cast<std::uint64_t>(frames);
   result.per_client.accessed_bytes /= static_cast<std::uint64_t>(frames);
@@ -190,8 +169,8 @@ ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
   cfg.client.hedge_quantile = 95;
   cfg.client.hedge_min_samples = 16;
   cfg.server.max_queue_depth = 8;
-
-  pfs::Cluster cluster(cfg);
+  bench::Rig rig(cfg);
+  pfs::Cluster& cluster = rig.cluster;
   // Fixed plan: 5% drop + 2% duplicate + 1% corrupt on client<->server
   // links, plus one mid-run crash of server 3 (caches come back cold).
   net::FaultPlan plan(mix_seed(cluster.config().seed, 0xC4A05));
@@ -204,23 +183,7 @@ ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
     plan.set_scope_max_node(cluster.config().num_servers);
     cluster.set_fault_plan(&plan);
   }
-
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
-  cluster.scheduler().spawn([](mpiio::File& f) -> Task<void> {
-    (void)co_await f.open("/frames", true);
-  }(*files[0]));
-  cluster.run();
-
-  const SimTime t0 = cluster.scheduler().now();
+  const SimTime t0 = rig.create("/frames");
   if (with_faults) {
     cluster.schedule_server_crash(3, t0 + 2 * kMillisecond,
                                   40 * kMillisecond);
@@ -239,12 +202,12 @@ ChaosRun run_tile_chaos(const workloads::TileConfig& tile, int frames,
                 memtype, Method::kDatatype);
             if (!s.is_ok()) ++fail;
           }
-        }(*files[r], tile, r, frames, out.failures));
+        }(*rig.files[r], tile, r, frames, out.failures));
   }
   cluster.run();
 
   out.seconds = to_seconds(cluster.scheduler().now() - t0);
-  for (const auto& c : clients) {
+  for (const auto& c : rig.clients) {
     out.client_retries += c->rpc_retries();
     out.client_timeouts += c->rpc_timeouts();
     out.hedges_issued += c->hedges_issued();
@@ -316,16 +279,9 @@ OverloadArm run_overload_arm(bool hedging_on) {
   std::uint64_t handle = 0;
   cluster.scheduler().spawn(
       [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/overload");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
         std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
+        co_await bench::create_and_write(c, "/overload", buf, 1, h, fail);
+        if (h == 0) co_return;
         for (int i = 0; i < kWarmupReads; ++i) {
           Status r = co_await c.read_contig(
               h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
@@ -337,20 +293,8 @@ OverloadArm run_overload_arm(bool hedging_on) {
   // Phase 2: server 1 degrades 4x for kWindow under paced reads.
   const SimTime t0 = cluster.scheduler().now() + 2 * kMillisecond;
   plan.add_degraded(/*node=*/1, t0, t0 + kWindow, 4.0);
-  for (int i = 0; i < kMeasuredReads; ++i) {
-    cluster.scheduler().spawn(
-        [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
-           SimTime due, int slot, OverloadArm& out) -> Task<void> {
-          co_await sched.delay(due - sched.now());
-          std::vector<std::uint8_t> buf(kReadBytes);
-          const SimTime start = sched.now();
-          Status r = co_await c.read_contig(
-              h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-          out.latencies[static_cast<std::size_t>(slot)] = sched.now() - start;
-          if (!r.is_ok()) ++out.failures;
-        }(cluster.scheduler(), *client, handle, t0 + i * kPace, i, out));
-  }
-  cluster.run();
+  bench::paced_reads(cluster, *client, handle, kReadBytes, t0, kPace,
+                     out.latencies, nullptr, &out.failures);
 
   out.hedges_issued = client->hedges_issued();
   out.hedges_won = client->hedges_won();
@@ -381,17 +325,8 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
     cfg.server.cache_block_bytes = 64 * 1024;  // one strip per block
     cfg.server.cache_capacity_bytes = 256ull << 20;  // holds the dataset
   }
-  pfs::Cluster cluster(cfg);
-  std::vector<std::unique_ptr<pfs::Client>> clients;
-  std::vector<std::unique_ptr<io::Context>> contexts;
-  std::vector<std::unique_ptr<mpiio::File>> files;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    clients.push_back(cluster.make_client(r));
-    clients.back()->set_transfer_data(false);  // timing-only at this scale
-    contexts.push_back(std::make_unique<io::Context>(
-        io::Context{cluster.scheduler(), *clients.back(), cluster.config()}));
-    files.push_back(std::make_unique<mpiio::File>(*contexts.back()));
-  }
+  bench::Rig rig(cfg);
+  pfs::Cluster& cluster = rig.cluster;
   CacheArm out;
   // Populate: open everywhere, then write every frame through the view.
   for (int r = 0; r < cfg.num_clients; ++r) {
@@ -407,7 +342,7 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
                 memtype, Method::kDatatype);
             if (!s.is_ok()) ++fail;
           }
-        }(*files[r], tile, r, frames, out.failures));
+        }(*rig.files[r], tile, r, frames, out.failures));
   }
   cluster.run();
   // Make the write pass durable, then drop every cache (a fleet-wide
@@ -436,7 +371,7 @@ CacheArm run_tile_cache(const workloads::TileConfig& tile, int frames,
                   1, memtype, Method::kDatatype);
               if (!s.is_ok()) ++fail;
             }
-          }(*files[r], tile, r, frames, out.failures));
+          }(*rig.files[r], tile, r, frames, out.failures));
     }
     cluster.run();
     *seconds = to_seconds(cluster.scheduler().now() - t0);
@@ -506,57 +441,24 @@ ReplicationArm run_replication_arm(int replication) {
   out.degraded.assign(kDegradedReads, 0);
 
   // Create + write one stripe-spanning block (quorum-replicated at r>1).
+  const std::vector<std::uint8_t> block(kReadBytes, 0x5A);
   std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/repl");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
-      }(*client, handle, out.healthy_failures));
+  cluster.scheduler().spawn(bench::create_and_write(
+      *client, "/repl", block, 1, handle, out.healthy_failures));
   cluster.run();
 
-  // Open-loop paced reads spawned at absolute times, so a slow op cannot
-  // shield the ops behind it from the outage window.
-  auto paced_reads = [&](SimTime t0, std::vector<SimTime>& lat, int* ok,
-                         int* fail) {
-    for (int i = 0; i < static_cast<int>(lat.size()); ++i) {
-      cluster.scheduler().spawn(
-          [](sim::Scheduler& sched, pfs::Client& c, std::uint64_t h,
-             SimTime due, SimTime& slot, int* ok, int* fail) -> Task<void> {
-            co_await sched.delay(due - sched.now());
-            std::vector<std::uint8_t> buf(kReadBytes);
-            const SimTime start = sched.now();
-            Status r = co_await c.read_contig(
-                h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-            slot = sched.now() - start;
-            if (r.is_ok()) {
-              if (ok != nullptr) ++*ok;
-            } else if (fail != nullptr) {
-              ++*fail;
-            }
-          }(cluster.scheduler(), *client, handle, t0 + i * kPace, lat[i], ok,
-            fail));
-    }
-    cluster.run();
-  };
-
   // Phase 1: healthy baseline.
-  paced_reads(cluster.scheduler().now() + kMillisecond, out.healthy, nullptr,
-              &out.healthy_failures);
+  bench::paced_reads(cluster, *client, handle, kReadBytes,
+                     cluster.scheduler().now() + kMillisecond, kPace,
+                     out.healthy, nullptr, &out.healthy_failures);
 
   // Phase 2: server 1 down for the entire degraded window, then restart
   // (which triggers resync at r>1); the run drains through recovery.
   const SimTime t_deg = cluster.scheduler().now() + 2 * kMillisecond;
   const SimTime outage = kDegradedReads * kPace + 100 * kMillisecond;
   cluster.schedule_server_crash(1, t_deg - kMillisecond, outage);
-  paced_reads(t_deg, out.degraded, &out.degraded_ok, nullptr);
+  bench::paced_reads(cluster, *client, handle, kReadBytes, t_deg, kPace,
+                     out.degraded, &out.degraded_ok, nullptr);
 
   out.failovers = client->read_failovers();
   out.quorum_writes = client->quorum_writes();
@@ -630,24 +532,12 @@ MediaArm run_media_arm(int replication) {
   auto client = cluster.make_client(0);
 
   MediaArm out;
+  std::vector<std::uint8_t> chunk(static_cast<std::size_t>(kChunkBytes));
+  Rng fill(4096);
+  for (auto& b : chunk) b = static_cast<std::uint8_t>(fill.next());
   std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/media");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(static_cast<std::size_t>(kChunkBytes));
-        Rng fill(4096);
-        for (auto& b : buf) b = static_cast<std::uint8_t>(fill.next());
-        for (int chunk = 0; chunk < kChunks; ++chunk) {
-          Status w = co_await c.write_contig(h, chunk * kChunkBytes,
-                                             buf.data(), kChunkBytes);
-          if (!w.is_ok()) ++fail;
-        }
-      }(*client, handle, out.other_failures));
+  cluster.scheduler().spawn(bench::create_and_write(
+      *client, "/media", chunk, kChunks, handle, out.other_failures));
   cluster.run();
 
   cluster.scheduler().spawn(
@@ -730,20 +620,10 @@ ConvoyRun run_overload_convoy(obs::Observability& obs,
   for (int r = 0; r < kClients; ++r) clients.push_back(cluster.make_client(r));
 
   ConvoyRun out;
+  const std::vector<std::uint8_t> block(kReadBytes, 0x5A);
   std::uint64_t handle = 0;
-  cluster.scheduler().spawn(
-      [](pfs::Client& c, std::uint64_t& h, int& fail) -> Task<void> {
-        pfs::MetaResult f = co_await c.create("/convoy");
-        if (!f.status.is_ok()) {
-          ++fail;
-          co_return;
-        }
-        h = f.handle;
-        std::vector<std::uint8_t> buf(kReadBytes, 0x5A);
-        Status w = co_await c.write_contig(
-            h, 0, buf.data(), static_cast<std::int64_t>(buf.size()));
-        if (!w.is_ok()) ++fail;
-      }(*clients[0], handle, out.failures));
+  cluster.scheduler().spawn(bench::create_and_write(
+      *clients[0], "/convoy", block, 1, handle, out.failures));
   cluster.run();
 
   const SimTime t0 = cluster.scheduler().now();
@@ -835,6 +715,13 @@ int tile_main(int argc, char** argv) {
   std::printf("  paper: POSIX 768 ops; sieving 5.56 MB accessed; two-phase "
               "1 op, 1.50 MB resent; list 12 ops; datatype 1 op\n");
 
+  obs::RunReport report;
+  report.bench = "tile_reader";
+  report.params["frames"] = frames;
+  report.params["clients"] = tile.num_clients();
+  report.params["frame_bytes"] = static_cast<double>(tile.frame_bytes());
+  for (const auto& r : results) report.methods.push_back(bench::to_report(r));
+
   // Pruned-expansion ablation at the paper configuration (16 servers,
   // 64 KiB strips): the same datatype run with server-side subtree pruning
   // on (default) and off (legacy full expansion). Fleet-aggregate
@@ -846,33 +733,15 @@ int tile_main(int argc, char** argv) {
       run_tile(Method::kDatatype, tile, frames, false, "", true, &pruned_on);
   const MethodResult off_result =
       run_tile(Method::kDatatype, tile, frames, false, "", false, &pruned_off);
-  const double walk_ratio =
-      pruned_on.regions_walked == 0
-          ? 0.0
-          : static_cast<double>(pruned_off.regions_walked) /
-                static_cast<double>(pruned_on.regions_walked);
-  std::printf("\nablation: server.pruned_expansion (datatype method)\n");
-  std::printf("  on : regions_walked=%llu subtrees_skipped=%llu "
-              "pieces_pruned=%llu sim=%.3fs\n",
-              static_cast<unsigned long long>(pruned_on.regions_walked),
-              static_cast<unsigned long long>(pruned_on.subtrees_skipped),
-              static_cast<unsigned long long>(pruned_on.pieces_pruned),
-              on_result.seconds);
-  std::printf("  off: regions_walked=%llu sim=%.3fs  (walk ratio %.1fx)\n",
-              static_cast<unsigned long long>(pruned_off.regions_walked),
-              off_result.seconds, walk_ratio);
-
-  obs::RunReport report;
-  report.bench = "tile_reader";
-  report.params["frames"] = frames;
-  report.params["clients"] = tile.num_clients();
-  report.params["frame_bytes"] = static_cast<double>(tile.frame_bytes());
-  for (const auto& r : results) report.methods.push_back(bench::to_report(r));
   report.scalars["pruned_on_regions_walked"] =
       static_cast<double>(pruned_on.regions_walked);
   report.scalars["pruned_off_regions_walked"] =
       static_cast<double>(pruned_off.regions_walked);
-  report.scalars["pruned_regions_walked_ratio"] = walk_ratio;
+  report.scalars["pruned_regions_walked_ratio"] =
+      pruned_on.regions_walked == 0
+          ? 0.0
+          : static_cast<double>(pruned_off.regions_walked) /
+                static_cast<double>(pruned_on.regions_walked);
   report.scalars["pruned_on_my_pieces"] =
       static_cast<double>(pruned_on.my_pieces);
   report.scalars["pruned_on_subtrees_skipped"] =
@@ -881,49 +750,22 @@ int tile_main(int argc, char** argv) {
       static_cast<double>(pruned_on.pieces_pruned);
   report.scalars["pruned_on_sim_seconds"] = on_result.seconds;
   report.scalars["pruned_off_sim_seconds"] = off_result.seconds;
+  std::printf("\nablation: server.pruned_expansion (datatype method)\n");
+  bench::print_scalars(report, "pruned_");
 
   // Fault-injection ablation (--chaos): datatype reads under 5% drop + 2%
   // duplicate + 1% corrupt + one server crash, with retries on vs off.
   // Gated so the default report stays byte-identical.
   if (bench::flag_set(argc, argv, "--chaos")) {
-    const int reads_total = frames * tile.num_clients();
     const ChaosRun clean = run_tile_chaos(tile, frames, false, 6);
     const ChaosRun faulty = run_tile_chaos(tile, frames, true, 6);
     const ChaosRun noretry = run_tile_chaos(tile, frames, true, 1);
-    const double slowdown =
-        clean.seconds == 0 ? 0.0 : faulty.seconds / clean.seconds;
-    std::printf("\nchaos ablation: datatype reads, %d frames x %d clients, "
-                "5%% drop + 2%% dup + 1%% corrupt + server 3 crash\n",
-                frames, tile.num_clients());
-    std::printf("  fault-free : sim=%.3fs timeouts=%llu\n", clean.seconds,
-                static_cast<unsigned long long>(clean.client_timeouts));
-    std::printf("  retries on : sim=%.3fs (%.2fx) failures=%d/%d "
-                "retries=%llu timeouts=%llu dropped=%llu replays=%llu "
-                "crc_rejects=%llu crashes=%llu faults=%llu\n",
-                faulty.seconds, slowdown, faulty.failures, reads_total,
-                static_cast<unsigned long long>(faulty.client_retries),
-                static_cast<unsigned long long>(faulty.client_timeouts),
-                static_cast<unsigned long long>(faulty.faults.dropped),
-                static_cast<unsigned long long>(faulty.replays),
-                static_cast<unsigned long long>(faulty.crc_rejects),
-                static_cast<unsigned long long>(faulty.crashes),
-                static_cast<unsigned long long>(faulty.faults.total()));
-    std::printf("               sheds=%llu hedges_issued=%llu "
-                "hedges_won=%llu replies_dropped=%llu "
-                "mailbox_residual=%llu\n",
-                static_cast<unsigned long long>(faulty.sheds),
-                static_cast<unsigned long long>(faulty.hedges_issued),
-                static_cast<unsigned long long>(faulty.hedges_won),
-                static_cast<unsigned long long>(faulty.replies_dropped),
-                static_cast<unsigned long long>(faulty.mailbox_residual));
-    std::printf("  retries off: sim=%.3fs failures=%d/%d (every fault that "
-                "hits a request is terminal)\n",
-                noretry.seconds, noretry.failures, reads_total);
     report.scalars["chaos_clean_sim_seconds"] = clean.seconds;
     report.scalars["chaos_clean_timeouts"] =
         static_cast<double>(clean.client_timeouts);
     report.scalars["chaos_sim_seconds"] = faulty.seconds;
-    report.scalars["chaos_slowdown"] = slowdown;
+    report.scalars["chaos_slowdown"] =
+        clean.seconds == 0 ? 0.0 : faulty.seconds / clean.seconds;
     report.scalars["chaos_failures"] = faulty.failures;
     report.scalars["chaos_retries"] =
         static_cast<double>(faulty.client_retries);
@@ -947,6 +789,11 @@ int tile_main(int argc, char** argv) {
         static_cast<double>(faulty.replies_dropped);
     report.scalars["chaos_mailbox_residual"] =
         static_cast<double>(faulty.mailbox_residual);
+    std::printf("\nchaos ablation: datatype reads, %d frames x %d clients, "
+                "5%% drop + 2%% dup + 1%% corrupt + server 3 crash; "
+                "fault-free (clean_*), retries on, retries off (noretry_*)\n",
+                frames, tile.num_clients());
+    bench::print_scalars(report, "chaos_");
   }
 
   // Tail-latency ablation (--overload): the same degraded-server scenario
@@ -957,24 +804,6 @@ int tile_main(int argc, char** argv) {
     const OverloadArm on = run_overload_arm(true);
     const SimTime p99_off = percentile_exact(off.latencies, 99);
     const SimTime p99_on = percentile_exact(on.latencies, 99);
-    const double p99_ratio =
-        p99_on == 0 ? 0.0
-                    : static_cast<double>(p99_off) / static_cast<double>(p99_on);
-    std::printf("\noverload ablation: 100 paced 16 KiB reads, server 1 "
-                "degraded 4x for 150 ms\n");
-    std::printf("  hedging off: p50=%.0fus p99=%.0fus p999=%.0fus "
-                "timeouts=%llu failures=%d\n",
-                percentile_exact(off.latencies, 50) / 1e3, p99_off / 1e3,
-                percentile_exact(off.latencies, 99.9) / 1e3,
-                static_cast<unsigned long long>(off.timeouts), off.failures);
-    std::printf("  hedging on : p50=%.0fus p99=%.0fus p999=%.0fus "
-                "hedges=%llu won=%llu timeouts=%llu failures=%d\n",
-                percentile_exact(on.latencies, 50) / 1e3, p99_on / 1e3,
-                percentile_exact(on.latencies, 99.9) / 1e3,
-                static_cast<unsigned long long>(on.hedges_issued),
-                static_cast<unsigned long long>(on.hedges_won),
-                static_cast<unsigned long long>(on.timeouts), on.failures);
-    std::printf("  read p99 improvement: %.1fx\n", p99_ratio);
     report.scalars["overload_off_read_p50_us"] =
         percentile_exact(off.latencies, 50) / 1e3;
     report.scalars["overload_off_read_p99_us"] = p99_off / 1e3;
@@ -985,7 +814,10 @@ int tile_main(int argc, char** argv) {
     report.scalars["overload_on_read_p99_us"] = p99_on / 1e3;
     report.scalars["overload_on_read_p999_us"] =
         percentile_exact(on.latencies, 99.9) / 1e3;
-    report.scalars["overload_p99_ratio"] = p99_ratio;
+    report.scalars["overload_p99_ratio"] =
+        p99_on == 0 ? 0.0
+                    : static_cast<double>(p99_off) /
+                          static_cast<double>(p99_on);
     report.scalars["overload_off_hedges_issued"] =
         static_cast<double>(off.hedges_issued);
     report.scalars["overload_on_hedges_issued"] =
@@ -1009,13 +841,6 @@ int tile_main(int argc, char** argv) {
     const ConvoyRun convoy =
         run_overload_convoy(convoy_obs, use_obs ? convoy_trace : "");
     const obs::PhaseQuantile* cp99 = convoy.phases.quantile(99);
-    std::printf("  convoy (1 server, 8 clients, 2 ms decode): %llu ops, "
-                "p99=%.1fms coverage=%.1f%% dominant=%s queue peak=%.0f\n",
-                static_cast<unsigned long long>(convoy.phases.ops),
-                cp99 != nullptr ? cp99->latency_ns / 1e6 : 0.0,
-                cp99 != nullptr ? 100.0 * cp99->coverage : 0.0,
-                cp99 != nullptr ? obs::phase_name(cp99->dominant) : "none",
-                convoy.queue_peak);
     report.scalars["overload_convoy_ops"] =
         static_cast<double>(convoy.phases.ops);
     report.scalars["overload_convoy_sim_seconds"] = convoy.seconds;
@@ -1033,6 +858,11 @@ int tile_main(int argc, char** argv) {
     }
     report.phases.emplace_back("contig_read", convoy.phases);
     report.add_timeline(convoy_obs.timeline);
+    std::printf("\noverload ablation: 100 paced 16 KiB reads, server 1 "
+                "degraded 4x for 150 ms, hedging off vs on; convoy of 8 "
+                "clients on 1 server with 2 ms decode (p99 dominant: %s)\n",
+                cp99 != nullptr ? obs::phase_name(cp99->dominant) : "none");
+    bench::print_scalars(report, "overload_");
   }
 
   // Buffer-cache ablation (--cache): the same datatype tile reads with
@@ -1042,40 +872,7 @@ int tile_main(int argc, char** argv) {
   if (bench::flag_set(argc, argv, "--cache")) {
     const CacheArm off = run_tile_cache(tile, frames, false);
     const CacheArm on = run_tile_cache(tile, frames, true);
-    const double warm_ratio = static_cast<double>(off.warm_disk) /
-                              static_cast<double>(std::max<std::uint64_t>(
-                                  on.warm_disk, 1));
     const std::uint64_t lookups = on.totals.cache_hits + on.totals.cache_misses;
-    const double hit_ratio =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(on.totals.cache_hits) /
-                           static_cast<double>(lookups);
-    std::printf("\ncache ablation: datatype reads, %d frames x %d clients, "
-                "cold pass then warm pass\n",
-                frames, tile.num_clients());
-    std::printf("  cache off: cold disk=%llu (%.3fs)  warm disk=%llu "
-                "(%.3fs)\n",
-                static_cast<unsigned long long>(off.cold_disk),
-                off.cold_seconds,
-                static_cast<unsigned long long>(off.warm_disk),
-                off.warm_seconds);
-    std::printf("  cache on : cold disk=%llu (%.3fs)  warm disk=%llu "
-                "(%.3fs)\n",
-                static_cast<unsigned long long>(on.cold_disk),
-                on.cold_seconds,
-                static_cast<unsigned long long>(on.warm_disk),
-                on.warm_seconds);
-    std::printf("  hits=%llu misses=%llu hit_ratio=%.3f readahead=%llu "
-                "evictions=%llu flushed=%llu B\n",
-                static_cast<unsigned long long>(on.totals.cache_hits),
-                static_cast<unsigned long long>(on.totals.cache_misses),
-                hit_ratio,
-                static_cast<unsigned long long>(
-                    on.totals.cache_readahead_issued),
-                static_cast<unsigned long long>(on.totals.cache_evictions),
-                static_cast<unsigned long long>(
-                    on.totals.cache_dirty_flushed_bytes));
-    std::printf("  warm-pass disk-access reduction: %.1fx\n", warm_ratio);
     report.scalars["cache_off_cold_disk_accesses"] =
         static_cast<double>(off.cold_disk);
     report.scalars["cache_off_warm_disk_accesses"] =
@@ -1084,11 +881,16 @@ int tile_main(int argc, char** argv) {
         static_cast<double>(on.cold_disk);
     report.scalars["cache_on_warm_disk_accesses"] =
         static_cast<double>(on.warm_disk);
-    report.scalars["cache_warm_disk_access_ratio"] = warm_ratio;
+    report.scalars["cache_warm_disk_access_ratio"] =
+        static_cast<double>(off.warm_disk) /
+        static_cast<double>(std::max<std::uint64_t>(on.warm_disk, 1));
     report.scalars["cache_on_hits"] = static_cast<double>(on.totals.cache_hits);
     report.scalars["cache_on_misses"] =
         static_cast<double>(on.totals.cache_misses);
-    report.scalars["cache_on_hit_ratio"] = hit_ratio;
+    report.scalars["cache_on_hit_ratio"] =
+        lookups == 0 ? 0.0
+                     : static_cast<double>(on.totals.cache_hits) /
+                           static_cast<double>(lookups);
     report.scalars["cache_on_readahead_issued"] =
         static_cast<double>(on.totals.cache_readahead_issued);
     report.scalars["cache_on_evictions"] =
@@ -1096,6 +898,10 @@ int tile_main(int argc, char** argv) {
     report.scalars["cache_on_dirty_flushed_bytes"] =
         static_cast<double>(on.totals.cache_dirty_flushed_bytes);
     report.scalars["cache_failures"] = off.failures + on.failures;
+    std::printf("\ncache ablation: datatype reads, %d frames x %d clients, "
+                "cold pass then warm pass, cache off vs on\n",
+                frames, tile.num_clients());
+    bench::print_scalars(report, "cache_");
   }
 
   // Degraded-read ablation (--replication): open-loop paced reads with one
@@ -1104,52 +910,30 @@ int tile_main(int argc, char** argv) {
   // 100% read availability under r=2 with degraded p99 within 3x of the
   // healthy baseline.
   if (bench::flag_set(argc, argv, "--replication")) {
-    // --replication-r=N sets the replicated arm's factor (CI runs a
-    // matrix over 1, 2, 3; N=1 degenerates to a second unreplicated arm
-    // that must reproduce the baseline arm exactly).
+    // --replication-r=N sets the replicated arm's factor (CI pins 1, 2 and
+    // 3 against goldens; N=1 degenerates to a second unreplicated arm that
+    // must reproduce the baseline arm exactly).
     const int repl_r = static_cast<int>(
         bench::flag_int(argc, argv, "--replication-r", 2));
     const ReplicationArm off = run_replication_arm(1);
     const ReplicationArm on = run_replication_arm(repl_r);
-    const double off_avail = static_cast<double>(off.degraded_ok) /
-                             static_cast<double>(off.degraded.size());
-    const double on_avail = static_cast<double>(on.degraded_ok) /
-                            static_cast<double>(on.degraded.size());
     const SimTime on_healthy_p99 = percentile_exact(on.healthy, 99);
     const SimTime on_degraded_p99 = percentile_exact(on.degraded, 99);
-    const double p99_ratio =
-        on_healthy_p99 == 0 ? 0.0
-                            : static_cast<double>(on_degraded_p99) /
-                                  static_cast<double>(on_healthy_p99);
-    std::printf("\nreplication ablation: 100 paced 16 KiB reads, server 1 "
-                "crashed for the window, r=1 vs r=%d\n",
-                repl_r);
-    std::printf("  r=1: availability=%.0f%% (%d/%zu ok) degraded "
-                "p99=%.0fus timeouts=%llu\n",
-                100.0 * off_avail, off.degraded_ok, off.degraded.size(),
-                percentile_exact(off.degraded, 99) / 1e3,
-                static_cast<unsigned long long>(off.timeouts));
-    std::printf("  r=%d: availability=%.0f%% (%d/%zu ok) healthy p99=%.0fus "
-                "degraded p99=%.0fus (%.2fx) failovers=%llu "
-                "fast_fails=%llu\n",
-                repl_r, 100.0 * on_avail, on.degraded_ok, on.degraded.size(),
-                on_healthy_p99 / 1e3, on_degraded_p99 / 1e3, p99_ratio,
-                static_cast<unsigned long long>(on.failovers),
-                static_cast<unsigned long long>(on.fast_fails));
-    std::printf("       quorum_writes=%llu crashes=%llu resyncs=%llu "
-                "resync_bytes=%llu\n",
-                static_cast<unsigned long long>(on.quorum_writes),
-                static_cast<unsigned long long>(on.crashes),
-                static_cast<unsigned long long>(on.resyncs),
-                static_cast<unsigned long long>(on.resync_bytes));
     report.scalars["repl_factor"] = repl_r;
-    report.scalars["repl_off_read_availability"] = off_avail;
-    report.scalars["repl_on_read_availability"] = on_avail;
+    report.scalars["repl_off_read_availability"] =
+        static_cast<double>(off.degraded_ok) /
+        static_cast<double>(off.degraded.size());
+    report.scalars["repl_on_read_availability"] =
+        static_cast<double>(on.degraded_ok) /
+        static_cast<double>(on.degraded.size());
     report.scalars["repl_off_degraded_p99_us"] =
         percentile_exact(off.degraded, 99) / 1e3;
     report.scalars["repl_on_healthy_p99_us"] = on_healthy_p99 / 1e3;
     report.scalars["repl_on_degraded_p99_us"] = on_degraded_p99 / 1e3;
-    report.scalars["repl_on_degraded_p99_ratio"] = p99_ratio;
+    report.scalars["repl_on_degraded_p99_ratio"] =
+        on_healthy_p99 == 0 ? 0.0
+                            : static_cast<double>(on_degraded_p99) /
+                                  static_cast<double>(on_healthy_p99);
     report.scalars["repl_on_read_failovers"] =
         static_cast<double>(on.failovers);
     report.scalars["repl_on_breaker_fast_fails"] =
@@ -1163,41 +947,23 @@ int tile_main(int argc, char** argv) {
         static_cast<double>(off.crashes + on.crashes);
     report.scalars["repl_healthy_failures"] =
         off.healthy_failures + on.healthy_failures;
+    std::printf("\nreplication ablation: 100 paced 16 KiB reads, server 1 "
+                "crashed for the window, r=1 (off) vs r=%d (on)\n",
+                repl_r);
+    bench::print_scalars(report, "repl_");
   }
 
   // Storage-integrity ablation (--media-faults): 32 MiB written and read
   // back under 0.5% bit rot + 0.2% latent sector errors on every disk,
-  // with checksums and the scrubber on, r=1 vs r=2 (--media-r=N). Gated
-  // so the default report stays byte-identical. CI asserts 100% read
-  // success and zero residual bad pages at r=2, and typed-loss accounting
-  // (every lost read booked as kDataLoss on both sides) at r=1.
+  // with checksums and the scrubber on, r=1 vs r=2. Gated so the default
+  // report stays byte-identical. CI asserts 100% read success and zero
+  // residual bad pages at r=2, and typed-loss accounting (every lost read
+  // booked as kDataLoss on both sides) at r=1.
   if (bench::flag_set(argc, argv, "--media-faults")) {
-    const int media_r =
-        static_cast<int>(bench::flag_int(argc, argv, "--media-r", 2));
+    constexpr int kMediaR = 2;
     const MediaArm off = run_media_arm(1);
-    const MediaArm on = run_media_arm(media_r);
-    std::printf("\nmedia-fault ablation: 32 MiB, 0.5%% bit rot + 0.2%% LSE "
-                "on even-indexed disks, checksums + scrub on, r=1 vs r=%d\n",
-                media_r);
-    std::printf("  r=1: reads ok=%d lost=%d  injected rot=%llu lse=%llu  "
-                "detected=%llu  scrub_errors=%llu residual_bad=%llu\n",
-                off.reads_ok, off.reads_lost,
-                static_cast<unsigned long long>(off.pages_rotted),
-                static_cast<unsigned long long>(off.pages_poisoned),
-                static_cast<unsigned long long>(off.detected),
-                static_cast<unsigned long long>(off.scrub_errors),
-                static_cast<unsigned long long>(off.residual_bad_pages));
-    std::printf("  r=%d: reads ok=%d lost=%d  injected rot=%llu lse=%llu  "
-                "detected=%llu  repairs=%llu scrub_passes=%llu "
-                "residual_bad=%llu\n",
-                media_r, on.reads_ok, on.reads_lost,
-                static_cast<unsigned long long>(on.pages_rotted),
-                static_cast<unsigned long long>(on.pages_poisoned),
-                static_cast<unsigned long long>(on.detected),
-                static_cast<unsigned long long>(on.repairs),
-                static_cast<unsigned long long>(on.scrub_passes),
-                static_cast<unsigned long long>(on.residual_bad_pages));
-    report.scalars["media_factor"] = media_r;
+    const MediaArm on = run_media_arm(kMediaR);
+    report.scalars["media_factor"] = kMediaR;
     report.scalars["media_off_reads_ok"] = off.reads_ok;
     report.scalars["media_off_reads_lost"] = off.reads_lost;
     report.scalars["media_off_pages_rotted"] =
@@ -1232,6 +998,11 @@ int tile_main(int argc, char** argv) {
     report.scalars["media_on_residual_bad_pages"] =
         static_cast<double>(on.residual_bad_pages);
     report.scalars["media_failures"] = off.other_failures + on.other_failures;
+    std::printf("\nmedia-fault ablation: 32 MiB, 0.5%% bit rot + 0.2%% LSE "
+                "on even-indexed disks, checksums + scrub on, r=1 (off) vs "
+                "r=%d (on)\n",
+                kMediaR);
+    bench::print_scalars(report, "media_");
   }
 
   bench::write_report(report, argc, argv, "BENCH_tile_reader.json");
