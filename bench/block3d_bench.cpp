@@ -12,58 +12,12 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "workloads/block3d.h"
+#include "bench/scenario.h"
 
 namespace dtio {
 namespace {
 
-using bench::MethodResult;
 using mpiio::Method;
-using sim::Task;
-
-MethodResult run_block3d(Method method, const workloads::Block3dConfig& block,
-                         bool is_write, bool use_obs) {
-  net::ClusterConfig cfg;
-  cfg.num_clients = block.num_clients();
-  obs::Observability obs(1 << 16);
-  bench::Rig rig(cfg, use_obs ? &obs : nullptr);
-  pfs::Cluster& cluster = rig.cluster;
-  const SimTime t0 = rig.create("/block3d");
-  int unsupported = 0;
-  for (int r = 0; r < cfg.num_clients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::Block3dConfig& b, int rank, Method m, bool write,
-           int& unsup) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/block3d", false);
-          f.set_view(0, types::byte_t(), b.block_filetype(rank));
-          auto memtype = b.memtype();
-          Status s;
-          if (write) {
-            s = co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-          } else {
-            s = co_await f.read_at_all(c, rank, 0, nullptr, 1, memtype, m);
-          }
-          if (s.code() == StatusCode::kUnsupported) ++unsup;
-        }(*rig.files[r], rig.comm, block, r, method, is_write, unsupported));
-  }
-  cluster.run();
-
-  MethodResult result;
-  result.method = method;
-  if (unsupported > 0) {
-    result.supported = false;
-    return result;
-  }
-  result.seconds = to_seconds(cluster.scheduler().now() - t0);
-  result.bandwidth = static_cast<double>(block.block_bytes()) *
-                     block.num_clients() / result.seconds;
-  result.per_client = rig.clients[0]->stats();
-  result.events = cluster.scheduler().events_processed();
-  if (use_obs) bench::capture_latency(result, obs);
-  return result;
-}
 
 int block3d_main(int argc, char** argv) {
   const std::int64_t dim = bench::flag_int(argc, argv, "--dim", 600);
@@ -90,30 +44,24 @@ int block3d_main(int argc, char** argv) {
                     "Figure 10 (%s, %d clients): bandwidth",
                     is_write ? "write" : "read", block.num_clients());
       bench::print_figure_header(title);
-      char tag[32];
-      std::snprintf(tag, sizeof tag, "%s/%d/", is_write ? "write" : "read",
-                    block.num_clients());
-      std::vector<MethodResult> results;
+      const std::string tag =
+          std::string(is_write ? "write/" : "read/") +
+          std::to_string(block.num_clients()) + "/";
+      std::vector<obs::MethodReport> results;
       for (const Method method : methods) {
         if (method == Method::kPosix && skip_posix) continue;
-        if (method == Method::kDataSieving && is_write) {
-          MethodResult r;
-          r.method = method;
-          r.supported = false;  // PVFS: no locks, no sieving writes
-          results.push_back(r);
-          report.methods.push_back(bench::to_report(r, tag));
-          bench::print_figure_row(r);
-          continue;
-        }
-        results.push_back(run_block3d(method, block, is_write, use_obs));
-        report.methods.push_back(bench::to_report(results.back(), tag));
-        bench::print_figure_row(results.back());
-        if (csv) {
-          std::printf("csv,%s,%d,%s,%.3f,%.3f\n",
-                      is_write ? "write" : "read", block.num_clients(),
-                      std::string(mpiio::method_name(method)).c_str(),
-                      bench::to_mb(results.back().bandwidth),
-                      results.back().seconds);
+        // PVFS has no locks, so sieving writes come back unsupported.
+        const obs::MethodReport r = bench::measure(
+            {.num_clients = block.num_clients()},
+            bench::block3d_job(block, method, is_write), use_obs, 1 << 16);
+        results.push_back(r);
+        report.methods.push_back(r);
+        report.methods.back().method.insert(0, tag);
+        bench::print_figure_row(r);
+        if (csv && r.supported) {
+          std::printf("csv,%s,%d,%s,%.3f,%.3f\n", is_write ? "write" : "read",
+                      block.num_clients(), r.method.c_str(), r.bandwidth_mb_s,
+                      r.sim_seconds);
         }
       }
       char ttitle[128];

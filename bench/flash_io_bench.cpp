@@ -13,71 +13,57 @@
 // Flags: --max-clients=N   (default 64; 128 matches the paper's sweep)
 //        --with-posix      include POSIX beyond 2 clients (very slow:
 //                          983 040 requests per client)
+//        --utilization     print each run's server utilization table
+//        --scenario=write_behind  adds the write-behind ablation
+//                          (bench/scenario.h); a failing assert exits 1
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "workloads/flash.h"
+#include "bench/scenario.h"
 
 namespace dtio {
 namespace {
 
-using bench::MethodResult;
 using mpiio::Method;
-using sim::Task;
 
-/// Aggregate write-behind counters across all clients of one run.
-struct WbTotals {
-  double flushes = 0;
-  double batches = 0;
-  double coalesced = 0;
-  double staged_ops = 0;
-};
-
-MethodResult run_flash(Method method, const workloads::FlashConfig& flash,
-                       int nclients, bool use_obs, bool utilization = false,
-                       std::int64_t write_behind = 0, WbTotals* wb = nullptr) {
-  net::ClusterConfig cfg;
-  cfg.num_clients = nclients;
-  cfg.client.write_behind_bytes = write_behind;
-  obs::Observability obs(1 << 16);
-  bench::Rig rig(cfg, use_obs ? &obs : nullptr);
-  pfs::Cluster& cluster = rig.cluster;
-  const SimTime t0 = rig.create("/checkpoint");
-  for (int r = 0; r < nclients; ++r) {
-    cluster.scheduler().spawn(
-        [](mpiio::File& f, coll::Communicator& c,
-           const workloads::FlashConfig& fl, int rank, int n,
-           Method m) -> Task<void> {
-          if (rank != 0) (void)co_await f.open("/checkpoint", false);
-          f.set_view(fl.displacement(rank), types::byte_t(), fl.filetype(n));
-          auto memtype = fl.memtype();
-          (void)co_await f.write_at_all(c, rank, 0, nullptr, 1, memtype, m);
-        }(*rig.files[r], rig.comm, flash, r, nclients, method));
+/// List I/O at 16 clients with the client write-behind layer off vs on.
+/// Off ships one list RPC per envelope of pieces; on absorbs every piece
+/// into per-server staging buffers and drains each as a single
+/// kBatchWrite envelope at the collective's closing flush, paying request
+/// overhead once per server instead of once per list RPC.
+bench::Scenario write_behind(const workloads::FlashConfig& flash) {
+  bench::Scenario s{"write_behind",
+                    "list I/O at 16 clients, staging off vs on"};
+  for (const bool on : {false, true}) {
+    s.arms.push_back(
+        {.name = on ? "on" : "off",
+         .config = {.num_clients = 16,
+                    .client = {.write_behind_bytes = on ? 4 << 20 : 0}},
+         .steps = {
+             {.kind = bench::Step::Kind::kCreate, .path = "/checkpoint"},
+             {.name = "write", .job = bench::flash_job(flash, Method::kList)},
+         }});
   }
-  cluster.run();
-
-  MethodResult result;
-  result.method = method;
-  result.seconds = to_seconds(cluster.scheduler().now() - t0);
-  result.bandwidth =
-      static_cast<double>(flash.bytes_per_proc()) * nclients / result.seconds;
-  result.per_client = rig.clients[0]->stats();
-  result.events = cluster.scheduler().events_processed();
-  if (wb != nullptr) {
-    for (const auto& client : rig.clients) {
-      wb->flushes += static_cast<double>(client->wb_flushes());
-      wb->batches += static_cast<double>(client->wb_batches());
-      wb->coalesced += static_cast<double>(client->wb_coalesced_ops());
-      wb->staged_ops += static_cast<double>(client->wb_staged_ops());
-    }
-  }
-  if (use_obs) bench::capture_latency(result, obs);
-  if (utilization) {
-    std::printf("%s", cluster.utilization_report(t0).c_str());
-  }
-  return result;
+  s.scalars = {
+      {"wb_off_mbps", {"off.write.bandwidth"}, {}, 1e6},
+      {"wb_on_mbps", {"on.write.bandwidth"}, {}, 1e6},
+      {"wb_ratio", {"on.write.bandwidth"}, {"off.write.bandwidth"}},
+      {"wb_off_sim_seconds", {"off.write.seconds"}},
+      {"wb_on_sim_seconds", {"on.write.seconds"}},
+      {"wb_flushes", {"on.wb_flushes"}},
+      {"wb_batches", {"on.wb_batches"}},
+      {"wb_coalesced_ops", {"on.wb_coalesced_ops"}},
+      {"wb_staged_ops", {"on.wb_staged_ops"}},
+  };
+  s.checks = {
+      {"wb_ratio", ">=", 2},
+      {"wb_batches", ">", 0},
+      // Batching reduced the RPC count.
+      {"wb_batches", "<", 1, "wb_staged_ops"},
+      {"wb_coalesced_ops", ">", 0},
+  };
+  return s;
 }
 
 int flash_main(int argc, char** argv) {
@@ -88,6 +74,8 @@ int flash_main(int argc, char** argv) {
   const bool utilization = bench::flag_set(argc, argv, "--utilization");
   const bool use_obs = bench::obs_enabled(argc, argv);
   const bool csv = bench::flag_set(argc, argv, "--csv");
+  const std::vector<bench::Scenario> scenarios = {write_behind(flash)};
+  const bench::Scenario* extra = bench::pick_scenario(argc, argv, scenarios);
   if (csv) std::printf("csv,clients,method,agg_mbps,sim_sec\n");
 
   obs::RunReport report;
@@ -105,7 +93,7 @@ int flash_main(int argc, char** argv) {
   std::printf("\n== Figure 12: FLASH checkpoint write bandwidth ==\n");
   std::printf("  %-8s %-18s %12s %12s\n", "clients", "method", "agg MB/s",
               "sim sec");
-  std::vector<MethodResult> table_rows;
+  std::vector<obs::MethodReport> table_rows;
   for (int n = 2; n <= max_clients; n *= 2) {
     const Method methods[] = {Method::kPosix, Method::kTwoPhase,
                               Method::kList, Method::kDatatype};
@@ -113,18 +101,17 @@ int flash_main(int argc, char** argv) {
       // POSIX issues 983 040 requests per client; the paper calls the
       // result "nearly unusable" — run it only where tractable.
       if (m == Method::kPosix && n > 2 && !with_posix) continue;
-      MethodResult r = run_flash(m, flash, n, use_obs, utilization);
-      char tag[32];
-      std::snprintf(tag, sizeof tag, "%d/", n);
-      report.methods.push_back(bench::to_report(r, tag));
-      std::printf("  %-8d %-18s %12.2f %12.2f\n", n,
-                  std::string(mpiio::method_name(m)).c_str(),
-                  bench::to_mb(r.bandwidth), r.seconds);
+      obs::MethodReport r =
+          bench::measure({.num_clients = n}, bench::flash_job(flash, m),
+                         use_obs, 1 << 16, "", utilization);
+      std::printf("  %-8d %-18s %12.2f %12.2f\n", n, r.method.c_str(),
+                  r.bandwidth_mb_s, r.sim_seconds);
       if (csv) {
-        std::printf("csv,%d,%s,%.3f,%.3f\n", n,
-                    std::string(mpiio::method_name(m)).c_str(),
-                    bench::to_mb(r.bandwidth), r.seconds);
+        std::printf("csv,%d,%s,%.3f,%.3f\n", n, r.method.c_str(),
+                    r.bandwidth_mb_s, r.sim_seconds);
       }
+      report.methods.push_back(r);
+      report.methods.back().method.insert(0, std::to_string(n) + "/");
       if (n == 2) table_rows.push_back(r);
     }
   }
@@ -138,36 +125,9 @@ int flash_main(int argc, char** argv) {
               "overtakes (~37%% faster by 96 procs); list never catches "
               "two-phase\n");
 
-  // Write-behind ablation (--write-behind): list I/O at 16 clients with the
-  // client staging layer off vs on. Off ships one list RPC per envelope of
-  // pieces; on absorbs every piece into per-server staging buffers and
-  // drains each as a single kBatchWrite envelope at the collective's
-  // closing flush, paying request overhead once per server instead of once
-  // per list RPC.
-  if (bench::flag_set(argc, argv, "--write-behind")) {
-    const int wb_clients = 16;
-    const std::int64_t wb_bytes = std::int64_t{4} << 20;
-    MethodResult off = run_flash(Method::kList, flash, wb_clients, false);
-    WbTotals totals;
-    MethodResult on = run_flash(Method::kList, flash, wb_clients, false,
-                                false, wb_bytes, &totals);
-    report.scalars["wb_off_mbps"] = bench::to_mb(off.bandwidth);
-    report.scalars["wb_on_mbps"] = bench::to_mb(on.bandwidth);
-    report.scalars["wb_ratio"] = on.bandwidth / off.bandwidth;
-    report.scalars["wb_off_sim_seconds"] = off.seconds;
-    report.scalars["wb_on_sim_seconds"] = on.seconds;
-    report.scalars["wb_flushes"] = totals.flushes;
-    report.scalars["wb_batches"] = totals.batches;
-    report.scalars["wb_coalesced_ops"] = totals.coalesced;
-    report.scalars["wb_staged_ops"] = totals.staged_ops;
-    std::printf("\n== Write-behind ablation: list I/O at %d clients, "
-                "staging off vs on ==\n",
-                wb_clients);
-    bench::print_scalars(report, "wb_");
-  }
-
+  const bool ok = extra == nullptr || bench::run_scenario(*extra, report);
   bench::write_report(report, argc, argv, "BENCH_flash_io.json");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

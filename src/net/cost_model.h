@@ -284,10 +284,6 @@ struct ClientConfig {
   int breaker_failures = 0;
   dtio::SimTime breaker_open_duration = 50 * dtio::kMillisecond;
 
-  /// EWMA smoothing for per-server latency / failure-rate health tracking
-  /// (diagnostics; breaker trips on the consecutive-failure count).
-  double health_ewma_alpha = 0.2;
-
   /// Hedged reads: percentile of the per-server attempt-latency
   /// distribution after which a read-class RPC issues one hedge to the
   /// same server on a fresh reply tag (first reply wins; the loser is
@@ -392,9 +388,9 @@ struct ClusterConfig {
   /// one number reproduces a whole chaos run.
   std::uint64_t seed = 1;
 
-  NetConfig net;
-  ServerConfig server;
-  ClientConfig client;
+  NetConfig net = {};
+  ServerConfig server = {};
+  ClientConfig client = {};
 
   /// ROMIO buffer sizes (paper §4.1: 4 MiB for sieving and collective).
   std::uint64_t sieve_buffer_size = 4 * dtio::kMiB;

@@ -156,6 +156,9 @@ class FaultPlan {
   /// corruptible (the corruption then does not count as injected).
   using Corruptor = std::function<bool(sim::Message&, Rng&)>;
   void set_corruptor(Corruptor corruptor) { corruptor_ = std::move(corruptor); }
+  [[nodiscard]] bool has_corruptor() const noexcept {
+    return static_cast<bool>(corruptor_);
+  }
 
   /// Storage-media faults for server `node`'s ByteStore (see
   /// DiskFaultSpec). Declarative only: Cluster::set_fault_plan pushes the

@@ -292,8 +292,6 @@ Client::LaneHealth Client::lane_health(int server) const {
   LaneHealth h;
   h.window = l.window < 0 ? config_->client.flow_window : l.window;
   h.outstanding = l.outstanding;
-  h.ewma_latency_ns = l.ewma_latency_ns;
-  h.failure_rate = l.failure_rate;
   h.consecutive_failures = l.consecutive_failures;
   h.breaker = static_cast<int>(l.breaker);
   return h;
@@ -345,15 +343,8 @@ void Client::note_window_decrease(Lane& l) {
   l.window_credit = 0;
 }
 
-void Client::health_note(Lane& l, SimTime latency, bool failed, bool hedged,
-                         SimTime allowance) {
-  const double a = config_->client.health_ewma_alpha;
-  l.failure_rate = a * (failed ? 1.0 : 0.0) + (1.0 - a) * l.failure_rate;
-  if (failed) return;
-  l.ewma_latency_ns =
-      l.ewma_latency_ns == 0
-          ? static_cast<double>(latency)
-          : a * static_cast<double>(latency) + (1.0 - a) * l.ewma_latency_ns;
+void Client::note_attempt_latency(Lane& l, SimTime latency, bool hedged,
+                                  SimTime allowance) {
   if (hedged) return;  // keep the deadline quantile on the healthy baseline
   l.attempt_latency.record(std::max<SimTime>(0, latency - allowance));
   ++l.samples;
@@ -642,8 +633,8 @@ Client::Next Client::classify(RpcSlot* slot, Lane& ln, Exchange& ex,
                           std::to_string(slot->server) + " (observed crc " +
                           std::to_string(crc32(*reply.data)) + ")");
     } else if (reply.ok) {
-      health_note(ln, sched_->now() - ex.start, /*failed=*/false, ex.hedged,
-                  ex.allowance);
+      note_attempt_latency(ln, sched_->now() - ex.start, ex.hedged,
+                           ex.allowance);
       note_window_increase(ln);
       slot->status = Status::ok();
       slot->reply = std::move(reply);
@@ -671,7 +662,6 @@ Client::Next Client::classify(RpcSlot* slot, Lane& ln, Exchange& ex,
             reply.error == st.last_loss_error ? st.loss_repeats + 1 : 1;
         st.last_loss_error = reply.error;
         if (st.loss_repeats >= cc.data_loss_fast_fail) {
-          health_note(ln, 0, /*failed=*/true);
           note_data_loss_surfaced(*slot);
           slot->status = st.last;
           slot->reply = std::move(reply);
@@ -691,7 +681,6 @@ Client::Next Client::classify(RpcSlot* slot, Lane& ln, Exchange& ex,
     // resends only the rejected remainder.
     wb_strip_acked(slot, reply);
   }
-  health_note(ln, 0, /*failed=*/true);
   if (ring && !ex.reply.has_value()) return Next::kMove;
   const int max_attempts = std::max(1, cc.rpc_max_attempts);
   if (attempt < max_attempts) return Next::kRetry;
@@ -1245,14 +1234,17 @@ sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
       continue;
     }
     const ServerAccess& acc = access[static_cast<std::size_t>(slot.home)];
-    if (slot.reply.bytes != acc.total_bytes) {
+    const bool scatters = !is_write && read_stream != nullptr &&
+                          transfer_data_ && slot.reply.data;
+    // A reply whose data is not exactly the bytes it claims would make
+    // scatter read past the buffer: refuse it like a wrong byte count.
+    if (slot.reply.bytes != acc.total_bytes ||
+        (scatters && slot.reply.data->size() !=
+                         static_cast<std::size_t>(acc.total_bytes))) {
       if (result.is_ok()) result = internal_error("server byte count mismatch");
       continue;
     }
-    if (!is_write && read_stream != nullptr && transfer_data_ &&
-        slot.reply.data) {
-      scatter(slot);
-    }
+    if (scatters) scatter(slot);
   }
   finish_op(prototype.op, op_trace);
   co_return result;

@@ -176,8 +176,6 @@ class Client {
   struct LaneHealth {
     int window = 0;       ///< current AIMD cap (0 = flow control off)
     int outstanding = 0;
-    double ewma_latency_ns = 0;
-    double failure_rate = 0;  ///< EWMA of attempt failures in [0, 1]
     int consecutive_failures = 0;
     int breaker = 0;  ///< 0 = closed, 1 = open, 2 = half-open
   };
@@ -397,9 +395,9 @@ class Client {
   /// Copy a settled group's outcome into the logical slot.
   static void quorum_outcome(const QuorumGroup& group, RpcSlot& slot);
 
-  /// Per-server robustness state ("lane"): AIMD congestion window, EWMA
-  /// health, circuit breaker, and the attempt-latency histogram that
-  /// supplies the hedging deadline quantile.
+  /// Per-server robustness state ("lane"): AIMD congestion window,
+  /// circuit breaker, and the attempt-latency histogram that supplies the
+  /// hedging deadline quantile.
   struct Lane {
     enum class Breaker { kClosed, kOpen, kHalfOpen };
 
@@ -408,8 +406,6 @@ class Client {
     double window_credit = 0;  ///< additive-increase accumulator
     std::deque<std::coroutine_handle<>> waiters;
 
-    double ewma_latency_ns = 0;
-    double failure_rate = 0;
     int consecutive_failures = 0;
 
     Breaker breaker = Breaker::kClosed;
@@ -465,15 +461,15 @@ class Client {
   void note_window_increase(Lane& l);
   /// …halve (floor 1) on timeout or kOverloaded.
   void note_window_decrease(Lane& l);
-  /// EWMA latency / failure-rate update. Successful attempts also feed the
-  /// hedging histogram with their latency minus `allowance`, the reply
-  /// drain time added to that attempt's waits, so a large healthy reply
-  /// does not read as a straggler — unless the attempt issued a hedge: a
-  /// straggling server would otherwise inflate the deadline quantile past
-  /// rpc_timeout and disable the very mechanism masking it, so the
-  /// histogram tracks the healthy baseline only.
-  void health_note(Lane& l, SimTime latency, bool failed, bool hedged = false,
-                   SimTime allowance = 0);
+  /// A successful attempt feeds the hedging histogram with its latency
+  /// minus `allowance`, the reply drain time added to that attempt's
+  /// waits, so a large healthy reply does not read as a straggler —
+  /// unless the attempt issued a hedge: a straggling server would
+  /// otherwise inflate the deadline quantile past rpc_timeout and disable
+  /// the very mechanism masking it, so the histogram tracks the healthy
+  /// baseline only.
+  void note_attempt_latency(Lane& l, SimTime latency, bool hedged,
+                            SimTime allowance);
   /// Circuit breaker: false = fail fast (open, or half-open probe taken).
   /// Transitions are marked with breaker_* instants under `slot`'s RPC.
   [[nodiscard]] bool breaker_try_pass(Lane& l, const RpcSlot& slot);

@@ -88,13 +88,16 @@ class Cluster {
   [[nodiscard]] obs::Observability* observability() noexcept { return obs_; }
 
   /// Attach a fault plan to the interconnect (nullptr detaches; not
-  /// owned). Installs the protocol-aware corruptor so kCorrupt faults flip
-  /// bits in actual request/reply payloads. Detached — the default — the
-  /// send path pays one pointer test.
+  /// owned). A plan without a corruptor gets the protocol-aware one, so
+  /// kCorrupt faults flip bits in actual request/reply payloads; a
+  /// corruptor set on the plan beforehand is kept. Detached — the default
+  /// — the send path pays one pointer test.
   void set_fault_plan(net::FaultPlan* plan) {
     network_.set_fault_plan(plan);
     if (plan != nullptr) {
-      plan->set_corruptor(&corrupt_message_payload);
+      if (!plan->has_corruptor()) {
+        plan->set_corruptor(&corrupt_message_payload);
+      }
       // Storage-media faults are per-server state, not wire state: install
       // each server's DiskFaultSpec into its media context.
       if (plan->has_disk_specs()) {

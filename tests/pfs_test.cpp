@@ -1892,6 +1892,84 @@ TEST(EndToEnd, CorruptedDescriptorNeverEntersTheDataloopTable) {
   EXPECT_EQ(stats.dataloop_cache_hits, 1u);
 }
 
+TEST(EndToEnd, ShortReadReplyDataIsRefused) {
+  // A hostile read reply cuts its data short and restamps payload_crc, so
+  // the CRC check passes: the client must refuse it on the byte count
+  // instead of scattering past the end of the data. The corruptor is set
+  // before set_fault_plan, which must keep it.
+  Cluster cluster(small_config(1, 1));
+  net::FaultPlan plan(7);
+  plan.set_default_spec({.corrupt = 1.0});
+  bool cut = false;
+  plan.set_corruptor([&cut](sim::Message& msg, Rng&) {
+    auto* reply = std::any_cast<Reply>(&msg.body);
+    if (cut || reply == nullptr || !reply->data || reply->data->empty()) {
+      return false;
+    }
+    auto shorter = std::make_shared<std::vector<std::uint8_t>>(
+        reply->data->begin(), reply->data->begin() + 1);
+    reply->payload_crc = crc32(*shorter);
+    reply->data = std::move(shorter);
+    cut = true;
+    return true;
+  });
+  cluster.set_fault_plan(&plan);
+  auto client = cluster.make_client(0);
+  const auto file = pattern_bytes(4096, 23);
+  Status read_status;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src,
+         Status& out) -> Task<void> {
+        MetaResult f = co_await c.create("/short");
+        EXPECT_TRUE((co_await c.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        std::vector<std::uint8_t> buf(src.size());
+        out = co_await c.read_contig(f.handle, 0, buf.data(),
+                                     static_cast<std::int64_t>(buf.size()));
+      }(*client, file, read_status));
+  cluster.run();
+  EXPECT_TRUE(cut);
+  EXPECT_EQ(read_status.code(), StatusCode::kInternal)
+      << read_status.to_string();
+}
+
+TEST(EndToEnd, SetFaultPlanKeepsAnEarlierCorruptor) {
+  // A corruptor that never corrupts, set before set_fault_plan: it is the
+  // one asked about every message, so nothing is corrupted and the data
+  // round-trips under corrupt = 1.0.
+  Cluster cluster(small_config(2, 1));
+  net::FaultPlan plan(7);
+  plan.set_default_spec({.corrupt = 1.0});
+  int asked = 0;
+  plan.set_corruptor([&asked](sim::Message&, Rng&) {
+    ++asked;
+    return false;
+  });
+  cluster.set_fault_plan(&plan);
+  auto client = cluster.make_client(0);
+  const auto file = pattern_bytes(8192, 31);
+  std::vector<std::uint8_t> back(file.size());
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src,
+         std::vector<std::uint8_t>& out) -> Task<void> {
+        MetaResult f = co_await c.create("/kept");
+        EXPECT_TRUE((co_await c.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        EXPECT_TRUE((co_await c.read_contig(
+                         f.handle, 0, out.data(),
+                         static_cast<std::int64_t>(out.size())))
+                        .is_ok());
+      }(*client, file, back));
+  cluster.run();
+  EXPECT_GT(asked, 0);
+  EXPECT_EQ(plan.counters().corrupted, 0u);
+  EXPECT_EQ(back, file);
+}
+
 TEST(EndToEnd, TimingOnlyOpsCostWhatDataCarryingOpsCost) {
   // A timing-only op builds no client extents unless write-behind needs
   // them; it must still send, count and take exactly what a data-carrying
