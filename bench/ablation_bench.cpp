@@ -112,28 +112,35 @@ void add_seconds(bench::Scenario& s, bench::Arm arm) {
   s.arms.push_back(std::move(arm));
 }
 
-/// B (paper §2.4): a bounded cap keeps list requests small but leaves ops
-/// linear in regions; datatype I/O removes the list entirely (1 op).
+/// B: the list-I/O regions-per-request cap; the requests each client
+/// sends are echoed.
 bench::Scenario list_cap() {
   bench::Scenario s{"list_cap",
                     "list-I/O regions-per-request cap (FLASH write, 8 "
-                    "clients)"};
+                    "clients)",
+                    "paper §2.4: a bounded cap keeps requests small but "
+                    "leaves ops linear in regions; datatype I/O removes the "
+                    "list entirely (1 op)"};
   for (const int cap : {16, 64, 256, 1024, 4096}) {
     net::ClusterConfig cfg;
     cfg.list_io_max_regions = static_cast<std::uint64_t>(cap);
-    add_seconds(s, job_arm("list_cap_" + std::to_string(cap), cfg, 8,
-                           flash(Method::kList)));
+    const std::string name = "list_cap_" + std::to_string(cap);
+    add_seconds(s, job_arm(name, cfg, 8, flash(Method::kList)));
+    s.scalars.push_back({name + "_requests_per_client",
+                         {name + ".requests_sent"}, {}, 8, 0, true});
   }
   return s;
 }
 
-/// C (paper §4.3): the prototype builds offset-length lists on the
-/// server, so datatype reads dip as the client count grows; a
-/// full-featured implementation (0 us per region) does not.
+/// C: the server's per-region cost on datatype reads, at 8, 27 and 64
+/// clients.
 bench::Scenario region_cost() {
   bench::Scenario s{"region_cost",
                     "server per-region cost on datatype READs (600^3 "
-                    "block), aggregate MB/s"};
+                    "block), aggregate MB/s",
+                    "paper §4.3: the prototype builds offset-length lists on "
+                    "the server, so reads dip as client count grows; a "
+                    "full-featured datatype implementation (0 us) does not"};
   for (const SimTime cost : {0, 2000, 8000, 16000}) {
     net::ClusterConfig cfg;
     cfg.server.per_dataloop_region_cost = cost;
@@ -147,12 +154,13 @@ bench::Scenario region_cost() {
   return s;
 }
 
-/// D (paper §4.4): the tighter the shared fabric, the more two-phase pays
-/// for moving the data twice.
+/// D: fabric bisection bandwidth, two-phase vs datatype writes.
 bench::Scenario fabric() {
   bench::Scenario s{"fabric",
                     "fabric bisection vs two-phase's double movement (FLASH "
-                    "write, 32 clients; 0 = unlimited)"};
+                    "write, 32 clients; 0 = unlimited)",
+                    "the tighter the shared fabric, the more two-phase pays "
+                    "for moving the data twice (paper §4.4)"};
   for (const int mbps : {0, 120, 60, 30}) {
     net::ClusterConfig cfg;
     cfg.net.fabric_bandwidth_bytes_per_s = mbps * 1024.0 * 1024;
@@ -165,13 +173,15 @@ bench::Scenario fabric() {
   return s;
 }
 
-/// E (paper §5 future work): a deep nested type reused across 200
-/// operations (checkpoint-every-iteration pattern); with the server-side
-/// datatype cache, servers decode it once.
+/// E: a deep nested type reused across 200 operations
+/// (checkpoint-every-iteration pattern); with the server-side datatype
+/// cache, servers decode it once.
 bench::Scenario dataloop_cache() {
   bench::Scenario s{"dataloop_cache",
-                    "server-side datatype cache: one 12-deep nested type "
-                    "written 200 times"};
+                    "server-side datatype cache (paper §5 future work): one "
+                    "12-deep nested type written 200 times",
+                    "repeated identical types skip the per-request decode "
+                    "entirely when cached"};
   for (const bool cache : {false, true}) {
     const std::string name = cache ? "dataloop_cache_on" : "dataloop_cache_off";
     bench::Arm arm{.name = name,
@@ -193,16 +203,19 @@ bench::Scenario dataloop_cache() {
                   }}};
     add_seconds(s, arm);
     s.scalars.push_back({name + "_decodes", {name + ".dataloops_decoded"}});
+    s.scalars.push_back(
+        {name + "_hits", {name + ".dataloop_cache_hits"}, {}, 1, 0, true});
   }
   return s;
 }
 
-/// F (paper §5): removing job/access-list creation on client and server
-/// "further widen[s] the performance gap".
+/// F: prototype vs full-featured datatype I/O.
 bench::Scenario pvfs2_mode() {
   bench::Scenario s{"pvfs2_mode",
                     "prototype vs full-featured (PVFS2) datatype I/O: FLASH "
-                    "write at 32 clients, 3-D block read at 64"};
+                    "write at 32 clients, 3-D block read at 64",
+                    "removing job/access-list creation on client and server "
+                    "\"further widen[s] the performance gap\" (paper §5)"};
   for (const bool full : {false, true}) {
     net::ClusterConfig cfg;
     if (full) cfg = cfg.pvfs2_mode();
@@ -214,14 +227,15 @@ bench::Scenario pvfs2_mode() {
   return s;
 }
 
-/// G (paper §2.3/§5): 8 ranks each write every 16th 1 KiB block of a
-/// 128 MiB file, so every two-phase round has holes; noncontiguous
-/// write-back skips the hull read entirely — "leveraging datatype I/O
-/// underneath two-phase".
+/// G (paper §2.3): 8 ranks each write every 16th 1 KiB block of a
+/// 128 MiB file, so every two-phase round has holes.
 bench::Scenario cb_write() {
   bench::Scenario s{"cb_write",
                     "two-phase write-back for holey rounds (sparse 8-rank "
-                    "collective, half the bytes untouched)"};
+                    "collective, half the bytes untouched)",
+                    "noncontiguous write-back skips the hull read entirely — "
+                    "\"leveraging datatype I/O underneath two-phase\" "
+                    "(paper §5)"};
   bench::Job job{
       .path = "/sparse",
       .view = [](int rank, int) -> bench::RankView {
@@ -246,13 +260,14 @@ int ablation_main(int argc, char** argv) {
   obs::RunReport report;
   report.bench = "ablation";
   ablate_coalescing(report);
+  bool ok = true;
   for (const bench::Scenario& s : {list_cap(), region_cost(), fabric(),
                                     dataloop_cache(), pvfs2_mode(),
                                     cb_write()}) {
-    bench::run_scenario(s, report);
+    ok = bench::run_scenario(s, report) && ok;
   }
   bench::write_report(report, argc, argv, "BENCH_ablation.json");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

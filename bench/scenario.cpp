@@ -27,9 +27,9 @@ static_assert(obs::kReportSchemaVersion == 2);
 constexpr std::pair<const char*, std::uint64_t pfs::ServerStats::*>
     kServerCounters[] = {
         S(regions_walked), S(my_pieces), S(dataloops_decoded),
-        S(subtrees_skipped), S(pieces_pruned), S(crashes),
-        S(replays_suppressed), S(crc_rejects), S(sheds_depth), S(sheds_bytes),
-        S(disk_accesses), S(cache_hits), S(cache_misses),
+        S(subtrees_skipped), S(pieces_pruned), S(dataloop_cache_hits),
+        S(crashes), S(replays_suppressed), S(crc_rejects), S(sheds_depth),
+        S(sheds_bytes), S(disk_accesses), S(cache_hits), S(cache_misses),
         S(cache_readahead_issued), S(cache_evictions),
         S(cache_dirty_flushed_bytes), S(resyncs), S(resync_bytes_pulled),
         S(media_sector_errors), S(media_bit_rot_detected),
@@ -467,23 +467,29 @@ obs::MethodReport measure(const net::ClusterConfig& cfg, const Job& job,
 
 // ---- Scenarios -----------------------------------------------------------------
 
-bool run_scenario(const Scenario& s, obs::RunReport& report, Values extra) {
-  Values& values = extra;
+bool run_scenario(const Scenario& s, obs::RunReport& report) {
+  Values values;
   for (const Arm& arm : s.arms) run_arm(arm, values, report);
   std::printf("\nscenario %s: %s\n", s.name.c_str(), s.title.c_str());
+  bool ok = true;
   for (const Scalar& sc : s.scalars) {
     double num = 0;
     double den = sc.den.empty() ? 1 : 0;
     for (const std::string& key : sc.num) num += value(values, key);
     for (const std::string& key : sc.den) den += value(values, key);
+    if (std::isnan(num) || std::isnan(den)) {
+      std::fprintf(stderr, "FAIL: %s reads a value no arm recorded\n",
+                   sc.key.c_str());
+      ok = false;
+      continue;
+    }
     den = std::max(den, sc.floor);
-    if (std::isnan(num) || std::isnan(den)) continue;  // a missing value
     values[sc.key] = den == 0 ? 0.0 : num / den / sc.div;
-    if (sc.hidden) continue;
-    report.scalars[sc.key] = values[sc.key];
+    if (!sc.hidden) report.scalars[sc.key] = values[sc.key];
     std::printf("  %-36s %.6g\n", sc.key.c_str(), values[sc.key]);
   }
-  return check(s.checks, values);
+  if (!s.note.empty()) std::printf("  %s\n", s.note.c_str());
+  return check(s.checks, values) && ok;
 }
 
 bool check(const std::vector<Check>& checks, const Values& values) {

@@ -159,8 +159,8 @@ struct Arm {
 };
 
 /// A report scalar: sum(num) / sum(den) / div. An empty `den` divides by
-/// 1; a zero sum(den), after raising it to `floor`, yields 0. A scalar
-/// whose values are missing is left out; a hidden one only feeds checks.
+/// 1; a zero sum(den), after raising it to `floor`, yields 0. A hidden
+/// one is echoed and checked but kept out of the report.
 struct Scalar {
   std::string key = {};
   std::vector<std::string> num = {};
@@ -182,16 +182,16 @@ struct Check {
 struct Scenario {
   std::string name = {};   ///< --scenario=NAME
   std::string title = {};  ///< printed above its scalars
+  std::string note = {};   ///< printed below them, when set
   std::vector<Arm> arms = {};
   std::vector<Scalar> scalars = {};
   std::vector<Check> checks = {};
 };
 
 /// Runs every arm in order, adds the scalars to `report` and echoes them,
-/// then checks `s.checks` against the scalars, the arms' values and
-/// `extra`. False when a check fails.
-bool run_scenario(const Scenario& s, obs::RunReport& report,
-                  Values extra = {});
+/// then checks `s.checks` against the scalars and the arms' values. False
+/// when a check fails or a scalar reads a value no arm recorded.
+bool run_scenario(const Scenario& s, obs::RunReport& report);
 
 /// Evaluates `checks` against `values`; prints each failure to stderr.
 bool check(const std::vector<Check>& checks, const Values& values);
