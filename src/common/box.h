@@ -76,9 +76,4 @@ class Box {
   T* ptr_;
 };
 
-template <typename T>
-[[nodiscard]] Box<T> make_box(T value) {
-  return Box<T>(std::move(value));
-}
-
 }  // namespace dtio

@@ -36,9 +36,4 @@ std::string format_bytes(std::uint64_t bytes) {
   return format_scaled(static_cast<double>(bytes), kSuffixes, 5, 1024.0);
 }
 
-std::string format_bandwidth(double bytes_per_second) {
-  static const char* const kSuffixes[] = {"B/s", "KiB/s", "MiB/s", "GiB/s"};
-  return format_scaled(bytes_per_second, kSuffixes, 4, 1024.0);
-}
-
 }  // namespace dtio

@@ -30,7 +30,4 @@ SimTime transfer_time(std::uint64_t bytes, double bytes_per_second) noexcept;
 /// "2.25 MiB" / "768 B" style rendering for tables.
 std::string format_bytes(std::uint64_t bytes);
 
-/// "12.3 MiB/s" rendering for figure output.
-std::string format_bandwidth(double bytes_per_second);
-
 }  // namespace dtio

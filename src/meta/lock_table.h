@@ -7,8 +7,8 @@
 //
 // Lock state is process state: invalidate() drops every holder and
 // surrenders the parked waiters so a restarting shard can re-grant them in
-// deterministic FIFO order. Holders from before the crash simply find
-// their later unlock a no-op.
+// deterministic FIFO order. Only a stripe's holder can release it, so a
+// holder from before the crash finds its later unlock a no-op.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +32,31 @@ class LockTable {
   /// parks the waiter at the back of the stripe's FIFO.
   bool acquire(std::uint64_t handle, std::int64_t stripe, Waiter w) {
     const Key key{handle, stripe};
-    if (held_.insert(std::make_pair(key, true)).second) return true;
+    if (held_.emplace(key, w.client_node).second) return true;
     waiters_[key].push_back(w);
     return false;
   }
 
-  /// Release (handle, stripe). If a waiter is parked, ownership transfers
-  /// to it and it is returned for the caller to notify; releasing an
-  /// unheld stripe (e.g. after crash invalidation) is a safe no-op.
-  std::optional<Waiter> release(std::uint64_t handle, std::int64_t stripe) {
+  /// Release (handle, stripe) for `client_node`. If a waiter is parked,
+  /// ownership transfers to it and it is returned for the caller to
+  /// notify. Releasing a stripe `client_node` does not hold (unheld after
+  /// crash invalidation, or re-granted to another client) is a no-op.
+  std::optional<Waiter> release(std::uint64_t handle, std::int64_t stripe,
+                                int client_node) {
     const Key key{handle, stripe};
+    const auto held = held_.find(key);
+    if (held == held_.end() || held->second != client_node) {
+      return std::nullopt;
+    }
     auto w = waiters_.find(key);
     if (w != waiters_.end()) {
       Waiter next = w->second.front();
       w->second.pop_front();
       if (w->second.empty()) waiters_.erase(w);
-      return next;  // stripe stays held by the new owner
+      held->second = next.client_node;  // the new owner holds the stripe
+      return next;
     }
-    held_.erase(key);
+    held_.erase(held);
     return std::nullopt;
   }
 
@@ -76,7 +83,7 @@ class LockTable {
 
  private:
   // std::map keys keep crash-drain order deterministic across runs.
-  std::map<Key, bool> held_;
+  std::map<Key, int> held_;  ///< holder's client node per held stripe
   std::map<Key, std::deque<Waiter>> waiters_;
 };
 

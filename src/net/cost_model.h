@@ -160,19 +160,6 @@ struct ServerConfig {
   /// oldest dirty blocks (write-back only).
   double cache_dirty_watermark = 0.5;
 
-  // ---- Restart resync (ClusterConfig::replication > 1 only; dormant —
-  // and the event sequence bit-identical — at replication 1).
-
-  /// Reply deadline per kResyncPull RPC issued during the restart resync
-  /// phase, and the retry_after hint attached to writes refused while the
-  /// phase runs.
-  dtio::SimTime resync_pull_timeout = 50 * dtio::kMillisecond;
-
-  /// Attempts per replica peer before the peer is skipped (bounds the
-  /// resync phase under an adversarial fault plan; skips are counted in
-  /// ServerStats::resync_peers_skipped and the next restart retries).
-  int resync_pull_attempts = 3;
-
   // ---- Storage integrity (all default-off; see docs/fault-model.md).
 
   /// Maintain per-page CRC32 checksums on the server's byte streams:

@@ -7,20 +7,6 @@
 
 namespace dtio::pfs {
 
-const char* media_fault_name(MediaFault kind) noexcept {
-  switch (kind) {
-    case MediaFault::kNone:
-      return "none";
-    case MediaFault::kSectorError:
-      return "sector";
-    case MediaFault::kBitRot:
-      return "bit_rot";
-    case MediaFault::kTorn:
-      return "torn";
-  }
-  return "?";
-}
-
 void Bstream::write(std::int64_t offset, std::span<const std::uint8_t> data) {
   note_write(offset, static_cast<std::int64_t>(data.size()));
   const bool media = media_on() && !data.empty();

@@ -39,8 +39,6 @@ enum class MediaFault : std::uint8_t {
   kTorn,         ///< torn write: a crash applied only a prefix of the extent
 };
 
-[[nodiscard]] const char* media_fault_name(MediaFault kind) noexcept;
-
 /// Per-server media context shared by all of that server's byte streams
 /// (primary and replica stores). Owned by the server, attached via
 /// Bstream::set_media; the single RNG makes the whole server's fault

@@ -61,6 +61,7 @@ std::span<const obs::CounterRow<Client>> Client::counter_table() {
       {"client_read_failovers_total", "node", &C::read_failovers_},
       {"client_quorum_writes_total", "node", &C::quorum_writes_},
       {"client_data_loss_total", "node", &C::data_loss_surfaced_},
+      {"client_bad_replies_total", "node", &C::bad_replies_},
       {"client_wb_staged_bytes_total", "node", &C::wb_staged_bytes_},
       {"client_wb_coalesced_ops_total", "node", &C::wb_coalesced_},
       {"client_wb_flushes_total", "reason=watermark,node",
@@ -623,7 +624,18 @@ Client::Next Client::classify(RpcSlot* slot, Lane& ln, Exchange& ex,
     breaker_on_success(ln, *slot);
     const StatusCode code =
         reply.code == StatusCode::kOk ? StatusCode::kInternal : reply.code;
-    if (reply.has_payload_crc && reply.data &&
+    if (const char* bad = check_reply(
+            slot->request, reply,
+            ReplyContext{&layout_for(slot->request.handle),
+                         effective_replication(), slot->bytes,
+                         sched_->now()})) {
+      // A reply no honest server sends: definitive, like an unclassified
+      // error reply.
+      ++bad_replies_;
+      slot->status = internal_error("bad reply from server " +
+                                    std::to_string(slot->server) + ": " + bad);
+      return Next::kDone;
+    } else if (reply.has_payload_crc && reply.data &&
         crc32(*reply.data) != reply.payload_crc) {
       // Read-data integrity: a corrupted reply payload must not reach the
       // caller's buffer; retry. The observed CRC is embedded so two
@@ -732,6 +744,7 @@ std::shared_ptr<Client::QuorumGroup> Client::quorum_spawn(
     auto slot = std::make_unique<RpcSlot>();
     slot->home = base.home;
     slot->server = layout_.replica_server(base.home, k);
+    slot->bytes = base.bytes;
     // Same op_seq (and, for batches, per-sub-op op_seqs + CRCs) on every
     // copy: each replica's replay window dedups its own retries, and the
     // payload's data buffers are shared_ptr-shared across the copies.
@@ -1143,6 +1156,7 @@ sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
     RpcSlot slot;
     slot.server = s;
     slot.home = s;
+    slot.bytes = acc.total_bytes;
     slot.request = prototype;
     slot.request.client_node = node_;
     // Each per-server request is its own replay-protected logical op:
@@ -1203,10 +1217,10 @@ sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
 
   // One concurrent RPC driver per server, each with its own retry loop (a
   // straggler or outage on one server must not stall retries to the
-  // others); join, then validate and scatter. Under replication, writes
-  // fan out to every replica of their home server and join at write
-  // quorum (laggard copies finish in the background), and reads walk the
-  // replica ring on failure.
+  // others); join, then scatter. Under replication, writes fan out to
+  // every replica of their home server and join at write quorum (laggard
+  // copies finish in the background), and reads walk the replica ring on
+  // failure.
   if (is_write && effective_replication() > 1) {
     sim::WaitGroup wg(*sched_);
     std::vector<std::shared_ptr<QuorumGroup>> groups;
@@ -1231,20 +1245,10 @@ sim::Task<Status> Client::run_requests(Box<Request> prototype_box,
     if (obs_ != nullptr) obs_->spans.end(slot.rpc_span, sched_->now());
     if (!slot.status.is_ok()) {
       if (result.is_ok()) result = slot.status;
-      continue;
+    } else if (!is_write && read_stream != nullptr && slot.reply.data) {
+      // check_reply saw the data is exactly the bytes mapped here.
+      scatter(slot);
     }
-    const ServerAccess& acc = access[static_cast<std::size_t>(slot.home)];
-    const bool scatters = !is_write && read_stream != nullptr &&
-                          transfer_data_ && slot.reply.data;
-    // A reply whose data is not exactly the bytes it claims would make
-    // scatter read past the buffer: refuse it like a wrong byte count.
-    if (slot.reply.bytes != acc.total_bytes ||
-        (scatters && slot.reply.data->size() !=
-                         static_cast<std::size_t>(acc.total_bytes))) {
-      if (result.is_ok()) result = internal_error("server byte count mismatch");
-      continue;
-    }
-    if (scatters) scatter(slot);
   }
   finish_op(prototype.op, op_trace);
   co_return result;
@@ -1385,6 +1389,7 @@ sim::Task<Status> Client::wb_flush_server(int server, FlushReason reason,
 
   RpcSlot slot;
   slot.server = server;
+  slot.bytes = flush_bytes;
   slot.request.op = OpKind::kBatchWrite;
   slot.request.client_node = node_;
   slot.request.carry_data = transfer_data_;
@@ -1504,22 +1509,20 @@ sim::Task<Status> Client::wb_flush_all(FlushReason reason) {
 
 void Client::wb_strip_acked(RpcSlot* slot, const Reply& reply) {
   auto* batch = std::get_if<BatchPayload>(&slot->request.payload);
-  if (batch == nullptr ||
-      reply.sub_acked.size() != batch->sub_ops.size()) {
-    return;
-  }
+  if (batch == nullptr || reply.sub_acked.empty()) return;
   std::vector<BatchSubOp> rest;
-  std::uint64_t rest_bytes = 0;
+  std::int64_t rest_bytes = 0;
   for (std::size_t i = 0; i < batch->sub_ops.size(); ++i) {
     if (reply.sub_acked[i] != 0) continue;
-    rest_bytes += static_cast<std::uint64_t>(batch->sub_ops[i].length);
+    rest_bytes += batch->sub_ops[i].length;
     rest.push_back(std::move(batch->sub_ops[i]));
   }
   if (rest.size() == batch->sub_ops.size()) return;  // nothing acked
   batch->sub_ops = std::move(rest);
+  slot->bytes = rest_bytes;
   slot->wire_bytes = request_descriptor_bytes(slot->request,
                                               config_->list_io_bytes_per_region) +
-                     rest_bytes;
+                     static_cast<std::uint64_t>(rest_bytes);
 }
 
 void Client::note_data_loss_surfaced(const RpcSlot& slot) {

@@ -132,6 +132,10 @@ class Client {
   [[nodiscard]] std::uint64_t data_loss_surfaced() const noexcept {
     return data_loss_surfaced_;
   }
+  /// Replies check_reply refused, each ending its RPC with kInternal.
+  [[nodiscard]] std::uint64_t bad_replies() const noexcept {
+    return bad_replies_;
+  }
 
   // ---- Write-behind staging --------------------------------------------------
   // Armed by ClientConfig::write_behind_bytes > 0: write-class data ops
@@ -316,6 +320,9 @@ class Client {
     /// `home`.
     int home = 0;
     Request request;
+    /// Data ops: the bytes mapped to the target (a batch's unacked
+    /// sub-ops), which an OK reply must have moved.
+    std::int64_t bytes = 0;
     std::uint64_t wire_bytes = 0;
     /// Expected reply wire bytes (expected_reply_bytes()), held in
     /// reply_bytes_outstanding() while a target of rpc_attempts holds it.
@@ -338,7 +345,8 @@ class Client {
   /// kUnavailable reply moves the target one step along the replica ring
   /// (one step per replica per round, rpc_max_attempts rounds, an
   /// un-jittered retry_backoff between rounds); elsewhere a timeout is
-  /// retried at the target. CRC-mismatched read replies and kDataLoss /
+  /// retried at the target. A reply check_reply refuses ends the RPC with
+  /// kInternal. CRC-mismatched read replies and kDataLoss /
   /// kOverloaded rejections are retried at the target at every
   /// replication, up to rpc_max_attempts times there, with jittered
   /// exponential backoff. Failures surface through slot->status.
@@ -546,8 +554,8 @@ class Client {
   sim::Fire wb_flush_fire(int server, FlushReason reason, Status* out,
                           sim::WaitGroup* wg);
   sim::Task<Status> wb_flush_all(FlushReason reason);
-  /// Strip sub-ops the reply already acknowledged from a batch slot so a
-  /// retry resends only the unacked remainder.
+  /// Strip sub-ops the checked reply already acknowledged from a batch
+  /// slot so a retry resends only the unacked remainder.
   void wb_strip_acked(RpcSlot* slot, const Reply& reply);
   /// Count a read surfaced as kDataLoss by the fast-fail path and mark it
   /// with a "data_loss" instant under the slot's RPC.
@@ -615,6 +623,7 @@ class Client {
   std::uint64_t read_failovers_ = 0;
   std::uint64_t quorum_writes_ = 0;
   std::uint64_t data_loss_surfaced_ = 0;
+  std::uint64_t bad_replies_ = 0;  ///< replies check_reply refused
   std::vector<Lane> lanes_;  ///< one per server
 
   // Write-behind state (all dormant while write_behind_bytes == 0).

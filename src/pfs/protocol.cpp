@@ -1,5 +1,6 @@
 #include "pfs/protocol.h"
 
+#include <algorithm>
 #include <any>
 #include <utility>
 
@@ -65,6 +66,14 @@ std::uint64_t request_descriptor_bytes(const Request& request,
          std::visit(Visitor{list_bytes_per_region}, request.payload);
 }
 
+Reply error_reply(StatusCode code, std::string error) {
+  Reply reply;
+  reply.ok = false;
+  reply.code = code;
+  reply.error = std::move(error);
+  return reply;
+}
+
 namespace {
 
 /// Whether [offset, offset + length) lies in [0, limit) for a non-negative
@@ -74,18 +83,24 @@ bool fits(std::int64_t offset, std::int64_t length,
   return offset >= 0 && length >= 0 && length <= limit - offset;
 }
 
+/// Whether an echoed per-file layout is 0 (the global layout) or one of
+/// the cluster's. Its servers index the cluster, and its strip divides
+/// every offset; with a stripe of at most kMaxFileBytes / 4, any file
+/// offset plus a few stripes stays in int64.
+template <typename Echo>
+bool layout_ok(const Echo& echo, int num_servers) noexcept {
+  const int servers = echo.layout_servers;
+  return servers == 0 ||
+         (servers > 0 && servers <= num_servers && echo.layout_strip > 0 &&
+          echo.layout_strip <= kMaxFileBytes / 4 / servers &&
+          echo.layout_start >= 0 && echo.layout_start < num_servers);
+}
+
 }  // namespace
 
 RequestCheck check_request(const Request& request, const dl::Dataloop* loop,
                            int num_servers) noexcept {
-  // The servers a request names index the cluster, and the echoed strip
-  // divides every offset; with a stripe of at most kMaxFileBytes / 4, any
-  // file offset plus a few stripes stays in int64.
-  const int servers = request.layout_servers;
-  if (servers != 0 &&
-      (servers < 0 || servers > num_servers || request.layout_strip <= 0 ||
-       request.layout_strip > kMaxFileBytes / 4 / servers ||
-       request.layout_start < 0 || request.layout_start >= num_servers)) {
+  if (!layout_ok(request, num_servers)) {
     return {0, "request layout out of range"};
   }
   if (request.replica_of < -1 || request.replica_of >= num_servers) {
@@ -147,6 +162,51 @@ RequestCheck check_request(const Request& request, const dl::Dataloop* loop,
     RequestCheck operator()(const ResyncPayload&) const { return {}; }
   };
   return std::visit(Visitor{loop}, request.payload);
+}
+
+const char* check_reply(const Request& request, const Reply& reply,
+                        const ReplyContext& context) noexcept {
+  const FileLayout& layout = *context.layout;
+  const int servers = layout.total_servers();
+  const bool data_op = is_data_read(request.op) || is_data_write(request.op);
+  if (!layout_ok(reply, servers)) return "reply layout out of range";
+  if (reply.retry_after != 0 &&
+      !fits(context.now, reply.retry_after, kMaxRetryAt)) {
+    return "reply retry_after out of range";
+  }
+  if ((reply.data && std::cmp_not_equal(reply.data->size(), reply.bytes)) ||
+      (reply.ok && data_op &&
+       (reply.bytes != context.mapped_bytes ||
+        (is_data_read(request.op) && request.carry_data && !reply.data)))) {
+    return "reply bytes differ from the mapped bytes";
+  }
+  // logical() of the last local byte stays in int64.
+  if (!fits(0, reply.local_size) ||
+      reply.local_size / layout.strip_size() >
+          kMaxFileBytes / layout.stripe_size() + 1) {
+    return "stat reply size out of range";
+  }
+  const auto* batch = std::get_if<BatchPayload>(&request.payload);
+  if (batch != nullptr && !reply.sub_acked.empty() &&
+      (reply.sub_acked.size() != batch->sub_ops.size() ||
+       std::ranges::any_of(reply.sub_acked, [](auto a) { return a > 1; }))) {
+    return "batch reply acks out of range";
+  }
+  const auto* pull = std::get_if<ResyncPayload>(&request.payload);
+  const std::int64_t strip = layout.strip_size();
+  for (const ResyncExtent& e : reply.resync) {
+    // No product a hostile strip index could overflow.
+    if (pull == nullptr || e.primary < 0 || e.primary >= servers ||
+        !layout.holds_replica_of(pull->requester, e.primary,
+                                 std::min(context.replication, servers)) ||
+        e.offset < 0 || e.offset % strip != 0 || e.offset / strip != e.strip ||
+        !fits(0, e.length, strip) ||
+        (e.data && !e.data->empty() &&
+         std::cmp_not_equal(e.data->size(), e.length))) {
+      return "resync reply extent out of range";
+    }
+  }
+  return nullptr;
 }
 
 namespace {

@@ -20,6 +20,7 @@
 #include "common/region.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "pfs/layout.h"
 
 namespace dtio {
 class Rng;
@@ -275,6 +276,9 @@ struct Reply {
   std::vector<ResyncExtent> resync;
 };
 
+/// A reply refusing its request with `code` and `error`.
+[[nodiscard]] Reply error_reply(StatusCode code, std::string error);
+
 /// Largest file, in bytes: 2^62 leaves int64 headroom for the layout's
 /// strip and stripe arithmetic on any byte of a file.
 inline constexpr std::int64_t kMaxFileBytes = std::int64_t{1} << 62;
@@ -301,6 +305,40 @@ struct RequestCheck {
 [[nodiscard]] RequestCheck check_request(const Request& request,
                                          const dl::Dataloop* loop,
                                          int num_servers) noexcept;
+
+/// Latest simulated time a reply may ask a retry to wait for: now +
+/// retry_after stays at or below it, so every later deadline still fits
+/// in int64.
+inline constexpr SimTime kMaxRetryAt = SimTime{1} << 62;
+
+/// What check_reply holds a reply to besides its request.
+struct ReplyContext {
+  /// The layout of the request's file; for a metadata op by path or a
+  /// resync pull, the cluster's global layout. It names the cluster's
+  /// servers, the stripe a stat size maps through, and the resync strip.
+  const FileLayout* layout = nullptr;
+  int replication = 1;            ///< copies of each strip (resync pulls)
+  std::int64_t mapped_bytes = 0;  ///< data ops: bytes mapped to the target
+  SimTime now = 0;                ///< when the reply arrived
+};
+
+/// The one validity rule for replies, applied by the client to every RPC
+/// reply and by a server to every resync pull reply: null when `reply`
+/// is one an honest server could send for `request`, else why not. Any
+/// reply's echoed layout is 0 or a layout of the cluster (the rule
+/// check_request applies), its retry_after is 0 or a wait that ends by
+/// kMaxRetryAt, its data is null or exactly `bytes` long, and its
+/// local_size lies in [0, kMaxFileBytes] and maps through the file's
+/// stripe without overflow. An OK data reply moved exactly the mapped
+/// bytes, and an OK read that carries data has its data. A batch reply's
+/// sub_acked is empty or one 0/1 per sub-op. Only a resync pull reply
+/// carries extents, each of a strip the requester replicates: its
+/// primary is a server whose strips the requester holds, its offset is
+/// its strip times the strip size, its length lies in [0, strip size],
+/// and its data is null, empty or exactly `length` long.
+[[nodiscard]] const char* check_reply(const Request& request,
+                                      const Reply& reply,
+                                      const ReplyContext& context) noexcept;
 
 /// Human-readable operation name ("contig_read", "meta_stat", ...), used
 /// by logging, tracing, and metric labels.

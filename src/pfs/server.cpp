@@ -228,28 +228,47 @@ void IOServer::note_strip_writes(std::uint64_t handle, int primary,
   }
 }
 
-bool IOServer::resync_reply_ok(const Reply& reply) const noexcept {
+std::vector<int> IOServer::ring_peers(int from, int first, int last) const {
   const int n = config_->num_servers;
-  const int r = std::min(config_->replication, n);
-  const auto strip_size = static_cast<std::int64_t>(config_->strip_size);
-  for (const ResyncExtent& e : reply.resync) {
-    if (e.primary < 0 || e.primary >= n ||
-        !layout_.holds_replica_of(server_index_, e.primary, r)) {
-      return false;
-    }
-    // offset == strip * strip_size with strip >= 0, and no product a
-    // hostile strip could overflow.
-    if (e.offset < 0 || e.offset % strip_size != 0 ||
-        e.offset / strip_size != e.strip) {
-      return false;
-    }
-    if (e.length < 0 || e.length > strip_size) return false;
-    if (e.data && !e.data->empty() &&
-        e.data->size() != static_cast<std::size_t>(e.length)) {
-      return false;
+  std::vector<int> peers;
+  for (int d = first; d <= last; ++d) {
+    const int peer = ((from + d) % n + n) % n;
+    if (peer != server_index_ &&
+        std::ranges::find(peers, peer) == peers.end()) {
+      peers.push_back(peer);
     }
   }
-  return true;
+  return peers;
+}
+
+sim::Task<std::optional<Reply>> IOServer::pull(int peer,
+                                              Box<ResyncPayload> payload,
+                                              std::uint64_t my_epoch) {
+  Request req;
+  req.op = OpKind::kResyncPull;
+  req.client_node = server_index_;
+  req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
+  req.payload = payload.take();
+  const std::uint64_t wire =
+      config_->net.per_message_overhead_bytes +
+      request_descriptor_bytes(req, config_->list_io_bytes_per_region);
+  sim::Mailbox& mailbox = network_->mailbox(server_index_);
+  mailbox.claim(req.reply_tag);
+  co_await network_->send(
+      server_index_, peer,
+      sim::Message(server_index_, kTagRequest, wire, Request(req)));
+  std::optional<sim::Message> got;
+  if (!crashed_ && epoch_ == my_epoch) {
+    got = co_await mailbox.recv(peer, req.reply_tag, kResyncPullTimeout);
+  }
+  mailbox.retire(req.reply_tag);
+  if (!got.has_value() || crashed_ || epoch_ != my_epoch) {
+    co_return std::nullopt;
+  }
+  Reply reply = got->take<Reply>();
+  const ReplyContext context{&layout_, config_->replication, 0, sched_->now()};
+  reply.ok = reply.ok && check_reply(req, reply, context) == nullptr;
+  co_return reply;
 }
 
 sim::Task<void> IOServer::resync() {
@@ -261,31 +280,16 @@ sim::Task<void> IOServer::resync() {
                              0, obs::Phase::kServerResync);
   }
   instant("resync_begin", 0);
-  const int n = config_->num_servers;
-  const int r = std::min(config_->replication, n);
+  const int r = std::min(config_->replication, config_->num_servers);
   std::uint64_t pulled_strips = 0;
   std::uint64_t pulled_bytes = 0;
   // Peers sharing strips with this server: the r-1 servers before it (we
   // replicate their primaries) and the r-1 after (they replicate ours).
-  std::vector<int> peers;
-  for (int d = -(r - 1); d <= r - 1; ++d) {
-    if (d == 0) continue;
-    const int peer = ((server_index_ + d) % n + n) % n;
-    if (peer != server_index_ &&
-        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
-      peers.push_back(peer);
-    }
-  }
-  for (const int peer : peers) {
+  for (const int peer : ring_peers(server_index_, -(r - 1), r - 1)) {
     bool ok = false;
-    const int attempts = std::max(1, config_->server.resync_pull_attempts);
-    for (int attempt = 0; attempt < attempts && !ok; ++attempt) {
+    for (int attempt = 0; attempt < kResyncPullAttempts && !ok; ++attempt) {
       // Rebuilt per attempt: extents already applied from an earlier peer
       // raised our epochs, so later peers only ship what is still stale.
-      Request req;
-      req.op = OpKind::kResyncPull;
-      req.client_node = server_index_;
-      req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
       ResyncPayload payload;
       payload.requester = server_index_;
       payload.epochs.reserve(strip_epochs_.size());
@@ -293,38 +297,19 @@ sim::Task<void> IOServer::resync() {
         payload.epochs.push_back(StripEpoch{std::get<0>(key), std::get<1>(key),
                                             std::get<2>(key), epoch});
       }
-      req.payload = std::move(payload);
-      const std::uint64_t tag = req.reply_tag;
-      const std::uint64_t wire =
-          config_->net.per_message_overhead_bytes +
-          request_descriptor_bytes(req, config_->list_io_bytes_per_region);
-      sim::Mailbox& mailbox = network_->mailbox(server_index_);
-      mailbox.claim(tag);
-      co_await network_->send(
-          server_index_, peer,
-          sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      auto maybe = co_await mailbox.recv(peer, tag,
-                                         config_->server.resync_pull_timeout);
-      mailbox.retire(tag);
+      const std::optional<Reply> got = co_await pull(
+          peer, Box<ResyncPayload>(std::move(payload)), my_epoch);
+      // Peer refused — typically because it is resyncing itself — or sent
+      // a reply this server must not apply. Give it one deadline's worth
+      // of time and try again.
+      if (got && !got->ok) co_await sched_->delay(kResyncPullTimeout);
       if (crashed_ || epoch_ != my_epoch) {
         // Crashed again mid-resync: the next restart owns recovery.
         if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
         co_return;
       }
-      if (!maybe.has_value()) continue;  // pull timed out; retry
-      Reply reply = maybe->take<Reply>();
-      if (!reply.ok || !resync_reply_ok(reply)) {
-        // Peer refused — typically because it is resyncing itself — or
-        // sent extents this server must not apply. Give it one deadline's
-        // worth of time and try again.
-        co_await sched_->delay(config_->server.resync_pull_timeout);
-        if (crashed_ || epoch_ != my_epoch) {
-          if (obs_ != nullptr) obs_->spans.end(span, sched_->now());
-          co_return;
-        }
-        continue;
-      }
-      for (ResyncExtent& ext : reply.resync) {
+      if (!got || !got->ok) continue;  // timed out or refused: retry
+      for (const ResyncExtent& ext : got->resync) {
         auto& current = strip_epochs_[{ext.handle, ext.primary, ext.strip}];
         if (ext.epoch <= current) continue;  // an earlier peer caught us up
         Bstream& target =
@@ -467,9 +452,7 @@ const DataBuffer* payload_data(const Request& request) {
 
 bool IOServer::verify_integrity(const Request& request, Reply& reply) {
   auto fail = [&reply](std::string why) {
-    reply.ok = false;
-    reply.code = StatusCode::kDataLoss;
-    reply.error = std::move(why);
+    reply = error_reply(StatusCode::kDataLoss, std::move(why));
     return false;
   };
   if (request.has_payload_crc) {
@@ -558,10 +541,9 @@ sim::Task<void> IOServer::shed_request(Box<Request> boxed, const char* reason) {
   // control: a bounded, small cost per refused request instead of an
   // unbounded queue of full-price ones.
   co_await cpu_.use(scaled(config_->server.shed_cost));
-  Reply reply;
-  reply.ok = false;
-  reply.code = StatusCode::kOverloaded;
-  reply.error = std::string("shed: queue ") + reason + " bound exceeded";
+  Reply reply =
+      error_reply(StatusCode::kOverloaded,
+                  std::string("shed: queue ") + reason + " bound exceeded");
   reply.retry_after = backlog_drain_estimate();
   send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
 }
@@ -703,15 +685,10 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
         is_data_read(request.op) || request.op == OpKind::kResyncPull;
     if (is_write || is_read) {
       ++stats_.resync_refused;
-      Reply reply;
-      reply.ok = false;
-      reply.error = "resync in progress";
-      if (is_write) {
-        reply.code = StatusCode::kOverloaded;
-        reply.retry_after = config_->server.resync_pull_timeout;
-      } else {
-        reply.code = StatusCode::kUnavailable;
-      }
+      Reply reply = error_reply(
+          is_write ? StatusCode::kOverloaded : StatusCode::kUnavailable,
+          "resync in progress");
+      if (is_write) reply.retry_after = kResyncPullTimeout;
       instant("resync_refuse", request.client_node, req_span_, req_trace_);
       send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
       if (obs_ != nullptr) obs_->spans.end(req_span_, sched_->now());
@@ -796,9 +773,11 @@ sim::Task<void> IOServer::handle_request(Box<Request> boxed) {
     case OpKind::kMetaUnlock: {
       const auto& p = std::get<MetaPayload>(request.payload);
       count_meta_op(request.op);
-      // Ownership transfers to the next parked waiter, if any. Releasing a
-      // stripe invalidated by a crash is a safe no-op.
-      if (auto next = locks_.release(p.handle, p.lock_stripe)) {
+      // Ownership transfers to the next parked waiter, if any. An unlock
+      // from a client that does not hold the stripe (its lock invalidated
+      // by a crash) is a safe no-op.
+      if (auto next =
+              locks_.release(p.handle, p.lock_stripe, request.client_node)) {
         send_reply(next->client_node, next->reply_tag, Reply{}, 0);
       }
       send_reply(request.client_node, request.reply_tag, Reply{}, 0);
@@ -1146,11 +1125,8 @@ sim::Task<void> IOServer::handle_data(Request& request,
 
 void IOServer::reject_invalid(const Request& request, std::string why) {
   ++stats_.bad_requests;
-  Reply reply;
-  reply.ok = false;
-  reply.code = StatusCode::kInvalidArgument;
-  reply.error = std::move(why);
-  send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
+  send_reply(request.client_node, request.reply_tag,
+             error_reply(StatusCode::kInvalidArgument, std::move(why)), 0);
 }
 
 void IOServer::count_meta_op(OpKind op) noexcept {
@@ -1175,9 +1151,8 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
   switch (request.op) {
     case OpKind::kMetaCreate: {
       if (namespace_.contains(p.path)) {
-        reply.ok = false;
-        reply.code = StatusCode::kAlreadyExists;
-        reply.error = "already exists: " + p.path;
+        reply = error_reply(StatusCode::kAlreadyExists,
+                            "already exists: " + p.path);
         break;
       }
       // The wire handle encodes this shard (seq * meta_shards + shard), so
@@ -1196,9 +1171,7 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
     case OpKind::kMetaOpen: {
       const auto it = namespace_.find(p.path);
       if (it == namespace_.end()) {
-        reply.ok = false;
-        reply.code = StatusCode::kNotFound;
-        reply.error = "no such file: " + p.path;
+        reply = error_reply(StatusCode::kNotFound, "no such file: " + p.path);
         break;
       }
       reply.handle = it->second.handle;
@@ -1208,9 +1181,7 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
     case OpKind::kMetaRemove: {
       const auto it = namespace_.find(p.path);
       if (it == namespace_.end()) {
-        reply.ok = false;
-        reply.code = StatusCode::kNotFound;
-        reply.error = "no such file: " + p.path;
+        reply = error_reply(StatusCode::kNotFound, "no such file: " + p.path);
         break;
       }
       live_handles_.erase(it->second.handle);
@@ -1222,9 +1193,8 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
       if (handle == 0) {  // resolve by path (this shard owns the path)
         const auto it = namespace_.find(p.path);
         if (it == namespace_.end()) {
-          reply.ok = false;
-          reply.code = StatusCode::kNotFound;
-          reply.error = "no such file: " + p.path;
+          reply =
+              error_reply(StatusCode::kNotFound, "no such file: " + p.path);
           break;
         }
         handle = it->second.handle;
@@ -1236,9 +1206,7 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
         // has never issued (or has since removed) it: a typed kNotFound
         // instead of the old silent size-0 answer. Non-owner data servers
         // skip the check — they only report their local bstream size.
-        reply.ok = false;
-        reply.code = StatusCode::kNotFound;
-        reply.error = "stale handle";
+        reply = error_reply(StatusCode::kNotFound, "stale handle");
         break;
       }
       reply.handle = handle;
@@ -1247,9 +1215,7 @@ void IOServer::handle_meta(Request& request, Reply& reply) {
       break;
     }
     default:
-      reply.ok = false;
-      reply.code = StatusCode::kInvalidArgument;
-      reply.error = "bad metadata op";
+      reply = error_reply(StatusCode::kInvalidArgument, "bad metadata op");
       break;
   }
 }
@@ -1364,15 +1330,15 @@ sim::Task<bool> IOServer::verify_read_media(Request& request, int primary,
   // client's fast-fail recognise a persistent media loss (random wire
   // corruption yields varying messages and never trips it).
   ++stats_.media_data_loss;
-  Reply reply;
-  reply.ok = false;
-  reply.code = StatusCode::kDataLoss;
-  reply.error = "media fault: " + std::to_string(bad.strips.size()) +
-                " bad strip(s) (sector=" + std::to_string(bad.sector) +
-                " bit_rot=" + std::to_string(bad.rot) +
-                " torn=" + std::to_string(bad.torn) +
-                ") handle=" + std::to_string(request.handle);
-  send_reply(request.client_node, request.reply_tag, std::move(reply), 0);
+  send_reply(request.client_node, request.reply_tag,
+             error_reply(StatusCode::kDataLoss,
+                         "media fault: " + std::to_string(bad.strips.size()) +
+                             " bad strip(s) (sector=" +
+                             std::to_string(bad.sector) +
+                             " bit_rot=" + std::to_string(bad.rot) +
+                             " torn=" + std::to_string(bad.torn) +
+                             ") handle=" + std::to_string(request.handle)),
+             0);
   co_return false;
 }
 
@@ -1380,30 +1346,15 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
     std::uint64_t handle, int primary, std::vector<std::int64_t> strips,
     bool in_request) {
   const std::uint64_t my_epoch = epoch_;
-  const int n = config_->num_servers;
-  const int r = std::min(config_->replication, n);
+  const int r = std::min(config_->replication, config_->num_servers);
+  std::vector<std::int64_t> remaining = std::move(strips);
+  std::uint64_t repaired = 0;
   // Every other holder of `primary`'s strips on the ring: the primary
   // itself (when that is not us) first — its copy is authoritative for
   // write-back dirty data — then the replica holders in ring order.
-  std::vector<int> peers;
-  if (primary != server_index_) peers.push_back(primary);
-  for (int k = 1; k < r; ++k) {
-    const int peer = ((primary + k) % n + n) % n;
-    if (peer != server_index_ &&
-        std::find(peers.begin(), peers.end(), peer) == peers.end()) {
-      peers.push_back(peer);
-    }
-  }
-  std::vector<std::int64_t> remaining = std::move(strips);
-  std::uint64_t repaired = 0;
-  for (const int peer : peers) {
+  for (const int peer : ring_peers(primary, 0, r - 1)) {
     if (remaining.empty()) break;
-    const int attempts = std::max(1, config_->server.resync_pull_attempts);
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      Request req;
-      req.op = OpKind::kResyncPull;
-      req.client_node = server_index_;
-      req.reply_tag = kTagReplyBase + (++resync_reply_seq_);
+    for (int attempt = 0; attempt < kResyncPullAttempts; ++attempt) {
       ResyncPayload payload;
       payload.requester = server_index_;
       payload.scoped = true;
@@ -1414,30 +1365,14 @@ sim::Task<std::uint64_t> IOServer::repair_strips(
             handle, primary, s,
             eit == strip_epochs_.end() ? 0 : eit->second});
       }
-      req.payload = std::move(payload);
-      const std::uint64_t tag = req.reply_tag;
-      const std::uint64_t wire =
-          config_->net.per_message_overhead_bytes +
-          request_descriptor_bytes(req, config_->list_io_bytes_per_region);
-      sim::Mailbox& mailbox = network_->mailbox(server_index_);
-      mailbox.claim(tag);
-      co_await network_->send(
-          server_index_, peer,
-          sim::Message(server_index_, kTagRequest, wire, std::move(req)));
-      if (crashed_ || epoch_ != my_epoch) {
-        mailbox.retire(tag);
-        co_return repaired;
-      }
-      auto maybe = co_await mailbox.recv(peer, tag,
-                                         config_->server.resync_pull_timeout);
-      mailbox.retire(tag);
+      const std::optional<Reply> got = co_await pull(
+          peer, Box<ResyncPayload>(std::move(payload)), my_epoch);
       if (crashed_ || epoch_ != my_epoch) co_return repaired;
-      if (!maybe.has_value()) continue;  // pull timed out; retry this peer
-      Reply reply = maybe->take<Reply>();
-      // Peer resyncing, or extents this server must not apply: move on to
+      if (!got) continue;  // pull timed out; retry this peer
+      // Peer resyncing, or a reply this server must not apply: move on to
       // the next peer.
-      if (!reply.ok || !resync_reply_ok(reply)) break;
-      for (ResyncExtent& ext : reply.resync) {
+      if (!got->ok) break;
+      for (const ResyncExtent& ext : got->resync) {
         if (!ext.data || ext.data->empty()) continue;
         Bstream& target = ext.primary == server_index_
                               ? primary_bstream(ext.handle)

@@ -15,6 +15,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -276,11 +277,25 @@ class IOServer {
   /// Donor side of resync: answer a peer's kResyncPull with the extents
   /// (and epochs) of every shared strip this server is ahead on.
   sim::Task<void> handle_resync_pull(Request& request);
-  /// May a peer's resync reply be applied? Every extent must name a
-  /// primary this server replicates, cover exactly one strip from its
-  /// start, and carry no data or exactly `length` bytes. Both pullers
-  /// (resync and repair_strips) treat a failing reply as a refusal.
-  [[nodiscard]] bool resync_reply_ok(const Reply& reply) const noexcept;
+  /// Reply deadline of one peer pull, and the retry_after of writes
+  /// refused while the restart resync runs.
+  static constexpr SimTime kResyncPullTimeout = 50 * kMillisecond;
+  /// Pulls per peer before resync skips it (counted in
+  /// ServerStats::resync_peers_skipped; the next restart retries) or
+  /// repair_strips moves on: bounds both under an adversarial fault plan.
+  static constexpr int kResyncPullAttempts = 3;
+  /// Servers `from` + d (mod num_servers) for d in [first, last], in that
+  /// order, without this server or repeats: the peers a pull visits.
+  [[nodiscard]] std::vector<int> ring_peers(int from, int first,
+                                            int last) const;
+  /// The one peer pull of resync and repair_strips: send a kResyncPull
+  /// carrying `payload` to `peer` and wait up to kResyncPullTimeout for
+  /// its reply; nullopt when none came or this server crashed since
+  /// `my_epoch` (which the caller checks). A reply the peer refused, or
+  /// that fails check_reply, comes back with ok false. Each caller keeps
+  /// its own peer order and retry policy.
+  sim::Task<std::optional<Reply>> pull(int peer, Box<ResyncPayload> payload,
+                                       std::uint64_t my_epoch);
   /// Advance the per-strip write epochs covered by an applied physical
   /// write region (acting as `primary`). No-op at replication 1.
   void note_strip_writes(std::uint64_t handle, int primary,

@@ -29,10 +29,6 @@ struct MetaStormConfig {
   /// lock_stripe_bytes below this, one pair spans several stripes (and so
   /// several shards), exercising the ascending-stripe acquisition order.
   std::int64_t lock_range_bytes = 256 * kKiB;
-  /// Stride between consecutive lock ranges of one rank. Rank r's k-th
-  /// range starts at (r * lock_pairs + k) * lock_stride_bytes: disjoint
-  /// across ranks, so the storm's grant order never affects file bytes.
-  std::int64_t lock_stride_bytes = 512 * kKiB;
 
   /// Rank-private file name: "/storm/r<rank>/f<i>".
   [[nodiscard]] std::string path(int rank, int i) const {
@@ -44,18 +40,6 @@ struct MetaStormConfig {
   /// The shared file every rank locks against.
   [[nodiscard]] static const char* shared_path() noexcept {
     return "/storm/shared";
-  }
-
-  /// Start of rank `rank`'s `k`-th locked range.
-  [[nodiscard]] std::int64_t lock_offset(int rank, int k) const noexcept {
-    return (static_cast<std::int64_t>(rank) * lock_pairs + k) *
-           lock_stride_bytes;
-  }
-
-  /// Metadata ops one rank issues in the namespace phase (create + stat +
-  /// open + remove per file).
-  [[nodiscard]] std::int64_t namespace_ops_per_client() const noexcept {
-    return static_cast<std::int64_t>(files_per_client) * 4;
   }
 };
 

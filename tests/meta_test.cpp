@@ -104,20 +104,40 @@ TEST(LockTable, GrantsImmediatelyThenParksFifo) {
   EXPECT_EQ(table.parked(), 2u);
 
   // Release hands the stripe to waiters in FIFO order.
-  auto next = table.release(7, 0);
+  auto next = table.release(7, 0, 100);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->client_node, 101);
-  next = table.release(7, 0);
+  next = table.release(7, 0, 101);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->client_node, 102);
-  next = table.release(7, 0);
+  next = table.release(7, 0, 102);
   EXPECT_FALSE(next.has_value());  // queue drained, stripe now free
   EXPECT_TRUE(table.acquire(7, 0, {105, 6}));
 }
 
 TEST(LockTable, ReleasingUnheldIsANoOp) {
   meta::LockTable table;
-  EXPECT_FALSE(table.release(1, 0).has_value());
+  EXPECT_FALSE(table.release(1, 0, 100).has_value());
+  EXPECT_EQ(table.held(), 0u);
+}
+
+TEST(LockTable, OnlyTheHolderReleases) {
+  meta::LockTable table;
+  EXPECT_TRUE(table.acquire(1, 0, {100, 1}));
+  EXPECT_FALSE(table.acquire(1, 0, {101, 2}));
+  // A client that does not hold the stripe changes nothing.
+  EXPECT_FALSE(table.release(1, 0, 101).has_value());
+  EXPECT_FALSE(table.release(1, 0, 102).has_value());
+  EXPECT_EQ(table.held(), 1u);
+  EXPECT_EQ(table.parked(), 1u);
+  // The holder's release passes the stripe on; then only the new holder
+  // can release it.
+  const auto next = table.release(1, 0, 100);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->client_node, 101);
+  EXPECT_FALSE(table.release(1, 0, 100).has_value());
+  EXPECT_EQ(table.held(), 1u);
+  EXPECT_FALSE(table.release(1, 0, 101).has_value());
   EXPECT_EQ(table.held(), 0u);
 }
 
@@ -444,13 +464,14 @@ TEST(StripedLocks, CrashInvalidatesAndRegrantsWaiters) {
     SCOPED_TRACE(stripe_bytes > 0 ? "striped" : "whole-file");
     net::ClusterConfig cfg;
     cfg.num_servers = 2;
-    cfg.num_clients = 2;
+    cfg.num_clients = 3;
     cfg.meta_shards = 2;
     cfg.lock_stripe_bytes = stripe_bytes;
     cfg.file_locking = true;
     pfs::Cluster cluster(cfg);
     auto holder = cluster.make_client(0);
     auto waiter = cluster.make_client(1);
+    auto late = cluster.make_client(2);
 
     std::uint64_t h = 0;
     cluster.scheduler().spawn([](pfs::Client& c, std::uint64_t& out)
@@ -461,35 +482,53 @@ TEST(StripedLocks, CrashInvalidatesAndRegrantsWaiters) {
 
     // Stripe 0 lives on shard 0; the whole-file lock on the handle's
     // owning shard. The holder sits on the lock across the crash window;
-    // the waiter parks, the shard crashes, and the restart re-grant hands
-    // the invalidated lock to the parked waiter.
+    // the waiter parks, the shard crashes, and the restart re-grants the
+    // invalidated lock to the parked waiter, which keeps it for 100 ms.
+    // A third client parks behind the waiter. The pre-crash holder's
+    // unlock, while the waiter holds the lock, must not free it for the
+    // third client.
     const int shard = stripe_bytes > 0
                           ? 0
                           : meta::ShardMap(cfg.meta_shards).shard_of_handle(h);
     int done = 0;
+    SimTime waiter_released = 0;
+    SimTime late_granted = 0;
     cluster.scheduler().spawn(
         [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
            int& fin) -> Task<void> {
           EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
           co_await sched.delay(50 * kMillisecond);
-          // Unlock after restart: the lock was invalidated, so this is the
-          // documented safe no-op.
+          // Unlock after restart: the lock was invalidated and re-granted
+          // to the waiter, so this is the documented safe no-op.
           EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
           ++fin;
         }(*holder, cluster.scheduler(), h, done));
     cluster.scheduler().spawn(
         [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
-           int& fin) -> Task<void> {
+           SimTime& released, int& fin) -> Task<void> {
           co_await sched.delay(kMillisecond);
           EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
+          co_await sched.delay(100 * kMillisecond);
+          released = sched.now();
           EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
           ++fin;
-        }(*waiter, cluster.scheduler(), h, done));
+        }(*waiter, cluster.scheduler(), h, waiter_released, done));
+    cluster.scheduler().spawn(
+        [](pfs::Client& c, sim::Scheduler& sched, std::uint64_t handle,
+           SimTime& granted, int& fin) -> Task<void> {
+          co_await sched.delay(20 * kMillisecond);
+          EXPECT_TRUE((co_await c.lock_range(handle, 0, kKiB)).is_ok());
+          granted = sched.now();
+          EXPECT_TRUE((co_await c.unlock_range(handle, 0, kKiB)).is_ok());
+          ++fin;
+        }(*late, cluster.scheduler(), h, late_granted, done));
     cluster.schedule_server_crash(/*index=*/shard, /*at=*/10 * kMillisecond,
                                   /*restart_delay=*/5 * kMillisecond);
     cluster.run();
-    EXPECT_EQ(done, 2);
+    EXPECT_EQ(done, 3);
     EXPECT_GE(cluster.server(shard).stats().lock_regrants, 1u);
+    EXPECT_GE(late_granted, waiter_released)
+        << "the third client was granted a lock the waiter still held";
   }
 }
 

@@ -882,6 +882,7 @@ TEST(PublishMetrics, EveryRowMatchesItsOwnerWithAllSubsystemsOn) {
     want["client_read_failovers_total"] += c->read_failovers();
     want["client_quorum_writes_total"] += c->quorum_writes();
     want["client_data_loss_total"] += c->data_loss_surfaced();
+    want["client_bad_replies_total"] += c->bad_replies();
     want["client_wb_staged_bytes_total"] += c->wb_staged_bytes();
     want["client_wb_coalesced_ops_total"] += c->wb_coalesced_ops();
     want["client_wb_flushes_total"] += c->wb_flushes();

@@ -1935,6 +1935,139 @@ TEST(EndToEnd, ShortReadReplyDataIsRefused) {
       << read_status.to_string();
 }
 
+/// A fault plan whose corruptor rewrites, once, the first reply that
+/// `rewrite` accepts while `*armed` is true; nothing else is corrupted.
+template <typename Rewrite>
+void rewrite_one_reply(net::FaultPlan& plan, const bool* armed,
+                       bool* rewritten, Rewrite rewrite) {
+  plan.set_default_spec({.corrupt = 1.0});
+  plan.set_corruptor([=](sim::Message& msg, Rng&) {
+    auto* reply = std::any_cast<Reply>(&msg.body);
+    if (!*armed || *rewritten || reply == nullptr || !rewrite(*reply)) {
+      return false;
+    }
+    *rewritten = true;
+    return true;
+  });
+}
+
+TEST(EndToEnd, ZeroStripOpenReplyIsRefused) {
+  // An open reply echoing a layout with a 0-byte strip. Cached as given,
+  // it made the reader's stat divide by zero once another client had
+  // written the file; the reply check refuses it instead.
+  Cluster cluster(small_config(4, 2));
+  net::FaultPlan plan(7);
+  bool armed = false;
+  bool rewritten = false;
+  rewrite_one_reply(plan, &armed, &rewritten, [](Reply& reply) {
+    reply.layout_servers = 2;
+    reply.layout_strip = 0;
+    return true;
+  });
+  cluster.set_fault_plan(&plan);
+  auto writer = cluster.make_client(0);
+  auto reader = cluster.make_client(1);
+  const auto file = pattern_bytes(4096, 29);
+  MetaResult first;
+  MetaResult second;
+  cluster.scheduler().spawn(
+      [](Client& w, Client& r, const std::vector<std::uint8_t>& src,
+         bool& arm, MetaResult& a, MetaResult& b) -> Task<void> {
+        const MetaResult f = co_await w.create("/zero_strip");
+        EXPECT_TRUE((co_await w.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        arm = true;  // the next reply is the reader's open
+        a = co_await r.stat("/zero_strip");
+        b = co_await r.stat("/zero_strip");
+      }(*writer, *reader, file, armed, first, second));
+  cluster.run();
+  EXPECT_TRUE(rewritten);
+  EXPECT_EQ(first.status.code(), StatusCode::kInternal)
+      << first.status.to_string();
+  EXPECT_EQ(reader->bad_replies(), 1u);
+  EXPECT_TRUE(second.status.is_ok()) << second.status.to_string();
+  EXPECT_EQ(second.size, 4096);
+}
+
+TEST(EndToEnd, OverflowingStatSizeIsRefused) {
+  // A stat reply whose local size overflows the logical size it maps to:
+  // stat used to return OK, with the overflowed size silently dropped.
+  Cluster cluster(small_config(4, 1));
+  net::FaultPlan plan(7);
+  bool armed = false;
+  bool rewritten = false;
+  rewrite_one_reply(plan, &armed, &rewritten, [](Reply& reply) {
+    if (reply.local_size <= 0) return false;
+    reply.local_size = std::numeric_limits<std::int64_t>::max();
+    return true;
+  });
+  cluster.set_fault_plan(&plan);
+  auto client = cluster.make_client(0);
+  const auto file = pattern_bytes(4096, 31);
+  MetaResult first;
+  MetaResult second;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src, bool& arm,
+         MetaResult& a, MetaResult& b) -> Task<void> {
+        const MetaResult f = co_await c.create("/huge_stat");
+        EXPECT_TRUE((co_await c.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        arm = true;
+        a = co_await c.stat_handle(f.handle);
+        b = co_await c.stat_handle(f.handle);
+      }(*client, file, armed, first, second));
+  cluster.run();
+  EXPECT_TRUE(rewritten);
+  EXPECT_EQ(first.status.code(), StatusCode::kInternal)
+      << first.status.to_string() << ", size " << first.size;
+  EXPECT_EQ(client->bad_replies(), 1u);
+  EXPECT_TRUE(second.status.is_ok()) << second.status.to_string();
+  EXPECT_EQ(second.size, 4096);
+}
+
+TEST(EndToEnd, OverflowingRetryAfterIsRefused) {
+  // A shed reply asking for a wait that overflows the clock: the retry's
+  // now + retry_after overflowed in the scheduler's delay.
+  Cluster cluster(small_config(4, 1));
+  net::FaultPlan plan(7);
+  bool armed = false;
+  bool rewritten = false;
+  rewrite_one_reply(plan, &armed, &rewritten, [](Reply& reply) {
+    reply = Reply{};
+    reply.ok = false;
+    reply.code = StatusCode::kOverloaded;
+    reply.error = "shed";
+    reply.retry_after = std::numeric_limits<std::int64_t>::max();
+    return true;
+  });
+  cluster.set_fault_plan(&plan);
+  auto client = cluster.make_client(0);
+  const auto file = pattern_bytes(4096, 37);
+  Status read_status;
+  cluster.scheduler().spawn(
+      [](Client& c, const std::vector<std::uint8_t>& src, bool& arm,
+         Status& out) -> Task<void> {
+        const MetaResult f = co_await c.create("/huge_wait");
+        EXPECT_TRUE((co_await c.write_contig(
+                         f.handle, 0, src.data(),
+                         static_cast<std::int64_t>(src.size())))
+                        .is_ok());
+        arm = true;
+        std::vector<std::uint8_t> buf(src.size());
+        out = co_await c.read_contig(f.handle, 0, buf.data(),
+                                     static_cast<std::int64_t>(buf.size()));
+      }(*client, file, armed, read_status));
+  cluster.run();
+  EXPECT_TRUE(rewritten);
+  EXPECT_EQ(read_status.code(), StatusCode::kInternal)
+      << read_status.to_string();
+  EXPECT_EQ(client->bad_replies(), 1u);
+}
+
 TEST(EndToEnd, SetFaultPlanKeepsAnEarlierCorruptor) {
   // A corruptor that never corrupts, set before set_fault_plan: it is the
   // one asked about every message, so nothing is corrupted and the data
